@@ -16,7 +16,6 @@
 
 #include "bench/common.hh"
 #include "core/study/sweep.hh"
-#include "core/study/tracecache.hh"
 #include "sim/interp.hh"
 
 using namespace ilp;
@@ -25,11 +24,10 @@ namespace {
 
 // The ablation rows repeat whole-suite evaluations with overlapping
 // (sched-machine, options) pairs — e.g. the "default" configuration
-// appears in three tables — and row 4 deliberately times one schedule
-// on a *different* machine.  Shared caches make this the canonical
-// execute-once / time-many shape: the trace is keyed by the compile
-// key of the machine scheduled *for*, then timed on whatever machine
-// is measured.
+// appears in three tables — so compiles are shared through one cache.
+// Row 4 deliberately times a schedule on a *different* machine: the
+// module compiled for the machine scheduled *for* runs on whatever
+// machine is measured.
 CompileCache &
 compiles()
 {
@@ -37,28 +35,12 @@ compiles()
     return cache;
 }
 
-TraceCache &
-traces()
-{
-    static TraceCache cache;
-    return cache;
-}
-
 RunOutcome
 timeOn(const Workload &w, const MachineConfig &sched_machine,
        const MachineConfig &timing_machine, const CompileOptions &o)
 {
-    std::shared_ptr<const Module> scheduled =
-        compiles().compile(w, sched_machine, o);
-    if (!traces().enabled())
-        return runOnMachine(*scheduled, timing_machine);
-    std::shared_ptr<const TraceArtifact> artifact = traces().execute(
-        CompileCache::key(w, sched_machine, o), *scheduled);
-    if (!artifact->replayable) {
-        traces().noteFallback();
-        return runOnMachine(*scheduled, timing_machine);
-    }
-    return timeTrace(*artifact, timing_machine);
+    return runOnMachine(*compiles().compile(w, sched_machine, o),
+                        timing_machine);
 }
 
 double

@@ -47,8 +47,8 @@ main()
     // With SSIM_BENCH_STATS set, record one full snapshot per
     // benchmark on the headline ss4 machine so perf PRs can diff
     // stall attribution across revisions.  The runs go through the
-    // study, so the degree sweep above already compiled and executed
-    // every (benchmark, ss4) cell — these are pure replays.  Appends
+    // study, so the degree sweep above already compiled every
+    // (benchmark, ss4) cell — these runs only execute.  Appends
     // follow serially in suite order so the trajectory is
     // deterministic under any job count.
     if (bench::statsTrajectoryPath()) {

@@ -67,8 +67,8 @@ main()
 
     // With SSIM_BENCH_STATS set, record one full snapshot per
     // benchmark on the headline ss4 machine.  The runs go through the
-    // study, so the n=4 column above already compiled and executed
-    // each cell — these are pure replays.  The appends happen
+    // study, so the n=4 column above already compiled each cell —
+    // these runs only execute.  The appends happen
     // serially afterwards so the trajectory order is deterministic.
     if (bench::statsTrajectoryPath()) {
         std::vector<RunOutcome> outs =

@@ -152,9 +152,9 @@ BENCHMARK(BM_TimingSimulation)->Unit(benchmark::kMillisecond);
 void
 BM_LiveRun(benchmark::State &state)
 {
-    // The coupled path: every iteration re-executes the workload
-    // functionally while timing it (runOnMachine).  Compare against
-    // BM_TraceReplay for the execute-once / time-many win.
+    // The timing path every sweep cell takes: each iteration
+    // re-executes the workload functionally while timing it
+    // (runOnMachine).
     const Workload &w = wl();
     CompileOptions o = defaultCompileOptions(w);
     MachineConfig mc = idealSuperscalar(4);
@@ -176,59 +176,28 @@ BM_LiveRun(benchmark::State &state)
 BENCHMARK(BM_LiveRun)->Unit(benchmark::kMillisecond);
 
 void
-BM_TraceReplay(benchmark::State &state)
+BM_ProfiledLiveRun(benchmark::State &state)
 {
-    // The split path: one functional execution up front
-    // (executeWorkload), then each iteration is pure timing over the
-    // packed trace (timeTrace) — the steady-state cost of a sweep
-    // cell once the TraceCache is warm.
+    // BM_LiveRun with the cycle profiler on: the per-pc counter
+    // updates are the only delta, so the gap to BM_LiveRun is the
+    // whole observability cost (profiling off must stay at BM_LiveRun
+    // speed — it is a single predictable branch).
     const Workload &w = wl();
     CompileOptions o = defaultCompileOptions(w);
     MachineConfig mc = idealSuperscalar(4);
     Module m = compileWorkload(w.source, mc, o);
-    TraceArtifact artifact = executeWorkload(m);
-    std::uint64_t instrs = 0;
-    const auto t0 = BenchClock::now();
-    for (auto _ : state) {
-        RunOutcome out = timeTrace(artifact, mc);
-        instrs += out.instructions;
-        benchmark::DoNotOptimize(out.cycles);
-    }
-    const double wall = secondsSince(t0);
-    state.counters["instr/s"] = benchmark::Counter(
-        static_cast<double>(instrs), benchmark::Counter::kIsRate);
-    state.counters["trace_mb"] =
-        static_cast<double>(artifact.byteSize()) / (1024.0 * 1024.0);
-    recordRateSample(
-        "BM_TraceReplay", "instr_per_s",
-        wall > 0.0 ? static_cast<double>(instrs) / wall : 0.0, state);
-}
-BENCHMARK(BM_TraceReplay)->Unit(benchmark::kMillisecond);
-
-void
-BM_ProfiledReplay(benchmark::State &state)
-{
-    // BM_TraceReplay with the cycle profiler on: the per-pc counter
-    // updates are the only delta, so the gap to BM_TraceReplay is the
-    // whole observability cost (profiling off must stay at
-    // BM_TraceReplay speed — it is a single predictable branch).
-    const Workload &w = wl();
-    CompileOptions o = defaultCompileOptions(w);
-    MachineConfig mc = idealSuperscalar(4);
-    Module m = compileWorkload(w.source, mc, o);
-    TraceArtifact artifact = executeWorkload(m);
     RunTelemetryOptions t;
     t.collectProfile = true;
     std::uint64_t instrs = 0;
     for (auto _ : state) {
-        RunOutcome out = timeTrace(artifact, mc, t);
+        RunOutcome out = runOnMachine(m, mc, t);
         instrs += out.instructions;
         benchmark::DoNotOptimize(out.pcCounters.data());
     }
     state.counters["instr/s"] = benchmark::Counter(
         static_cast<double>(instrs), benchmark::Counter::kIsRate);
 }
-BENCHMARK(BM_ProfiledReplay)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_ProfiledLiveRun)->Unit(benchmark::kMillisecond);
 
 void
 BM_CompileCacheHit(benchmark::State &state)
@@ -345,18 +314,18 @@ BENCHMARK(BM_ParallelSweepTraced)
 void
 BM_WhatIfQuery(benchmark::State &state)
 {
-    // One analytic analyze() over a prebuilt dependence graph — the
-    // per-cell cost of a pruned sweep, to be read against
-    // BM_TimingReplay (the exact replay it substitutes for).
+    // One analytic analyze() over a prebuilt dependence graph, to be
+    // read against BM_LiveRun (the exact timing run of the same
+    // workload and machine).
     const Workload &w = wl();
     const CompileOptions o = defaultCompileOptions(w);
     const MachineConfig machine = idealSuperscalar(4);
     Study study(1);
-    auto graph = study.dependenceGraph(w, machine, o);
+    const DepGraph graph = study.dependenceGraph(w, machine, o);
     std::uint64_t nodes = 0;
     const auto t0 = BenchClock::now();
     for (auto _ : state) {
-        AnalyticResult a = graph->analyze(machine);
+        AnalyticResult a = graph.analyze(machine);
         nodes += a.instructions;
         benchmark::DoNotOptimize(a.minorCycles);
     }
@@ -366,41 +335,6 @@ BM_WhatIfQuery(benchmark::State &state)
         wall > 0.0 ? static_cast<double>(nodes) / wall : 0.0, state);
 }
 BENCHMARK(BM_WhatIfQuery)->Unit(benchmark::kMillisecond);
-
-void
-BM_PrunedSweep(benchmark::State &state)
-{
-    // The figure-4-1 degree sweep through prune-then-confirm: same
-    // output as the exact sweep inside BM_ParallelSweep's cells, but
-    // only the extreme cells replay.  Fresh Study per iteration so
-    // graph/trace caches start cold, matching BM_ParallelSweep.
-    const Workload &w = workloadByName("whet");
-    const CompileOptions o = defaultCompileOptions(w);
-    std::uint64_t replays = 0;
-    const auto t0 = BenchClock::now();
-    for (auto _ : state) {
-        Study study(static_cast<int>(state.range(0)));
-        whatif::PruneOutcome po = whatif::prunedIlpSweep(study, w, o);
-        replays += po.exactReplays;
-        benchmark::DoNotOptimize(po.cells.data());
-    }
-    const double wall = secondsSince(t0);
-    state.counters["replays"] = static_cast<double>(
-        state.iterations() > 0
-            ? replays / static_cast<std::uint64_t>(state.iterations())
-            : 0);
-    recordRateSample(
-        "BM_PrunedSweep/" + std::to_string(state.range(0)),
-        "cells_per_s",
-        wall > 0.0
-            ? static_cast<double>(state.iterations()) * 8.0 / wall
-            : 0.0,
-        state);
-}
-BENCHMARK(BM_PrunedSweep)
-    ->Arg(1)
-    ->Arg(0)
-    ->Unit(benchmark::kMillisecond);
 
 void
 BM_ListScheduler(benchmark::State &state)

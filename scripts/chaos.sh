@@ -44,8 +44,6 @@ compile:trap:0.3:103
 compile:alloc:0.3:104
 execute:trap:0.3:105
 interp:trap:0.001:106
-tracecache.insert:alloc:0.5:107
-tracecache.evict:evict:0.5:108
 depgraph:trap:0.5:109
 *:trap:0.002:110
 cell:trap:0.25:111,compile:alloc:0.2:112,execute:trap:0.2:113

@@ -32,10 +32,9 @@ TRACE_JSON="$BUILD_DIR/check_trace.json"
 
 echo "== profile smoke =="
 # The cycle profiler must render a hot-loop listing, emit valid JSON,
-# and be byte-identical live vs trace-replay and serial vs parallel.
+# and be byte-identical serial vs parallel.
 PROF_JSON="$BUILD_DIR/check_profile.json"
 PROF_JSON_PAR="$BUILD_DIR/check_profile_par.json"
-PROF_JSON_LIVE="$BUILD_DIR/check_profile_live.json"
 "$BUILD_DIR/src/cli/ssim" profile examples/mt/dotprod.mt \
     --machine sp4 --profile-json "$PROF_JSON" \
     > "$BUILD_DIR/check_profile.txt"
@@ -46,10 +45,6 @@ grep -q 'raw_latency' "$BUILD_DIR/check_profile.txt"
     --machine sp4 --jobs 8 --profile-json "$PROF_JSON_PAR" \
     > /dev/null
 cmp "$PROF_JSON" "$PROF_JSON_PAR"
-"$BUILD_DIR/src/cli/ssim" profile examples/mt/dotprod.mt \
-    --machine sp4 --trace-budget 0 --profile-json "$PROF_JSON_LIVE" \
-    > /dev/null
-cmp "$PROF_JSON" "$PROF_JSON_LIVE"
 "$BUILD_DIR/src/cli/ssim" profile examples/mt/dotprod.mt \
     --diff base sp4 > "$BUILD_DIR/check_profile_diff.txt"
 grep -q 'speedup B/A' "$BUILD_DIR/check_profile_diff.txt"
@@ -114,32 +109,11 @@ SSIM_JOBS=2 "$BUILD_DIR/src/cli/ssim" suite --machine ss4 \
     --stats-json "$STATS_JSON" > /dev/null
 "$BUILD_DIR/src/cli/ssim" check-json "$STATS_JSON"
 
-echo "== trace cache smoke =="
-# Execute-once/time-many must be invisible in the output: a suite run
-# and an ilp sweep with the trace cache on must be byte-identical to
-# the live-interpretation path (SSIM_TRACE_BUDGET=0 disables caching).
-TRACE_LIVE="$BUILD_DIR/check_trace_live.txt"
-TRACE_REPLAY="$BUILD_DIR/check_trace_replay.txt"
-SSIM_TRACE_BUDGET=0 "$BUILD_DIR/src/cli/ssim" suite --machine ss4 \
-    > "$TRACE_LIVE"
-"$BUILD_DIR/src/cli/ssim" suite --machine ss4 > "$TRACE_REPLAY"
-cmp "$TRACE_LIVE" "$TRACE_REPLAY"
-SSIM_TRACE_BUDGET=0 "$BUILD_DIR/src/cli/ssim" ilp \
-    examples/mt/dotprod.mt > "$TRACE_LIVE"
-"$BUILD_DIR/src/cli/ssim" ilp examples/mt/dotprod.mt \
-    > "$TRACE_REPLAY"
-cmp "$TRACE_LIVE" "$TRACE_REPLAY"
-
 echo "== what-if smoke =="
 # The analytic engine must answer whatif queries (valid JSON, a
-# certified verdict on an ideal machine), the slack listing must
-# render, and a pruned ilp sweep must be byte-identical to the
-# unpruned one over the figure 4-1 grid while running at least 3x
-# fewer exact replays (asserted from the JSON meta).
+# certified verdict on an ideal machine), and the slack listing must
+# render.
 WHATIF_JSON="$BUILD_DIR/check_whatif.json"
-ILP_PLAIN="$BUILD_DIR/check_ilp_plain.txt"
-ILP_PRUNED="$BUILD_DIR/check_ilp_pruned.txt"
-ILP_PRUNED_JSON="$BUILD_DIR/check_ilp_pruned.json"
 "$BUILD_DIR/src/cli/ssim" whatif examples/mt/dotprod.mt \
     --machine ss4 --stats-json "$WHATIF_JSON" \
     > "$BUILD_DIR/check_whatif.txt"
@@ -149,29 +123,6 @@ grep -q 'oracle ilp bound' "$BUILD_DIR/check_whatif.txt"
 "$BUILD_DIR/src/cli/ssim" profile examples/mt/dotprod.mt \
     --machine cray1 --slack > "$BUILD_DIR/check_slack.txt"
 grep -q 'would speed up if' "$BUILD_DIR/check_slack.txt"
-"$BUILD_DIR/src/cli/ssim" ilp examples/mt/dotprod.mt \
-    > "$ILP_PLAIN"
-"$BUILD_DIR/src/cli/ssim" ilp examples/mt/dotprod.mt \
-    --prune-analytic --stats-json "$ILP_PRUNED_JSON" \
-    > "$ILP_PRUNED"
-cmp "$ILP_PLAIN" "$ILP_PRUNED"
-"$BUILD_DIR/src/cli/ssim" check-json "$ILP_PRUNED_JSON"
-grep -q '"prune"' "$ILP_PRUNED_JSON"
-awk '
-    /"exact_replays":/ { gsub(/[^0-9]/, ""); replays = $0 + 0 }
-    /"exact_replays_unpruned":/ {
-        gsub(/[^0-9]/, ""); unpruned = $0 + 0
-    }
-    END {
-        if (replays == 0 || unpruned < 3 * replays) {
-            printf "pruned sweep ran %d exact replays vs %d " \
-                   "unpruned: less than the required 3x cut\n",
-                   replays, unpruned
-            exit 1
-        }
-        printf "pruned sweep: %d exact replays vs %d unpruned\n",
-               replays, unpruned
-    }' "$ILP_PRUNED_JSON"
 
 echo "== flight recorder smoke =="
 # A traced sweep must be byte-identical to an untraced one on stdout,

@@ -42,21 +42,9 @@
  *   --homes N        home registers                 (default 26)
  *   --jobs N         sweep worker threads for ilp/suite
  *                    (default: SSIM_JOBS, then all cores)
- *   --trace-budget B ilp/suite: byte budget for the shared trace
- *                    cache, with optional k/m/g suffix; 0 disables
- *                    caching (default: SSIM_TRACE_BUDGET, then 2g;
- *                    see docs/parallel-sweeps.md)
  *   --keep-going     ilp/suite: a failing sweep cell is reported in
  *                    place (error code + text) while the remaining
  *                    cells still run; exit stays nonzero
- *   --prune-analytic ilp: prune-then-confirm sweep — cells the
- *                    dependence-graph predictor models exactly take
- *                    their cycles analytically; only the extremes of
- *                    the predicted ranking (plus any non-certified
- *                    cell) run the exact replay.  Output is
- *                    byte-identical to the unpruned sweep; predictor
- *                    error lands in the --stats-json meta
- *                    (docs/whatif.md)
  *   --top N          whatif: critical dependence edges shown
  *                    (default 10)
  *   --slack          profile: per-line slack / "would speed up if"
@@ -94,7 +82,7 @@
  *                      compile spans + issue timeline of the single
  *                      run; for `ilp`/`suite`, the whole sweep from
  *                      the flight recorder — one timeline track per
- *                      worker thread with compile / execute / replay /
+ *                      worker thread with compile / live_run /
  *                      cache-wait / cell spans
  *   --trace-limit N    run: cap recorded issue events (default 100000)
  *   --metrics-json FILE  ilp/suite: write the runtime metrics
@@ -196,8 +184,7 @@ usage()
         "         --alias conservative|arrays|symbols|careful|heroic\n"
         "         --temps N --homes N --jobs N --keep-going\n"
         "         --exec interp|bytecode\n"
-        "         --trace-budget BYTES[k|m|g]\n"
-        "         --prune-analytic --top N --slack\n"
+        "         --top N --slack\n"
         "         --cell-timeout SECONDS --cell-retries N\n"
         "         --journal FILE --resume FILE\n"
         "         --stats --stats-json FILE --trace-events FILE\n"
@@ -379,10 +366,6 @@ struct Cli
     int jobs = 0;
     /** Fault-isolated sweeps: report failing cells, run the rest. */
     bool keepGoing = false;
-    /** Trace-cache byte budget for ilp/suite; overrides
-     *  SSIM_TRACE_BUDGET when set on the command line. */
-    std::size_t traceBudget = 0;
-    bool traceBudgetSet = false;
 
     /** Survivability policy for ilp/suite sweeps (docs/robustness.md):
      *  per-attempt watchdog budget (0 = off) and transient-error
@@ -414,8 +397,6 @@ struct Cli
     MachineConfig diffA;
     MachineConfig diffB;
 
-    /** `ssim ilp --prune-analytic`: prune-then-confirm sweep. */
-    bool pruneAnalytic = false;
     /** `ssim whatif --top N`: critical edges shown. */
     std::size_t whatifTop = 10;
     /** `ssim profile --slack`: per-line slack listing. */
@@ -539,21 +520,11 @@ parseArgs(int argc, char **argv)
             cli.journalPath = next();
         else if (arg == "--resume")
             cli.resumePath = next();
-        else if (arg == "--prune-analytic")
-            cli.pruneAnalytic = true;
         else if (arg == "--top")
             cli.whatifTop = static_cast<std::size_t>(
                 parseIntOption("--top", next(), 1, 100000));
         else if (arg == "--slack")
             cli.slack = true;
-        else if (arg == "--trace-budget") {
-            const std::string value = next();
-            if (!parseByteSize(value, cli.traceBudget))
-                usageError("invalid value '" + value +
-                           "' for --trace-budget (expected a byte "
-                           "size with optional k/m/g suffix)");
-            cli.traceBudgetSet = true;
-        }
         else if (arg == "--profile")
             cli.profile = true;
         else if (arg == "--profile-json")
@@ -619,10 +590,6 @@ parseArgs(int argc, char **argv)
         else
             usage();
     }
-    if (!cli.resumePath.empty() && cli.pruneAnalytic)
-        usageError("--resume cannot be combined with "
-                   "--prune-analytic (the pruned sweep has no "
-                   "per-cell journal)");
     if (!cli.resumePath.empty() && !cli.journalPath.empty() &&
         cli.resumePath != cli.journalPath)
         usageError("--resume and --journal name different files; "
@@ -701,11 +668,19 @@ cmdRun(const Cli &cli)
     if (!mod.ok())
         return fail(mod.formatErrors());
 
-    RunOutcome base = runOnMachine(base_mod.value(), baseMachine());
+    // An injected fault (SSIM_FAULT) throws out of a run; report it
+    // like any other simulation error instead of aborting.
+    RunOutcome base, out;
+    try {
+        base = runOnMachine(base_mod.value(), baseMachine());
+        if (!base.trapped())
+            out = runOnMachine(mod.value(), cli.machine, telemetry,
+                               want ? &compile : nullptr);
+    } catch (...) {
+        return fail(currentCellError().message);
+    }
     if (base.trapped())
         return fail(base.trap.format());
-    RunOutcome out = runOnMachine(mod.value(), cli.machine, telemetry,
-                                  want ? &compile : nullptr);
     if (out.trapped())
         return fail(out.trap.format());
     std::printf("program      : %s\n", cli.file.c_str());
@@ -751,8 +726,6 @@ cmdProfile(const Cli &cli)
     Workload w{cli.file, "user program", readFile(cli.file), 0, false,
                1};
     Study study(cli.jobs);
-    if (cli.traceBudgetSet)
-        study.traceCache().setBudget(cli.traceBudget);
 
     try {
         if (cli.diffSet) {
@@ -780,10 +753,9 @@ cmdProfile(const Cli &cli)
             // Per-line slack from the dependence graph instead of
             // the stall listing: which lines sit on the oracle
             // critical path ("would speed up if"), which have room.
-            std::shared_ptr<const DepGraph> graph =
+            const DepGraph graph =
                 study.dependenceGraph(w, cli.machine, cli.options);
-            SlackReport slack =
-                graph->slack(cli.machine, cli.profileTop);
+            SlackReport slack = graph.slack(cli.machine, cli.profileTop);
             std::printf("%s",
                         whatif::renderSlackListing(p, slack, w.source,
                                                    cli.profileTop)
@@ -851,28 +823,14 @@ class SweepObservability
             pc.totalCells = totalCells;
             pc.jobs = study.runner().jobs();
             pc.compileCache = &study.compileCache();
-            pc.traceCache = &study.traceCache();
             progress_ = std::make_unique<ProgressReporter>(pc);
         }
     }
 
-    void
-    finish()
-    {
-        finishImpl(nullptr);
-    }
-
-    /** Hardened-sweep variant: additionally reconciles the four
-     *  survivability counters against mapHardened's totals. */
+    /** Also reconciles the survivability counters against
+     *  mapHardened's totals. */
     void
     finish(const HardeningTotals &totals)
-    {
-        finishImpl(&totals);
-    }
-
-  private:
-    void
-    finishImpl(const HardeningTotals *totals)
     {
         if (progress_) {
             progress_->finish();
@@ -905,15 +863,14 @@ class SweepObservability
             writeTextFile(cli_.metricsPromPath, prom);
         }
         const std::string mismatch =
-            totals ? checkMetricsReconciliation(study_, expected_,
-                                                *totals)
-                   : checkMetricsReconciliation(study_, expected_);
+            checkMetricsReconciliation(study_, expected_, totals);
         if (!mismatch.empty())
             SS_WARN("metrics do not reconcile with the stats "
                     "registry: ",
                     mismatch);
     }
 
+  private:
     const Cli &cli_;
     const Study &study_;
     std::uint64_t expected_;
@@ -1002,7 +959,6 @@ sweepCellsMeta(const std::vector<CellOutcome<T>> &cells,
     m.set("retries", Json(totals.retries));
     m.set("timeouts", Json(totals.timeouts));
     m.set("quarantined", Json(totals.quarantined));
-    m.set("degraded", Json(totals.degraded));
     return m;
 }
 
@@ -1021,116 +977,81 @@ cmdIlp(const Cli &cli)
     Workload w{cli.file, "user program", readFile(cli.file), 0, false,
                1};
     // One cell per degree; the study's compile cache shares the base
-    // compile, its trace cache shares the functional executions, and
-    // their future-based memos keep the sweep race-free.
+    // compile, and its future-based memos keep the sweep race-free.
     Study study(cli.jobs);
-    if (cli.traceBudgetSet)
-        study.traceCache().setBudget(cli.traceBudget);
 
-    std::vector<CellOutcome<double>> cells;
-    HardeningTotals totals;
+    constexpr std::size_t kDegrees = 8;
+    // Stable cell keys (compile key + machine-spec hash): pure
+    // functions of the sweep spec, so a resumed process derives the
+    // same keys and matches them against the journal.
+    std::vector<std::string> keys(kDegrees);
+    for (std::size_t i = 0; i < kDegrees; ++i) {
+        const MachineConfig m = idealSuperscalar(static_cast<int>(i) + 1);
+        keys[i] = CompileCache::key(w, m, cli.options) + "|mh" +
+                  std::to_string(m.specHash());
+    }
+    Json identity = Json::object();
+    identity.set("command", Json("ilp"));
+    identity.set("program", Json(cli.file));
+    identity.set("source_crc",
+                 Json(static_cast<std::uint64_t>(
+                     journal::crc32(w.source))));
+    identity.set("fingerprint",
+                 Json(Study::fingerprint(w, cli.options)));
+    identity.set("cells", Json(static_cast<std::uint64_t>(kDegrees)));
     SweepJournal sj;
-    std::size_t ran = 0;
-    Json prune;
-    bool pruned = false;
-    if (cli.pruneAnalytic) {
-        // Prune-then-confirm: analytic prediction per degree, exact
-        // replay only for the confirmation sample.  Certified
-        // predictions equal the issue engine cycle-for-cycle, so the
-        // table below is byte-identical to the unpruned sweep.
-        SweepObservability obs(cli, study, 8);
-        whatif::PruneOutcome po;
-        try {
-            po = whatif::prunedIlpSweep(study, w, cli.options, 8);
-        } catch (const DiagException &e) {
-            return fail(formatDiags(e.diags()));
-        } catch (const TrapException &e) {
-            return fail(e.trap().format());
+    std::string jerr;
+    if (!sj.setup(cli, identity, &jerr))
+        return fail(jerr);
+
+    std::vector<CellOutcome<double>> cells(kDegrees);
+    std::vector<std::size_t> todo;
+    for (std::size_t i = 0; i < kDegrees; ++i) {
+        auto it = sj.resumed.find(keys[i]);
+        const Json *v = it != sj.resumed.end()
+                            ? it->second.find("speedup")
+                            : nullptr;
+        if (v && v->isNumber())
+            cells[i].value = v->asNumber();
+        else
+            todo.push_back(i);
+    }
+    const std::size_t ran = todo.size();
+
+    auto cell = [&](std::size_t j) {
+        const std::size_t i = todo[j];
+        const double speedup = study.speedup(
+            w, idealSuperscalar(static_cast<int>(i) + 1), cli.options);
+        // Checkpoint at the success point, on the worker thread: a
+        // kill after this line costs nothing on resume.
+        if (sj.writer.isOpen()) {
+            Json value = Json::object();
+            value.set("speedup", Json(speedup));
+            sj.writer.writeCell(keys[i], value);
         }
-        obs.finish();
-        cells.resize(po.cells.size());
-        for (std::size_t i = 0; i < po.cells.size(); ++i)
-            cells[i].value = po.cells[i].speedup;
-        prune = whatif::pruneMeta(po);
-        pruned = true;
+        return speedup;
+    };
+
+    SweepObservability obs(cli, study, todo.size());
+    HardenedSweep<double> hs;
+    if (cli.keepGoing) {
+        // Fault-isolated sweep: a failing degree is recorded as a
+        // structured CellError while the other degrees still run;
+        // transient failures retry, permanent ones are quarantined.
+        hs = study.runner().mapHardened<double>(todo.size(),
+                                                cli.cellPolicy(), cell);
     } else {
-        constexpr std::size_t kDegrees = 8;
-        // Stable cell keys (compile key + machine-spec hash): pure
-        // functions of the sweep spec, so a resumed process derives
-        // the same keys and matches them against the journal.
-        std::vector<std::string> keys(kDegrees);
-        for (std::size_t i = 0; i < kDegrees; ++i) {
-            const MachineConfig m =
-                idealSuperscalar(static_cast<int>(i) + 1);
-            keys[i] = CompileCache::key(w, m, cli.options) + "|mh" +
-                      std::to_string(m.specHash());
-        }
-        Json identity = Json::object();
-        identity.set("command", Json("ilp"));
-        identity.set("program", Json(cli.file));
-        identity.set("source_crc",
-                     Json(static_cast<std::uint64_t>(
-                         journal::crc32(w.source))));
-        identity.set("fingerprint",
-                     Json(Study::fingerprint(w, cli.options)));
-        identity.set("cells",
-                     Json(static_cast<std::uint64_t>(kDegrees)));
-        std::string jerr;
-        if (!sj.setup(cli, identity, &jerr))
-            return fail(jerr);
-
-        cells.resize(kDegrees);
-        std::vector<std::size_t> todo;
-        for (std::size_t i = 0; i < kDegrees; ++i) {
-            auto it = sj.resumed.find(keys[i]);
-            const Json *v = it != sj.resumed.end()
-                                ? it->second.find("speedup")
-                                : nullptr;
-            if (v && v->isNumber())
-                cells[i].value = v->asNumber();
-            else
-                todo.push_back(i);
-        }
-        ran = todo.size();
-
-        auto cell = [&](std::size_t j) {
-            const std::size_t i = todo[j];
-            const double speedup = study.speedup(
-                w, idealSuperscalar(static_cast<int>(i) + 1),
-                cli.options);
-            // Checkpoint at the success point, on the worker thread:
-            // a kill after this line costs nothing on resume.
-            if (sj.writer.isOpen()) {
-                Json value = Json::object();
-                value.set("speedup", Json(speedup));
-                sj.writer.writeCell(keys[i], value);
-            }
-            return speedup;
-        };
-
-        SweepObservability obs(cli, study, todo.size());
-        HardenedSweep<double> hs;
-        if (cli.keepGoing) {
-            // Fault-isolated sweep: a failing degree is recorded as
-            // a structured CellError while the other degrees still
-            // run; transient failures retry, permanent ones are
-            // quarantined.
+        try {
             hs = study.runner().mapHardened<double>(
                 todo.size(), cli.cellPolicy(), cell);
-        } else {
-            try {
-                hs = study.runner().mapHardened<double>(
-                    todo.size(), cli.cellPolicy(), cell);
-            } catch (...) {
-                return fail(currentCellError().message);
-            }
+        } catch (...) {
+            return fail(currentCellError().message);
         }
-        for (std::size_t j = 0; j < todo.size(); ++j)
-            cells[todo[j]] = hs.cells[j];
-        totals = hs.totals;
-        obs.finish(totals);
-        sj.writer.close();
     }
+    for (std::size_t j = 0; j < todo.size(); ++j)
+        cells[todo[j]] = hs.cells[j];
+    obs.finish(hs.totals);
+    sj.writer.close();
 
     Table t("Available parallelism (ideal superscalar sweep):");
     t.setHeader({"degree", "speedup"});
@@ -1166,14 +1087,9 @@ cmdIlp(const Cli &cli)
         }
         Json doc = Json::object();
         Json meta = documentMeta(cli.machine);
-        if (pruned)
-            meta.set("prune", std::move(prune));
-        else {
-            meta.set("cells", sweepCellsMeta(cells, totals));
-            if (sj.resuming)
-                meta.set("resume",
-                         sweepResumeMeta(cells.size() - ran, ran));
-        }
+        meta.set("cells", sweepCellsMeta(cells, hs.totals));
+        if (sj.resuming)
+            meta.set("resume", sweepResumeMeta(cells.size() - ran, ran));
         doc.set("meta", std::move(meta));
         doc.set("program", Json(cli.file));
         doc.set("degrees", std::move(degrees));
@@ -1197,8 +1113,6 @@ cmdWhatIf(const Cli &cli)
     Workload w{cli.file, "user program", readFile(cli.file), 0, false,
                1};
     Study study(cli.jobs);
-    if (cli.traceBudgetSet)
-        study.traceCache().setBudget(cli.traceBudget);
     try {
         whatif::Report r = whatif::analyze(
             study, w, cli.machine, cli.options, cli.whatifTop);
@@ -1263,7 +1177,7 @@ cmdSuite(const Cli &cli)
     // stats dumps, and the JSON document are assembled serially from
     // the index-ordered results after the barrier, so the output is
     // byte-identical at any --jobs.  Runs go through the study so
-    // compiles and functional executions are shared across cells.
+    // compiles are shared across cells.
     struct SuiteCell
     {
         RunOutcome base;
@@ -1271,8 +1185,6 @@ cmdSuite(const Cli &cli)
     };
     const auto &suite = allWorkloads();
     Study study(cli.jobs);
-    if (cli.traceBudgetSet)
-        study.traceCache().setBudget(cli.traceBudget);
 
     // Cell keys and journal identity, as in cmdIlp.  The identity
     // carries the stats flag because journaled cell records only

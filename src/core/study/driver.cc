@@ -4,6 +4,7 @@
 #include <chrono>
 
 #include "sim/exec.hh"
+#include "support/faultinject.hh"
 #include "support/logging.hh"
 #include "support/metrics.hh"
 #include "support/trace.hh"
@@ -13,32 +14,12 @@ namespace ilp {
 namespace {
 
 metrics::Histogram &
-executeSeconds()
-{
-    static metrics::Histogram &h =
-        metrics::Registry::global().histogram(
-            "ssim_execute_seconds",
-            "Wall-clock seconds per functional execution.");
-    return h;
-}
-
-metrics::Histogram &
-replaySeconds()
-{
-    static metrics::Histogram &h =
-        metrics::Registry::global().histogram(
-            "ssim_replay_seconds",
-            "Wall-clock seconds per timing replay of a cached trace.");
-    return h;
-}
-
-metrics::Histogram &
 liveRunSeconds()
 {
     static metrics::Histogram &h =
         metrics::Registry::global().histogram(
             "ssim_live_run_seconds",
-            "Wall-clock seconds per live (non-replay) timing run.");
+            "Wall-clock seconds per timing run.");
     return h;
 }
 
@@ -110,28 +91,47 @@ compileWorkload(const std::string &source, const MachineConfig &machine,
     return r.take();
 }
 
-namespace {
-
-/**
- * Shared tail of the streaming (runOnMachine) and replay (timeTrace)
- * paths: fold the functional results and the timed engine into a
- * RunOutcome.  Keeping this in one place is what guarantees the two
- * paths produce byte-identical outcomes and stats trees.
- *
- * A trapped run's returnValue is documented as meaningless, so the
- * checksum (and fpChecksum, which the caller must not have read) stay
- * at their zero defaults.
- */
 RunOutcome
-assembleOutcome(const RunResult &r, double fpChecksum,
-                IssueEngine &engine, CacheSink &dcache,
-                const RunTelemetryOptions &telemetry,
-                const CompileTelemetry *compile)
+runOnMachine(const Module &module, const MachineConfig &machine,
+             const RunTelemetryOptions &telemetry,
+             const CompileTelemetry *compile)
 {
+    trace::ScopedSpan span("live_run", "execute");
+    if (span.armed())
+        span.detail(module.sourceName);
+    metrics::ScopedTimer timer(metrics::Registry::global(),
+                               liveRunSeconds());
+    if (fault::enabled())
+        fault::maybeInject("execute");
+    std::unique_ptr<Executor> exec = makeExecutor(module);
+    IssueEngine engine(machine);
+    if (telemetry.timelineLimit > 0)
+        engine.recordTimeline(telemetry.timelineLimit);
+    if (telemetry.collectProfile)
+        engine.enableProfile(module.pcCount());
+
+    CacheSink dcache(telemetry.cache);
+    RunResult r;
+    if (telemetry.collectStats) {
+        TeeSink tee;
+        tee.addSink(&engine);
+        tee.addSink(&dcache);
+        r = exec->run("main", &tee);
+    } else {
+        // Fused: the backend binds the engine's emit directly into
+        // its dispatch loop.
+        r = exec->runTimed("main", engine);
+    }
+
+    // A trapped run's returnValue is meaningless, so the checksums
+    // stay at their zero defaults.
     RunOutcome out;
     if (!r.trapped()) {
         out.checksum = static_cast<std::int64_t>(r.returnValue);
-        out.fpChecksum = fpChecksum;
+        if (module.findGlobal("result_fp")) {
+            out.fpChecksum = std::bit_cast<double>(
+                exec->memory().readGlobal(module, "result_fp"));
+        }
     }
     out.instructions = r.instructions;
     out.cycles = engine.baseCycles();
@@ -177,106 +177,6 @@ assembleOutcome(const RunResult &r, double fpChecksum,
         out.stats = registry.snapshot();
     }
     return out;
-}
-
-} // namespace
-
-RunOutcome
-runOnMachine(const Module &module, const MachineConfig &machine,
-             const RunTelemetryOptions &telemetry,
-             const CompileTelemetry *compile)
-{
-    trace::ScopedSpan span("live_run", "execute");
-    if (span.armed())
-        span.detail(module.sourceName);
-    metrics::ScopedTimer timer(metrics::Registry::global(),
-                               liveRunSeconds());
-    std::unique_ptr<Executor> exec = makeExecutor(module);
-    IssueEngine engine(machine);
-    if (telemetry.timelineLimit > 0)
-        engine.recordTimeline(telemetry.timelineLimit);
-    if (telemetry.collectProfile)
-        engine.enableProfile(module.pcCount());
-
-    CacheSink dcache(telemetry.cache);
-    RunResult r;
-    if (telemetry.collectStats) {
-        TeeSink tee;
-        tee.addSink(&engine);
-        tee.addSink(&dcache);
-        r = exec->run("main", &tee);
-    } else {
-        // Fused: the backend binds the engine's emit directly into
-        // its dispatch loop.
-        r = exec->runTimed("main", engine);
-    }
-
-    double fpChecksum = 0.0;
-    if (!r.trapped() && module.findGlobal("result_fp")) {
-        fpChecksum = std::bit_cast<double>(
-            exec->memory().readGlobal(module, "result_fp"));
-    }
-    return assembleOutcome(r, fpChecksum, engine, dcache, telemetry,
-                           compile);
-}
-
-TraceArtifact
-executeWorkload(const Module &module, std::size_t maxTraceBytes)
-{
-    trace::ScopedSpan span("execute", "execute");
-    if (span.armed())
-        span.detail(module.sourceName);
-    metrics::ScopedTimer timer(metrics::Registry::global(),
-                               executeSeconds());
-    TraceArtifact art;
-    art.pcCount = module.pcCount();
-    std::unique_ptr<Executor> exec = makeExecutor(module);
-    PackedSink sink(art.trace, maxTraceBytes);
-    art.result = exec->runPacked("main", sink);
-    if (!art.result.trapped() && module.findGlobal("result_fp")) {
-        art.fpChecksumBits =
-            exec->memory().readGlobal(module, "result_fp");
-        art.hasFpChecksum = true;
-    }
-    art.replayable = sink.complete() && !art.result.trapped();
-    if (!art.replayable)
-        art.trace.clear();
-    return art;
-}
-
-RunOutcome
-timeTrace(const TraceArtifact &artifact, const MachineConfig &machine,
-          const RunTelemetryOptions &telemetry,
-          const CompileTelemetry *compile)
-{
-    SS_ASSERT(artifact.replayable,
-              "timeTrace needs a replayable artifact; trapped or "
-              "lossy executions must go through runOnMachine");
-    trace::ScopedSpan span("replay", "replay");
-    metrics::ScopedTimer timer(metrics::Registry::global(),
-                               replaySeconds());
-    IssueEngine engine(machine);
-    if (telemetry.timelineLimit > 0)
-        engine.recordTimeline(telemetry.timelineLimit);
-    if (telemetry.collectProfile)
-        engine.enableProfile(artifact.pcCount);
-
-    CacheSink dcache(telemetry.cache);
-    if (telemetry.collectStats) {
-        TeeSink tee;
-        tee.addSink(&engine);
-        tee.addSink(&dcache);
-        artifact.trace.replay(tee);
-    } else {
-        artifact.trace.replay(engine);
-    }
-
-    const double fpChecksum =
-        artifact.hasFpChecksum
-            ? std::bit_cast<double>(artifact.fpChecksumBits)
-            : 0.0;
-    return assembleOutcome(artifact.result, fpChecksum, engine, dcache,
-                           telemetry, compile);
 }
 
 RunOutcome

@@ -10,15 +10,9 @@
  * register allocation -> machine-specific scheduling; runOnMachine()
  * then executes the result functionally while the in-order issue
  * engine times the dynamic stream against the *same* machine
- * description.
- *
- * The execute-once / time-many split factors runOnMachine() into
- * executeWorkload() (functional execution, producing an immutable
- * TraceArtifact) and timeTrace() (timing, pure over the artifact) so
- * the dynamic stream — which depends only on the compiled Module —
- * is produced once per compile and timed against many machines.
- * runOnMachine() remains the streaming path for single runs and for
- * artifacts that cannot be replayed.
+ * description.  Because every machine gets its own schedule, almost
+ * no two machines share a dynamic stream, so every timing run
+ * executes live.
  */
 
 #ifndef SUPERSYM_CORE_STUDY_DRIVER_HH
@@ -32,7 +26,6 @@
 #include "sim/cache.hh"
 #include "sim/interp.hh"
 #include "sim/issue.hh"
-#include "sim/ptrace.hh"
 #include "support/stats.hh"
 #include "workloads/workloads.hh"
 
@@ -131,54 +124,13 @@ struct RunOutcome
 };
 
 /** Execute an already-compiled module against a machine.  `compile`
- *  telemetry, when given, is folded into the snapshot and outcome. */
+ *  telemetry, when given, is folded into the snapshot and outcome.
+ *  A workload fault surfaces through RunOutcome::trap; an injected
+ *  fault at the "execute" site throws (see support/faultinject.hh). */
 RunOutcome runOnMachine(const Module &module,
                         const MachineConfig &machine,
                         const RunTelemetryOptions &telemetry = {},
                         const CompileTelemetry *compile = nullptr);
-
-/** One functional execution, frozen.  The dynamic stream depends only
- *  on the compiled Module, so one artifact can be timed against any
- *  number of machines (timeTrace) without re-executing. */
-struct TraceArtifact
-{
-    /** The packed dynamic stream (empty unless replayable). */
-    PackedTrace trace;
-    /** Functional results: return value, instruction count, class
-     *  mix, trap — exactly what Interpreter::run reported. */
-    RunResult result;
-    /** Bit pattern of `result_fp` after the run (valid only when
-     *  hasFpChecksum; absent globals and trapped runs leave it 0). */
-    std::uint64_t fpChecksumBits = 0;
-    bool hasFpChecksum = false;
-    /** True when the trace covers the whole run losslessly and the
-     *  run did not trap; otherwise consumers must fall back to live
-     *  interpretation (runOnMachine). */
-    bool replayable = false;
-    /** Static instruction count of the executed module (sizes the
-     *  replay-side profiler exactly like the live path). */
-    Pc pcCount = 0;
-
-    /** Trace storage held (the unit the TraceCache budgets). */
-    std::size_t byteSize() const { return trace.byteSize(); }
-};
-
-/** Execute-once half: run the module functionally, recording the
- *  packed trace (up to `maxTraceBytes`) and functional results.
- *  Never throws for workload faults — a trapped run yields a
- *  non-replayable artifact carrying the trap. */
-TraceArtifact executeWorkload(const Module &module,
-                              std::size_t maxTraceBytes =
-                                  static_cast<std::size_t>(-1));
-
-/** Time-many half: time a replayable artifact on a machine.  Pure
- *  over the artifact (safe to call concurrently on one artifact) and
- *  produces a RunOutcome byte-identical to runOnMachine() on the
- *  same module/machine/telemetry. */
-RunOutcome timeTrace(const TraceArtifact &artifact,
-                     const MachineConfig &machine,
-                     const RunTelemetryOptions &telemetry = {},
-                     const CompileTelemetry *compile = nullptr);
 
 /** compileWorkload + runOnMachine in one step. */
 RunOutcome runWorkload(const Workload &workload,

@@ -9,17 +9,15 @@
  * evaluated* (the paper's system recompiles per machine
  * specification) — but compilations are shared through a
  * CompileCache, so two machines the compiler cannot tell apart reuse
- * one Module; functional executions are shared through a TraceCache
- * keyed by the same compile key, so each shared Module is executed
- * once and *timed* many times (timeTrace); and base-machine
- * reference cycles are memoized per compile configuration.
+ * one Module, and base-machine reference cycles are memoized per
+ * compile configuration.  Every timing run executes the Module live.
  *
  * A Study is safe to use from many threads at once: the compile
- * cache, the trace cache and the base-cycle memo are all future-based
- * (one producer per key, everyone else blocks on the result), and
- * each timing evaluation runs in its own IssueEngine over the shared
- * immutable Module/trace.  harmonicSpeedup fans the eight benchmarks
- * out across the study's own SweepRunner.
+ * cache and the base-cycle memo are future-based (one producer per
+ * key, everyone else blocks on the result), and each timing
+ * evaluation runs in its own executor and IssueEngine over the shared
+ * immutable Module.  harmonicSpeedup fans the eight benchmarks out
+ * across the study's own SweepRunner.
  */
 
 #ifndef SUPERSYM_CORE_STUDY_EXPERIMENT_HH
@@ -32,7 +30,6 @@
 
 #include "core/study/profile.hh"
 #include "core/study/sweep.hh"
-#include "core/study/tracecache.hh"
 #include "core/study/whatif.hh"
 
 namespace ilp {
@@ -66,13 +63,10 @@ class Study
                    const MachineConfig &machine);
 
     /**
-     * Compile (via the compile cache), execute once (via the trace
-     * cache) and time `workload` on `machine` — the study-level
-     * equivalent of runWorkload(), byte-identical to it whether the
-     * caches hit, miss, or are disabled.  Non-replayable artifacts
-     * (trapped runs, traces over budget) fall back to live
-     * interpretation transparently; a trapped run surfaces through
-     * RunOutcome::trap exactly as on the live path.
+     * Compile (via the compile cache) and time `workload` on
+     * `machine` with runOnMachine() — the study-level equivalent of
+     * runWorkload(), byte-identical to it whether the compile cache
+     * hits or misses.  A trapped run surfaces through RunOutcome::trap.
      */
     RunOutcome timedRun(const Workload &workload,
                         const MachineConfig &machine,
@@ -82,8 +76,7 @@ class Study
     /**
      * timedRun() with the cycle profiler enabled, assembled into a
      * prof::Profile (per-pc counters mapped back onto the compiled
-     * code).  Deterministic: byte-identical whether the run was live
-     * or trace-replayed, and independent of the study's job count.
+     * code).  Deterministic: independent of the study's job count.
      * Throws TrapException when the workload faults — a profile of a
      * partial run would not reconcile.
      */
@@ -113,28 +106,15 @@ class Study
     CompileCache &compileCache() { return cache_; }
     const CompileCache &compileCache() const { return cache_; }
 
-    /** Shared functional executions (budget control, hit accounting
-     *  and stats export). */
-    TraceCache &traceCache() { return trace_cache_; }
-    const TraceCache &traceCache() const { return trace_cache_; }
-
     /**
      * The dynamic dependence graph of `workload` compiled for
-     * `machine` (cached per compile key, exactly like the trace it
-     * is built from).  Prefers the cached packed trace; a
-     * non-replayable artifact (trace over budget, cache disabled)
-     * falls back to streaming the graph straight out of live
-     * interpretation — same graph either way.  Throws TrapException
-     * when the workload faults.
+     * `machine`, streamed straight out of a live execution of the
+     * (compile-cached) module.  Throws TrapException when the
+     * workload faults.
      */
-    std::shared_ptr<const DepGraph>
-    dependenceGraph(const Workload &workload,
-                    const MachineConfig &machine,
-                    const CompileOptions &options);
-
-    /** Shared dependence graphs (hit accounting, stats export). */
-    DepGraphCache &graphCache() { return graph_cache_; }
-    const DepGraphCache &graphCache() const { return graph_cache_; }
+    DepGraph dependenceGraph(const Workload &workload,
+                             const MachineConfig &machine,
+                             const CompileOptions &options);
 
     /** Stable identity of a (workload, compile options) pair: keys
      *  the base-cycles memo and fingerprints sweep journals. */
@@ -144,8 +124,6 @@ class Study
   private:
     SweepRunner runner_;
     CompileCache cache_;
-    TraceCache trace_cache_;
-    DepGraphCache graph_cache_;
     std::mutex base_mu_;
     std::map<std::string, std::shared_future<double>> base_cycles_;
 };

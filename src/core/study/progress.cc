@@ -8,7 +8,6 @@
 #endif
 
 #include "core/study/sweep.hh"
-#include "core/study/tracecache.hh"
 
 namespace ilp {
 
@@ -216,11 +215,6 @@ ProgressReporter::renderLine(double elapsedSeconds) const
         line += "  compile-cache ";
         line += renderPercent(config_.compileCache->hits(),
                               config_.compileCache->misses());
-    }
-    if (config_.traceCache) {
-        line += "  trace-cache ";
-        line += renderPercent(config_.traceCache->hits(),
-                              config_.traceCache->misses());
     }
     if (failed != 0) {
         char fbuf[48];

@@ -1,7 +1,7 @@
 /**
  * @file
- * Live progress reporting for long sweeps: cells/s, ETA, compile- and
- * trace-cache hit rates, and worker utilization, printed to stderr at
+ * Live progress reporting for long sweeps: cells/s, ETA, the
+ * compile-cache hit rate, and worker utilization, printed to stderr at
  * a throttled interval (`ssim ilp/suite --progress`).
  *
  * The reporter is installed process-wide (ProgressReporter::current)
@@ -27,7 +27,6 @@
 namespace ilp {
 
 class CompileCache;
-class TraceCache;
 
 class ProgressReporter
 {
@@ -40,9 +39,8 @@ class ProgressReporter
         int jobs = 1;
         /** Minimum milliseconds between printed updates. */
         double intervalMs = 250.0;
-        /** Cache hit-rate sources (optional). */
+        /** Cache hit-rate source (optional). */
         const CompileCache *compileCache = nullptr;
-        const TraceCache *traceCache = nullptr;
         /** Destination stream (stderr; tests substitute a file). */
         std::FILE *out = nullptr;
     };

@@ -71,20 +71,6 @@ cellsQuarantinedTotal()
     return c;
 }
 
-metrics::Counter &
-cellsDegradedTotal()
-{
-    static metrics::Counter &c = metrics::Registry::global().counter(
-        "ssim_sweep_cells_degraded_total",
-        "Cells that completed via live-interpretation fallback.");
-    return c;
-}
-
-/** Set while a hardened cell attempt degraded to live interpretation
- *  (Study::timedRun's fallback path notes it; mapHardened reads it
- *  back after the attempt). */
-thread_local bool tl_cell_degraded = false;
-
 /** One cell evaluation wrapped in its observability: a flight-recorder
  *  span (which a keep-going failure annotates rather than truncates),
  *  the cell metrics, and the live progress notification. */
@@ -109,25 +95,7 @@ runSweepCell(const std::function<void(std::size_t)> &fn, std::size_t i)
 
 } // namespace
 
-void
-noteDegradedCell()
-{
-    tl_cell_degraded = true;
-}
-
 namespace detail {
-
-void
-beginCellAttempt()
-{
-    tl_cell_degraded = false;
-}
-
-bool
-cellAttemptDegraded()
-{
-    return tl_cell_degraded;
-}
 
 void
 noteRetryMetric()
@@ -145,12 +113,6 @@ void
 noteQuarantineMetric()
 {
     cellsQuarantinedTotal().inc();
-}
-
-void
-noteDegradedMetric()
-{
-    cellsDegradedTotal().inc();
 }
 
 void

@@ -86,9 +86,6 @@ struct CellOutcome
     /** Evaluation attempts this cell took (1 = first try succeeded;
      *  only mapHardened retries, so mapChecked always reports 1). */
     int attempts = 1;
-    /** The cell completed, but at least one attempt fell back to
-     *  live interpretation (memory pressure / non-replayable trace). */
-    bool degraded = false;
     /** The cell failed permanently (or exhausted its retries) and
      *  was isolated from the sweep. */
     bool quarantined = false;
@@ -115,7 +112,6 @@ struct HardeningTotals
     std::uint64_t retries = 0;
     std::uint64_t timeouts = 0;
     std::uint64_t quarantined = 0;
-    std::uint64_t degraded = 0;
 };
 
 /** Result of a hardened sweep: index-ordered outcomes plus totals. */
@@ -126,22 +122,12 @@ struct HardenedSweep
     HardeningTotals totals;
 };
 
-/** Record that the current cell attempt degraded to live
- *  interpretation (called from Study::timedRun's fallback path;
- *  no-op outside a hardened cell). */
-void noteDegradedCell();
-
 namespace detail {
-
-/** Clear / read the thread-local degraded flag around one attempt. */
-void beginCellAttempt();
-bool cellAttemptDegraded();
 
 /** Bump the hardening metric counters (one relaxed atomic each). */
 void noteRetryMetric();
 void noteTimeoutMetric();
 void noteQuarantineMetric();
-void noteDegradedMetric();
 
 /** Sleep the exponential-backoff delay (deterministic jitter from
  *  (cell, attempt), ~1-100 ms) before a retry. */
@@ -228,12 +214,11 @@ class SweepRunner
         HardenedSweep<T> out;
         out.cells.resize(count);
         std::atomic<std::uint64_t> retries{0}, timeouts{0},
-            quarantined{0}, degraded{0};
+            quarantined{0};
         run(count, [&](std::size_t i) {
             CellOutcome<T> &slot = out.cells[i];
             for (int attempt = 0;; ++attempt) {
                 std::exception_ptr raised;
-                detail::beginCellAttempt();
                 try {
                     cancel::ScopedCellDeadline watchdog(
                         policy.timeoutSeconds);
@@ -247,12 +232,6 @@ class SweepRunner
                 slot.attempts = attempt + 1;
                 if (!raised) {
                     slot.error = {};
-                    if (detail::cellAttemptDegraded()) {
-                        slot.degraded = true;
-                        degraded.fetch_add(1,
-                                           std::memory_order_relaxed);
-                        detail::noteDegradedMetric();
-                    }
                     return;
                 }
                 if (slot.error.code ==
@@ -279,7 +258,6 @@ class SweepRunner
         out.totals.retries = retries.load();
         out.totals.timeouts = timeouts.load();
         out.totals.quarantined = quarantined.load();
-        out.totals.degraded = degraded.load();
         return out;
     }
 

@@ -169,13 +169,6 @@ checkMetricsReconciliation(const Study &study,
          study.compileCache().misses()},
         {"ssim_compile_cache_failures_total",
          study.compileCache().failures()},
-        {"ssim_trace_cache_hits_total", study.traceCache().hits()},
-        {"ssim_trace_cache_misses_total",
-         study.traceCache().misses()},
-        {"ssim_trace_cache_evictions_total",
-         study.traceCache().evictions()},
-        {"ssim_trace_cache_fallbacks_total",
-         study.traceCache().fallbacks()},
     };
     for (const Pair &p : pairs) {
         const std::uint64_t got = reg.counter(p.metric).value();
@@ -208,7 +201,6 @@ checkMetricsReconciliation(const Study &study,
         {"ssim_sweep_cell_retries_total", totals.retries},
         {"ssim_sweep_cell_timeouts_total", totals.timeouts},
         {"ssim_sweep_cells_quarantined_total", totals.quarantined},
-        {"ssim_sweep_cells_degraded_total", totals.degraded},
     };
     for (const Pair &p : pairs) {
         const std::uint64_t got = reg.counter(p.metric).value();

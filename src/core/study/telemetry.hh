@@ -34,9 +34,9 @@ Json buildTraceEvents(const RunOutcome &outcome,
 /**
  * Build a Chrome tracing document from a whole-sweep flight-recorder
  * session: one pid ("sweep"), one named tid per worker thread, and a
- * complete event per recorded span (compile phases, functional
- * executions, timing replays, cache waits, cells) with the span's
- * dynamic detail (cell index, workload, E-code) under args.
+ * complete event per recorded span (compile phases, timing runs,
+ * cache waits, cells) with the span's dynamic detail (cell index,
+ * workload, E-code) under args.
  */
 Json buildSweepTraceEvents(const trace::Recording &recording,
                            const MachineConfig &machine);
@@ -53,9 +53,9 @@ std::string checkMetricsReconciliation(const Study &study,
                                        std::uint64_t expectedCells);
 
 /**
- * The hardened-sweep variant: additionally reconciles the four
- * survivability counters (retries, timeouts, quarantined, degraded)
- * against the totals mapHardened accumulated in its own atomics.
+ * The hardened-sweep variant: additionally reconciles the three
+ * survivability counters (retries, timeouts, quarantined) against
+ * the totals mapHardened accumulated in its own atomics.
  */
 std::string checkMetricsReconciliation(const Study &study,
                                        std::uint64_t expectedCells,

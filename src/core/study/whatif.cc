@@ -5,7 +5,6 @@
 #include <cstdio>
 #include <sstream>
 
-#include "core/machine/models.hh"
 #include "core/study/experiment.hh"
 #include "sim/exec.hh"
 #include "sim/trap.hh"
@@ -24,7 +23,7 @@ graphBuilds()
 {
     static metrics::Counter &c = metrics::Registry::global().counter(
         "ssim_depgraph_builds_total",
-        "Dependence graphs constructed from a trace or live run.");
+        "Dependence graphs built from a live run.");
     return c;
 }
 
@@ -47,132 +46,28 @@ whatifQueries()
     return c;
 }
 
-metrics::Counter &
-pruneAnalyticCells()
-{
-    static metrics::Counter &c = metrics::Registry::global().counter(
-        "ssim_prune_cells_analytic_total",
-        "Sweep cells answered analytically (certified, no replay).");
-    return c;
-}
-
-metrics::Counter &
-pruneConfirmedCells()
-{
-    static metrics::Counter &c = metrics::Registry::global().counter(
-        "ssim_prune_cells_confirmed_total",
-        "Sweep cells confirmed by an exact timing replay.");
-    return c;
-}
-
 } // namespace
-
-// ----------------------------------------------------- DepGraphCache
-
-DepGraphCache::Graph
-DepGraphCache::get(const std::string &key,
-                   const std::function<DepGraph()> &build)
-{
-    std::shared_future<Graph> future;
-    std::shared_ptr<std::promise<Graph>> fill;
-    {
-        std::lock_guard<std::mutex> lock(mu_);
-        auto it = entries_.find(key);
-        if (it == entries_.end()) {
-            fill = std::make_shared<std::promise<Graph>>();
-            future = fill->get_future().share();
-            entries_.emplace(key, future);
-            misses_.fetch_add(1);
-        } else {
-            future = it->second;
-            hits_.fetch_add(1);
-        }
-    }
-    if (fill) {
-        try {
-            metrics::ScopedTimer timer(metrics::Registry::global(),
-                                       graphBuildSeconds());
-            if (fault::enabled())
-                fault::maybeInject("depgraph");
-            fill->set_value(
-                std::make_shared<const DepGraph>(build()));
-            graphBuilds().inc();
-        } catch (...) {
-            // No poisoned waiters: current waiters see the exception,
-            // later requesters retry the build.
-            fill->set_exception(std::current_exception());
-            std::lock_guard<std::mutex> lock(mu_);
-            entries_.erase(key);
-        }
-    }
-    return future.get();
-}
-
-std::size_t
-DepGraphCache::size() const
-{
-    std::lock_guard<std::mutex> lock(mu_);
-    return entries_.size();
-}
-
-std::size_t
-DepGraphCache::bytesHeld() const
-{
-    std::lock_guard<std::mutex> lock(mu_);
-    std::size_t bytes = 0;
-    for (const auto &[key, future] : entries_) {
-        if (future.wait_for(std::chrono::seconds(0)) ==
-            std::future_status::ready)
-            bytes += future.get()->byteSize();
-    }
-    return bytes;
-}
-
-void
-DepGraphCache::exportStats(stats::Group &g) const
-{
-    g.counter("hits", "graph lookups served from the cache")
-        .inc(hits());
-    g.counter("misses", "graph lookups that had to build").inc(misses());
-    g.counter("graphs", "dependence graphs resident")
-        .inc(static_cast<std::uint64_t>(size()));
-    g.counter("bytes_held", "node storage held by resident graphs")
-        .inc(static_cast<std::uint64_t>(bytesHeld()));
-}
 
 // -------------------------------------------- Study::dependenceGraph
 
-std::shared_ptr<const DepGraph>
+DepGraph
 Study::dependenceGraph(const Workload &workload,
                        const MachineConfig &machine,
                        const CompileOptions &options)
 {
     std::shared_ptr<const Module> module =
         cache_.compile(workload, machine, options, nullptr);
-    const std::string key =
-        CompileCache::key(workload, machine, options);
-    return graph_cache_.get(key, [&]() -> DepGraph {
-        // Prefer the packed trace (shared with the timing replays of
-        // the same compile key).
-        if (trace_cache_.enabled()) {
-            std::shared_ptr<const TraceArtifact> artifact =
-                trace_cache_.execute(key, *module);
-            if (artifact->result.trapped())
-                throw TrapException(artifact->result.trap);
-            if (artifact->replayable)
-                return DepGraph::build(artifact->trace);
-            trace_cache_.noteFallback();
-        }
-        // Cache disabled or trace over budget: stream the graph
-        // straight out of live execution — identical result on
-        // either backend.
-        DepGraph::Builder builder;
-        std::unique_ptr<Executor> exec = makeExecutor(*module);
-        RunResult r = exec->run("main", &builder);
-        if (r.trapped())
-            throw TrapException(r.trap);
-        return builder.take();
-    });
+    metrics::ScopedTimer timer(metrics::Registry::global(),
+                               graphBuildSeconds());
+    if (fault::enabled())
+        fault::maybeInject("depgraph");
+    DepGraph::Builder builder;
+    std::unique_ptr<Executor> exec = makeExecutor(*module);
+    RunResult r = exec->run("main", &builder);
+    if (r.trapped())
+        throw TrapException(r.trap);
+    graphBuilds().inc();
+    return builder.take();
 }
 
 namespace whatif {
@@ -187,7 +82,7 @@ analyze(Study &study, const Workload &workload,
     std::shared_ptr<const Module> module =
         study.compileCache().compile(workload, machine, options,
                                      nullptr);
-    std::shared_ptr<const DepGraph> graph =
+    const DepGraph graph =
         study.dependenceGraph(workload, machine, options);
     whatifQueries().inc();
 
@@ -197,10 +92,10 @@ analyze(Study &study, const Workload &workload,
     r.machineHash = machine.specHash();
     r.issueWidth = machine.issueWidth;
     r.pipelineDegree = machine.pipelineDegree;
-    r.analytic = graph->analyze(machine);
-    r.slack = graph->slack(machine, topEdges);
-    r.structureHash = graph->structureHash();
-    r.graphNodes = graph->size();
+    r.analytic = graph.analyze(machine);
+    r.slack = graph.slack(machine, topEdges);
+    r.structureHash = graph.structureHash();
+    r.graphNodes = graph.size();
 
     const prof::CodeMap code = prof::CodeMap::build(*module);
     auto attribute = [&](Pc pc, int &line, std::string &text) {
@@ -463,110 +358,6 @@ renderSlackListing(const prof::Profile &profile,
            "can speed the program up;\nlines with slack can slow "
            "down by that much before they matter.\n";
     return out.str();
-}
-
-// --------------------------------------------------- pruned sweep
-
-PruneOutcome
-prunedIlpSweep(Study &study, const Workload &workload,
-               const CompileOptions &options, int degrees)
-{
-    PruneOutcome out;
-    const std::size_t n = static_cast<std::size_t>(degrees);
-
-    // The exact base-machine reference (memoized; one replay).
-    const double base = study.baseCycles(workload, options);
-
-    // Predict every cell analytically, cell-parallel on the study's
-    // pool.  Each cell builds (or shares) the graph for its own
-    // compile key — the compiler schedules per machine, so degrees
-    // may or may not share graphs; the cache decides.
-    out.cells = study.runner().map<PruneCell>(n, [&](std::size_t i) {
-        const MachineConfig machine =
-            idealSuperscalar(static_cast<int>(i) + 1);
-        std::shared_ptr<const DepGraph> graph =
-            study.dependenceGraph(workload, machine, options);
-        const AnalyticResult a = graph->analyze(machine);
-        PruneCell cell;
-        cell.cycles = a.baseCycles;
-        cell.certified = a.certified;
-        return cell;
-    });
-
-    // Confirmation set: every non-certified cell (the analytic value
-    // is only a bound there), plus the two extremes of the predicted
-    // ranking as a validation sample anchoring the error report.
-    std::vector<std::size_t> confirm;
-    std::size_t lo = 0, hi = 0;
-    for (std::size_t i = 0; i < n; ++i) {
-        if (!out.cells[i].certified)
-            confirm.push_back(i);
-        if (out.cells[i].cycles < out.cells[lo].cycles)
-            lo = i;
-        if (out.cells[i].cycles > out.cells[hi].cycles)
-            hi = i;
-    }
-    for (std::size_t v : {hi, lo}) {
-        if (std::find(confirm.begin(), confirm.end(), v) ==
-            confirm.end())
-            confirm.push_back(v);
-    }
-    std::sort(confirm.begin(), confirm.end());
-
-    double errSum = 0.0;
-    for (std::size_t i : confirm) {
-        const MachineConfig machine =
-            idealSuperscalar(static_cast<int>(i) + 1);
-        RunOutcome exact =
-            study.timedRun(workload, machine, options);
-        if (exact.trapped())
-            throw TrapException(exact.trap);
-        PruneCell &cell = out.cells[i];
-        cell.confirmed = true;
-        cell.error =
-            exact.cycles > 0.0
-                ? std::abs(cell.cycles - exact.cycles) / exact.cycles
-                : 0.0;
-        cell.cycles = exact.cycles;
-        out.maxError = std::max(out.maxError, cell.error);
-        errSum += cell.error;
-        pruneConfirmedCells().inc();
-    }
-    out.meanError =
-        confirm.empty() ? 0.0
-                        : errSum / static_cast<double>(confirm.size());
-
-    for (PruneCell &cell : out.cells) {
-        cell.speedup = base / cell.cycles;
-        if (!cell.confirmed)
-            pruneAnalyticCells().inc();
-    }
-    out.exactReplays = 1 + confirm.size();
-    out.exactReplaysUnpruned = 1 + n;
-    return out;
-}
-
-Json
-pruneMeta(const PruneOutcome &o)
-{
-    std::uint64_t analytic = 0, confirmed = 0;
-    for (const PruneCell &c : o.cells)
-        (c.confirmed ? confirmed : analytic) += 1;
-    Json meta = Json::object();
-    meta.set("cells", static_cast<double>(o.cells.size()));
-    meta.set("analytic_cells", static_cast<double>(analytic));
-    meta.set("confirmed_cells", static_cast<double>(confirmed));
-    meta.set("exact_replays", static_cast<double>(o.exactReplays));
-    meta.set("exact_replays_unpruned",
-             static_cast<double>(o.exactReplaysUnpruned));
-    meta.set("replay_reduction",
-             o.exactReplays > 0
-                 ? static_cast<double>(o.exactReplaysUnpruned) /
-                       static_cast<double>(o.exactReplays)
-                 : 0.0);
-    meta.set("max_error", o.maxError);
-    meta.set("mean_error", o.meanError);
-    return meta;
 }
 
 } // namespace whatif

@@ -600,9 +600,9 @@ vm_dispatch:
         VM_COUNT();
         const BcFunction &callee = img.funcs[in->t0];
         // Trace before descending: the call record, then the
-        // argument-transfer moves (counted without fuel or poll
-        // checks — bookkeeping, not fetched instructions — exactly
-        // like the interpreter).
+        // argument-transfer moves.  The moves are counted traced or
+        // not, without fuel or poll checks — bookkeeping, not fetched
+        // instructions — exactly like the interpreter.
         if constexpr (Traced) {
             DynInstr di;
             di.op = static_cast<Opcode>(in->srcOp);
@@ -618,9 +618,9 @@ vm_dispatch:
                 m.pc = in->pc;
                 sink->emit(m);
             }
-            executed_ += in->aux;
-            class_counts_[kMoveClass] += in->aux;
         }
+        executed_ += in->aux;
+        class_counts_[kMoveClass] += in->aux;
 
         if (depth >= sem::kMaxCallDepth)
             sem::trapCallDepthExceeded(callee.name);
@@ -674,21 +674,21 @@ vm_dispatch:
         base = f.base;
         regs = arena_.data() + base;
 
+        // Return-value transfer move, only when the callee actually
+        // returned a register.
         if (f.retDst != BcInstr::kNone16) {
             regs[f.retDst] = rv;
-            // Return-value transfer move (traced only, and only
-            // when the callee actually returned a register).
-            if constexpr (Traced) {
-                if (ret_reg != BcInstr::kNone16) {
+            if (ret_reg != BcInstr::kNone16) {
+                if constexpr (Traced) {
                     DynInstr m;
                     m.op = static_cast<Opcode>(f.retMoveOp);
                     m.dst = f.retDst;
                     m.addSrc(ret_reg);
                     m.pc = f.retPc;
                     sink->emit(m);
-                    ++executed_;
-                    ++class_counts_[kMoveClass];
                 }
+                ++executed_;
+                ++class_counts_[kMoveClass];
             }
         }
         VM_JUMP(f.resumeIp);
@@ -737,12 +737,6 @@ RunResult
 BytecodeVM::runTimed(const std::string &entry, IssueEngine &engine)
 {
     return runWith<IssueEngine, true>(entry, &engine);
-}
-
-RunResult
-BytecodeVM::runPacked(const std::string &entry, PackedSink &sink)
-{
-    return runWith<PackedSink, true>(entry, &sink);
 }
 
 } // namespace ilp

@@ -24,9 +24,9 @@
  * The VM (BytecodeVM) executes the image with computed-goto threaded
  * dispatch (a plain switch on toolchains without the extension) and
  * produces the *same observable artifacts* as Interpreter::run: the
- * identical DynInstr stream (byte-identical PackedTrace), the same
- * trap records built by sim/semantics.hh, the same deadline-poll and
- * fault-injection cadence (sem::pollPoint at
+ * identical DynInstr stream, the same trap records built by
+ * sim/semantics.hh, the same deadline-poll and fault-injection
+ * cadence (sem::pollPoint at
  * cancel::kDeadlinePollInterval, site sem::kFaultSite), and the same
  * RunResult bookkeeping.  tests/bytecode_test.cc holds the
  * differential suite that enforces the contract.
@@ -49,7 +49,6 @@
 #include "sim/interp.hh"
 #include "sim/issue.hh"
 #include "sim/memory.hh"
-#include "sim/ptrace.hh"
 #include "sim/trace.hh"
 
 namespace ilp {
@@ -210,9 +209,9 @@ std::optional<BcImage> lowerModule(const Module &module);
  * Interpreter; run() resets all execution state, so a VM is reusable
  * across runs including after a trap.
  *
- * The fused entry points (runTimed / runPacked) are the hot-path
- * variants: they bind the concrete sink type into the dispatch loop,
- * devirtualizing and inlining the per-instruction emit.  run() with
+ * The fused entry point (runTimed) is the hot-path variant: it binds
+ * the issue engine into the dispatch loop, devirtualizing and
+ * inlining the per-instruction emit.  run() with
  * a TraceSink* keeps the generic virtual-dispatch contract, and a
  * null sink selects an untraced specialization with zero per-
  * instruction trace work.
@@ -228,9 +227,6 @@ class BytecodeVM
 
     /** Fused: stream straight into the issue engine (live timing). */
     RunResult runTimed(const std::string &entry, IssueEngine &engine);
-
-    /** Fused: stream straight into a packed-trace recorder. */
-    RunResult runPacked(const std::string &entry, PackedSink &sink);
 
     const Memory &memory() const { return mem_; }
     Memory &memory() { return mem_; }

@@ -8,9 +8,9 @@
  * caches and allocate), so cancellation is cooperative: the hardened
  * sweep layer arms a steady-clock deadline on the worker thread
  * (ScopedCellDeadline), and the execution hot loops — the IR-walk
- * interpreter, the bytecode VM, and the packed-trace replayer — poll
- * it every kDeadlinePollInterval executed instructions (one shared,
- * tested constant, below).
+ * interpreter and the bytecode VM — poll it every
+ * kDeadlinePollInterval executed instructions (one shared, tested
+ * constant, below).
  *
  * An expired deadline raises TrapException(E0410
  * trap-deadline-exceeded) — a *permanent* error class: the simulator
@@ -32,9 +32,9 @@ namespace ilp::cancel {
 
 /**
  * Deadline-poll cadence for every functional-execution hot loop: the
- * IR-walk interpreter, the bytecode VM, and the packed-trace replayer
- * all poll the cooperative deadline (and the fault-injection site)
- * once per this many dynamic instructions.  One shared, tested value
+ * IR-walk interpreter and the bytecode VM both poll the cooperative
+ * deadline (and the fault-injection site) once per this many dynamic
+ * instructions.  One shared, tested value
  * — the cadence used to be duplicated per poll site, which let the
  * loops drift apart.  Must stay a power of two: the loops use
  * `(executed & kDeadlinePollMask) == 0`, one AND and one predictable
@@ -53,7 +53,7 @@ bool deadlineArmed();
 /**
  * Throw TrapException(TrapDeadlineExceeded) if the calling thread's
  * deadline has passed; no-op (one thread-local load) when no deadline
- * is armed.  Called from the interpreter and replay chunk loops.
+ * is armed.  Called from both backends' poll points.
  */
 void pollDeadline();
 

@@ -64,15 +64,6 @@ DepGraph::Builder::take()
     return std::move(graph_);
 }
 
-DepGraph
-DepGraph::build(const PackedTrace &trace)
-{
-    Builder b;
-    b.graph_.nodes_.reserve(trace.size());
-    trace.replay(b);
-    return b.take();
-}
-
 std::uint64_t
 DepGraph::structureHash() const
 {

@@ -1,12 +1,11 @@
 /**
  * @file
- * The dynamic dependence graph: analytic "what-if" timing over a
- * recorded trace, without re-simulation.
+ * The dynamic dependence graph: analytic "what-if" timing over one
+ * execution, without re-simulation.
  *
- * A machine sweep replays one PackedTrace against many machine
- * configurations, paying the full issue-engine walk per config even
- * though the *dependences* in the stream never change.  DepGraph
- * factors that walk: one build pass over the trace resolves every
+ * Timing a dynamic stream on a machine walks the full issue engine,
+ * even though the *dependences* in the stream never change.  DepGraph
+ * factors that walk: one build pass over the stream resolves every
  * timing-relevant dependence into a fixed topology —
  *
  *  - true register dependences (last writer in program order; the
@@ -52,7 +51,6 @@
 #include <vector>
 
 #include "core/machine/machine.hh"
-#include "sim/ptrace.hh"
 #include "sim/trace.hh"
 
 namespace ilp {
@@ -65,7 +63,7 @@ inline constexpr NodeIdx kNoNode =
 /**
  * One dynamic instruction, reduced to what timing depends on: its
  * class, its static pc (for attribution), and the producers it waits
- * for.  28 bytes; a graph costs ~1.4x the packed trace it came from.
+ * for.  28 bytes per dynamic instruction.
  */
 struct DepNode
 {
@@ -171,15 +169,10 @@ struct SlackReport
 class DepGraph
 {
   public:
-    /** Build from a packed trace (the TraceCache artifact path). */
-    static DepGraph build(const PackedTrace &trace);
-
     /**
      * Streaming builder: a TraceSink that constructs the graph
-     * directly from the interpreter's dynamic stream, for runs whose
-     * trace was never recorded (over-budget traces).  The result is
-     * identical to build() on an equivalent PackedTrace.  Defined
-     * after the class (it holds a DepGraph by value).
+     * directly from an execution's dynamic stream.  Defined after the
+     * class (it holds a DepGraph by value).
      */
     class Builder;
 
@@ -187,18 +180,12 @@ class DepGraph
     bool empty() const { return nodes_.empty(); }
     const std::vector<DepNode> &nodes() const { return nodes_; }
 
-    /** Bytes of node storage (for cache budgeting). */
-    std::size_t byteSize() const
-    {
-        return nodes_.size() * sizeof(DepNode);
-    }
-
     /** Static instruction count implied by the nodes: max pc + 1
      *  over attributed nodes (0 when none carry a pc). */
     Pc pcCount() const { return pc_count_; }
 
     /** FNV-1a digest over the full node table — build determinism
-     *  fingerprint (identical across job counts and build paths). */
+     *  fingerprint (identical across job counts and backends). */
     std::uint64_t structureHash() const;
 
     /**
@@ -229,7 +216,6 @@ class DepGraph::Builder : public TraceSink
     DepGraph take();
 
   private:
-    friend class DepGraph;
     DepGraph graph_;
     /** Last writer per register (build-time scratch). */
     std::vector<NodeIdx> last_writer_;

@@ -24,11 +24,6 @@ class InterpExecutor final : public Executor
         return interp_.run(entry, sink);
     }
     RunResult
-    runPacked(const std::string &entry, PackedSink &sink) override
-    {
-        return interp_.run(entry, &sink);
-    }
-    RunResult
     runTimed(const std::string &entry, IssueEngine &engine) override
     {
         return interp_.run(entry, &engine);
@@ -55,11 +50,6 @@ class BytecodeExecutor final : public Executor
     run(const std::string &entry, TraceSink *sink) override
     {
         return vm_.run(entry, sink);
-    }
-    RunResult
-    runPacked(const std::string &entry, PackedSink &sink) override
-    {
-        return vm_.runPacked(entry, sink);
     }
     RunResult
     runTimed(const std::string &entry, IssueEngine &engine) override

@@ -3,8 +3,8 @@
  * The execution-backend seam: one place that decides *how* a module
  * is functionally executed.
  *
- * Two backends produce the same observable artifacts (trace bytes,
- * checksums, trap records, poll instants, fault draws — see
+ * Two backends produce the same observable artifacts (DynInstr
+ * streams, checksums, trap records, poll instants, fault draws — see
  * sim/bytecode.hh for the contract):
  *
  *  - ExecBackend::Interp   — the IR-walk interpreter (sim/interp.hh),
@@ -36,7 +36,6 @@
 #include "ir/module.hh"
 #include "sim/interp.hh"
 #include "sim/issue.hh"
-#include "sim/ptrace.hh"
 
 namespace ilp {
 
@@ -76,12 +75,10 @@ class Executor
                           TraceSink *sink = nullptr) = 0;
 
     /**
-     * Fused hot paths: identical artifacts to run(entry, &sink), but
-     * a backend may bind the concrete sink type into its dispatch
-     * loop (the bytecode VM devirtualizes per-record emission).
+     * Fused hot path: identical artifacts to run(entry, &engine), but
+     * a backend may bind the engine into its dispatch loop (the
+     * bytecode VM devirtualizes per-record emission).
      */
-    virtual RunResult runPacked(const std::string &entry,
-                                PackedSink &sink) = 0;
     virtual RunResult runTimed(const std::string &entry,
                                IssueEngine &engine) = 0;
 

@@ -150,7 +150,7 @@ Interpreter::execFrame(const Function &func,
             sem::trapFuelExhausted(executed_);
         // Watchdog / chaos poll point, amortized to one branch per
         // instruction (cancel::kDeadlinePollInterval cadence, shared
-        // with the bytecode VM and the replayer).
+        // with the bytecode VM).
         sem::pollPoint(executed_);
         ++class_counts_[static_cast<std::size_t>(opcodeClass(in.op))];
 
@@ -208,7 +208,8 @@ Interpreter::execFrame(const Function &func,
             // fetch order, followed by explicit argument-transfer
             // moves (the calling convention's visible cost, which
             // also ties the callee's parameter registers to the
-            // caller's dataflow in the timing model).
+            // caller's dataflow in the timing model).  The moves
+            // count whether or not a sink is attached.
             if (sink_) {
                 sink_->emit(di);
                 for (std::size_t i = 0; i < in.args.size(); ++i) {
@@ -221,10 +222,10 @@ Interpreter::execFrame(const Function &func,
                     mv.pc = in.pc;
                     sink_->emit(mv);
                 }
-                executed_ += in.args.size();
-                class_counts_[static_cast<std::size_t>(
-                    InstrClass::Move)] += in.args.size();
             }
+            executed_ += in.args.size();
+            class_counts_[static_cast<std::size_t>(InstrClass::Move)] +=
+                in.args.size();
             std::vector<std::uint64_t> call_args;
             call_args.reserve(in.args.size());
             for (Reg a : in.args)
@@ -233,14 +234,16 @@ Interpreter::execFrame(const Function &func,
             if (in.dst != kNoReg) {
                 arena_[base + in.dst] = rv;
                 // Return-value transfer move.
-                if (sink_ && last_ret_reg_ != kNoReg) {
-                    DynInstr mv;
-                    mv.op = callee.returnsFloat ? Opcode::MovF
-                                                : Opcode::MovI;
-                    mv.dst = in.dst;
-                    mv.addSrc(last_ret_reg_);
-                    mv.pc = in.pc;
-                    sink_->emit(mv);
+                if (last_ret_reg_ != kNoReg) {
+                    if (sink_) {
+                        DynInstr mv;
+                        mv.op = callee.returnsFloat ? Opcode::MovF
+                                                    : Opcode::MovI;
+                        mv.dst = in.dst;
+                        mv.addSrc(last_ret_reg_);
+                        mv.pc = in.pc;
+                        sink_->emit(mv);
+                    }
                     ++executed_;
                     ++class_counts_[static_cast<std::size_t>(
                         InstrClass::Move)];

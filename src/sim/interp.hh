@@ -42,9 +42,10 @@ struct RunResult
 {
     /** Bit pattern returned by the entry function (0 for void). */
     std::uint64_t returnValue = 0;
-    /** Dynamic instructions executed. */
+    /** Dynamic instructions executed, calling-convention moves
+     *  included, whether or not a sink is attached. */
     std::uint64_t instructions = 0;
-    /** Dynamic instruction mix (same stream the trace sink sees). */
+    /** Dynamic instruction mix (same stream a trace sink sees). */
     ClassCounts classCounts{};
     /** Set when the workload faulted; returnValue is then
      *  meaningless and `instructions` counts up to the fault. */

@@ -128,8 +128,8 @@ class IssueEngine final : public TraceSink
     explicit IssueEngine(const MachineConfig &config);
 
     /** Defined inline below: the per-record hot path.  Callers that
-     *  hold a concrete IssueEngine (the fused executor paths, trace
-     *  replay) inline the whole thing; virtual dispatch remains for
+     *  hold a concrete IssueEngine (the fused executor paths)
+     *  inline the whole thing; virtual dispatch remains for
      *  TraceSink* callers. */
     void emit(const DynInstr &di) override;
 

@@ -20,7 +20,6 @@ enum class Kind
 {
     Alloc,
     Trap,
-    Evict,
     Exit,
 };
 
@@ -146,8 +145,6 @@ parseRule(const std::string &text, Rule &out)
         out.kind = Kind::Alloc;
     else if (f[1] == "trap")
         out.kind = Kind::Trap;
-    else if (f[1] == "evict")
-        out.kind = Kind::Evict;
     else if (f[1] == "exit")
         out.kind = Kind::Exit;
     else
@@ -248,7 +245,7 @@ maybeInject(const char *site)
     if (!plan)
         return;
     for (const auto &rule : plan->rules) {
-        if (rule->kind == Kind::Evict || !siteMatches(*rule, site))
+        if (!siteMatches(*rule, site))
             continue;
         if (!drawFires(*rule, site))
             continue;
@@ -266,29 +263,8 @@ maybeInject(const char *site)
             // The kill-mid-sweep scenario: die abruptly, no unwind,
             // exactly as a crashed or OOM-killed worker would.
             ::_exit(137);
-          case Kind::Evict:
-            break; // unreachable
         }
     }
-}
-
-bool
-shouldEvict(const char *site)
-{
-    if (!enabled())
-        return false;
-    std::shared_ptr<Plan> plan = currentPlan();
-    if (!plan)
-        return false;
-    for (const auto &rule : plan->rules) {
-        if (rule->kind != Kind::Evict || !siteMatches(*rule, site))
-            continue;
-        if (drawFires(*rule, site)) {
-            countInjection();
-            return true;
-        }
-    }
-    return false;
 }
 
 } // namespace ilp::fault

@@ -9,16 +9,13 @@
  *
  * where
  *   site   names an injection point threaded through the pipeline
- *          ("compile", "execute", "cell", "interp", "depgraph",
- *          "tracecache.insert", "tracecache.evict"), or "*" to match
- *          every site of the rule's kind;
+ *          ("compile", "execute", "cell", "interp", "depgraph"), or
+ *          "*" to match every site;
  *   kind   is what happens when the rule fires:
  *            alloc   throw std::bad_alloc (memory pressure) — the
  *                    containment layer maps it to E0903;
  *            trap    throw TrapException with E0409
  *                    trap-transient-fault (a transient worker fault);
- *            evict   force a cache eviction decision (only consulted
- *                    by the caches via shouldEvict());
  *            exit    _exit(137) the process at the draw whose index
  *                    equals the rule's seed field (kill-mid-sweep);
  *   rate   is the firing probability in [0, 1] ("0.01" = 1%);
@@ -51,20 +48,13 @@ namespace ilp::fault {
 bool enabled();
 
 /**
- * Visit an injection site: evaluates every armed "alloc"/"trap"/
- * "exit" rule matching @p site and throws (or exits) if one fires.
+ * Visit an injection site: evaluates every armed rule matching
+ * @p site and throws (or exits) if one fires.
  * No-op when injection is disabled.  The containment guarantee is
  * that everything thrown here is an exception the sweep layer
  * already classifies: std::bad_alloc -> E0903, TrapException(E0409).
  */
 void maybeInject(const char *site);
-
-/**
- * Consult "evict" rules for @p site.  Returns true when a forced
- * eviction should happen; never throws.  Caches call this where they
- * already know how to evict.
- */
-bool shouldEvict(const char *site);
 
 /**
  * (Re)arm injection from a plan string; replaces any existing plan.

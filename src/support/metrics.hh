@@ -1,7 +1,7 @@
 /**
  * @file
  * ilp::metrics — process-wide runtime metrics for the pipeline layer
- * (sweeps, caches, compile/execute/replay phases): counters, gauges,
+ * (sweeps, caches, compile and timing phases): counters, gauges,
  * and bounded-error streaming histograms with quantile queries.
  *
  * How this differs from ilp::stats: a stats Registry is built per

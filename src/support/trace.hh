@@ -1,8 +1,8 @@
 /**
  * @file
  * ilp::trace — the span flight recorder: low-overhead wall-clock
- * tracing of the whole pipeline (compile, functional execution,
- * timing replay, cache waits, sweep cells), exported as Chrome
+ * tracing of the whole pipeline (compile, timing runs, functional
+ * execution, cache waits, sweep cells), exported as Chrome
  * tracing JSON with one timeline track per worker thread.
  *
  * Design rules, in order:
@@ -26,8 +26,8 @@
  * only while a session is active.  Worker tracks are labelled by
  * SweepRunner ("worker 0" is the calling thread), so a sweep's trace
  * shows exactly where every worker spent its wall-clock time —
- * compiling, executing, replaying, or parked on another worker's
- * cache future.
+ * compiling, executing, or parked on another worker's cache
+ * future.
  */
 
 #ifndef SUPERSYM_SUPPORT_TRACE_HH

@@ -1,7 +1,7 @@
 /**
  * Differential oracle for the bytecode execution backend: the
  * IR-walk interpreter and the threaded-dispatch VM must produce
- * byte-identical observable artifacts — PackedTrace records,
+ * identical observable artifacts — full-width DynInstr streams,
  * checksums, trap records, deadline-poll instants, fault-injection
  * draws, and RunOutcome stats trees — across the whole benchmark
  * suite, at every sweep job count, and on the trap paths.
@@ -31,29 +31,26 @@ compileDefault(const std::string &name, const MachineConfig &machine)
     return compileWorkload(w.source, machine, o);
 }
 
-/** Everything one backend produces from one functional execution. */
-struct BackendArtifacts
+/** What one backend reports about one functional execution (its
+ *  dynamic stream goes to the sink the caller passes). */
+struct BackendRun
 {
     RunResult result;
-    PackedTrace trace;
-    bool traceComplete = false;
     std::uint64_t fpBits = 0;
     bool hasFp = false;
 };
 
-BackendArtifacts
-runBackend(const Module &module, ExecBackend backend,
+BackendRun
+runBackend(const Module &module, ExecBackend backend, TraceSink *sink,
            InterpOptions options = {})
 {
-    BackendArtifacts out;
+    BackendRun out;
     std::unique_ptr<Executor> exec =
         makeExecutor(module, backend, options);
     // The suite's modules must all lower: a silent fallback here
     // would turn the differential test into interp-vs-interp.
     EXPECT_EQ(exec->backend(), backend);
-    PackedSink sink(out.trace);
-    out.result = exec->runPacked("main", sink);
-    out.traceComplete = sink.complete();
+    out.result = exec->run("main", sink);
     if (!out.result.trapped() && module.findGlobal("result_fp")) {
         out.fpBits = exec->memory().readGlobal(module, "result_fp");
         out.hasFp = true;
@@ -61,24 +58,63 @@ runBackend(const Module &module, ExecBackend backend,
     return out;
 }
 
-/** Record-by-record trace equality (operator== covers every field
- *  that PackedInstr stores, i.e. the bytes of the packed record). */
-void
-expectTracesIdentical(const PackedTrace &a, const PackedTrace &b)
+/** Checks a stream against a buffered reference as it is produced,
+ *  record by record, on every DynInstr field. */
+class StreamComparator final : public TraceSink
 {
-    ASSERT_EQ(a.size(), b.size());
-    auto ia = a.begin(), ib = b.begin();
-    std::size_t mismatches = 0, at = 0, firstAt = 0;
-    for (std::size_t i = 0; i < a.size(); ++i, ++ia, ++ib) {
-        if (!(*ia == *ib)) {
-            if (mismatches++ == 0)
-                firstAt = i;
-        }
-        ++at;
+  public:
+    explicit StreamComparator(const std::vector<DynInstr> &expected)
+        : expected_(expected)
+    {
     }
-    EXPECT_EQ(mismatches, 0u)
-        << mismatches << " divergent records of " << at
-        << ", first at index " << firstAt;
+
+    void
+    emit(const DynInstr &di) override
+    {
+        if ((at_ >= expected_.size() || di != expected_[at_]) &&
+            mismatches_++ == 0)
+            first_ = at_;
+        ++at_;
+    }
+
+    /** Expect the whole stream matched; names the first divergent
+     *  record otherwise. */
+    void
+    expectIdentical() const
+    {
+        EXPECT_EQ(at_, expected_.size()) << "stream lengths differ";
+        EXPECT_EQ(mismatches_, 0u)
+            << mismatches_ << " divergent records of " << at_
+            << ", first at index " << first_;
+    }
+
+  private:
+    const std::vector<DynInstr> &expected_;
+    std::size_t at_ = 0;
+    std::size_t mismatches_ = 0;
+    std::size_t first_ = 0;
+};
+
+/** Both backends on one module: the interpreter's stream buffered as
+ *  the reference, the VM's compared against it record by record. */
+struct DifferentialRun
+{
+    BackendRun interp;
+    BackendRun bytecode;
+};
+
+DifferentialRun
+runBoth(const Module &module, InterpOptions options = {})
+{
+    TraceBuffer reference;
+    DifferentialRun d;
+    d.interp =
+        runBackend(module, ExecBackend::Interp, &reference, options);
+    StreamComparator compare(reference.trace());
+    d.bytecode =
+        runBackend(module, ExecBackend::Bytecode, &compare, options);
+    compare.expectIdentical();
+    return d;
 }
 
 void
@@ -104,19 +140,37 @@ class BackendDifferentialTest
 TEST_P(BackendDifferentialTest, TraceChecksumAndMixIdentical)
 {
     Module m = compileDefault(GetParam(), idealSuperscalar(4));
-    BackendArtifacts interp = runBackend(m, ExecBackend::Interp);
-    BackendArtifacts bytecode = runBackend(m, ExecBackend::Bytecode);
+    const DifferentialRun d = runBoth(m);
 
-    expectResultsIdentical(interp.result, bytecode.result);
-    EXPECT_EQ(interp.result.returnValue,
+    expectResultsIdentical(d.interp.result, d.bytecode.result);
+    EXPECT_EQ(d.interp.result.returnValue,
               static_cast<std::uint64_t>(
                   workloadByName(GetParam()).expected));
-    ASSERT_TRUE(interp.traceComplete);
-    ASSERT_TRUE(bytecode.traceComplete);
-    expectTracesIdentical(interp.trace, bytecode.trace);
-    ASSERT_EQ(interp.hasFp, bytecode.hasFp);
-    if (interp.hasFp)
-        EXPECT_EQ(interp.fpBits, bytecode.fpBits);
+    ASSERT_EQ(d.interp.hasFp, d.bytecode.hasFp);
+    if (d.interp.hasFp) {
+        EXPECT_EQ(d.interp.fpBits, d.bytecode.fpBits);
+    }
+}
+
+TEST_P(BackendDifferentialTest, SinkDoesNotChangeTheCounts)
+{
+    // Calling-convention moves are bookkeeping the backends count
+    // whether or not anything observes the stream, so a sink-less run
+    // reports exactly what a traced run does.
+    Module m = compileDefault(GetParam(), idealSuperscalar(4));
+    for (ExecBackend backend :
+         {ExecBackend::Interp, ExecBackend::Bytecode}) {
+        ClassProfileSink profile;
+        const RunResult traced =
+            runBackend(m, backend, &profile).result;
+        const RunResult plain = runBackend(m, backend, nullptr).result;
+        EXPECT_EQ(plain.instructions, traced.instructions)
+            << execBackendName(backend);
+        EXPECT_EQ(plain.classCounts, traced.classCounts)
+            << execBackendName(backend);
+        EXPECT_EQ(traced.instructions, profile.total())
+            << execBackendName(backend);
+    }
 }
 
 TEST_P(BackendDifferentialTest, StatsTreeIdentical)
@@ -168,10 +222,10 @@ INSTANTIATE_TEST_SUITE_P(AllWorkloads, BackendDifferentialTest,
 
 TEST(BackendSweepTest, SweepCellsIdenticalAtJobs128)
 {
-    // The sweep path (TraceCache, worker pool) at jobs 1/2/8: every
-    // cell's speedup must be bit-identical across backends — the
-    // engine consumes the same trace, so the cycle counts are exact
-    // doubles, not approximations.
+    // The sweep path (compile cache, worker pool) at jobs 1/2/8:
+    // every cell's speedup must be bit-identical across backends —
+    // the engine consumes the same stream, so the cycle counts are
+    // exact doubles, not approximations.
     for (int jobs : {1, 2, 8}) {
         std::vector<double> perBackend[2];
         int bi = 0;
@@ -210,14 +264,10 @@ compileRaw(const std::string &source)
 void
 expectSameTrap(const Module &m, ErrCode code, InterpOptions options = {})
 {
-    BackendArtifacts interp =
-        runBackend(m, ExecBackend::Interp, options);
-    BackendArtifacts bytecode =
-        runBackend(m, ExecBackend::Bytecode, options);
-    ASSERT_TRUE(interp.result.trapped());
-    EXPECT_EQ(interp.result.trap.code, code);
-    expectResultsIdentical(interp.result, bytecode.result);
-    expectTracesIdentical(interp.trace, bytecode.trace);
+    const DifferentialRun d = runBoth(m, options);
+    ASSERT_TRUE(d.interp.result.trapped());
+    EXPECT_EQ(d.interp.result.trap.code, code);
+    expectResultsIdentical(d.interp.result, d.bytecode.result);
 }
 
 TEST(BackendTrapTest, DivideByZeroInCallee)
@@ -259,11 +309,9 @@ TEST(BackendTrapTest, CallDepthExceeded)
     Module m = compileRaw(R"(
         func down(int n) : int { return down(n + 1); }
         func main() : int { return down(0); })");
-    BackendArtifacts interp = runBackend(m, ExecBackend::Interp);
-    BackendArtifacts bytecode = runBackend(m, ExecBackend::Bytecode);
-    ASSERT_TRUE(interp.result.trapped());
-    expectResultsIdentical(interp.result, bytecode.result);
-    expectTracesIdentical(interp.trace, bytecode.trace);
+    const DifferentialRun d = runBoth(m);
+    ASSERT_TRUE(d.interp.result.trapped());
+    expectResultsIdentical(d.interp.result, d.bytecode.result);
 }
 
 TEST(BackendTrapTest, MissingEntryFunction)

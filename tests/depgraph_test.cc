@@ -7,16 +7,12 @@
  *
  *  - the analytic schedule is a true lower bound on the engine's
  *    cycles for every machine, and *equals* them (certified) whenever
- *    the machine has no functional-unit class conflicts — that
- *    equality is what makes pruned sweeps byte-identical;
+ *    the machine has no functional-unit class conflicts;
  *  - slack is non-negative everywhere, critical instructions have
  *    zero slack, and the reported critical edges actually carry the
  *    critical path;
  *  - the graph build is deterministic: the same structure hash at any
- *    job count and on both build paths (packed-trace replay and the
- *    live interpreter stream);
- *  - the prune-then-confirm sweep reproduces the unpruned speedups
- *    exactly while running a fraction of the exact replays.
+ *    job count and on either execution backend.
  */
 
 #include <gtest/gtest.h>
@@ -24,6 +20,7 @@
 #include "core/machine/models.hh"
 #include "core/study/experiment.hh"
 #include "sim/depgraph.hh"
+#include "sim/exec.hh"
 #include "tests/helpers.hh"
 #include "workloads/workloads.hh"
 
@@ -56,11 +53,11 @@ TEST(DepGraphDifferentialTest, AnalyticBoundsTheEngineOnTheSuite)
     for (const Workload &w : allWorkloads()) {
         const CompileOptions options = defaultCompileOptions(w);
         for (const MachineConfig &machine : machineSample()) {
-            auto graph =
+            const DepGraph graph =
                 study.dependenceGraph(w, machine, options);
-            ASSERT_TRUE(graph && !graph->empty())
+            ASSERT_FALSE(graph.empty())
                 << w.name << " on " << machine.name;
-            const AnalyticResult a = graph->analyze(machine);
+            const AnalyticResult a = graph.analyze(machine);
             const RunOutcome out =
                 study.timedRun(w, machine, options);
             ASSERT_FALSE(out.trapped()) << w.name;
@@ -96,8 +93,8 @@ TEST(DepGraphDifferentialTest, UnitLatencySingleIssueIsExact)
     for (const Workload &w : allWorkloads()) {
         const CompileOptions options = defaultCompileOptions(w);
         const MachineConfig base = baseMachine();
-        auto graph = study.dependenceGraph(w, base, options);
-        const AnalyticResult a = graph->analyze(base);
+        const DepGraph graph = study.dependenceGraph(w, base, options);
+        const AnalyticResult a = graph.analyze(base);
         const RunOutcome out = study.timedRun(w, base, options);
         EXPECT_TRUE(a.certified);
         EXPECT_EQ(a.baseCycles, out.cycles) << w.name;
@@ -112,8 +109,8 @@ TEST(DepGraphPropertyTest, SlackIsNonNegativeAndZeroOnCriticalPath)
     const CompileOptions options = defaultCompileOptions(w);
     for (const MachineConfig &machine :
          {cray1(), idealSuperscalar(4)}) {
-        auto graph = study.dependenceGraph(w, machine, options);
-        const SlackReport report = graph->slack(machine, 8);
+        const DepGraph graph = study.dependenceGraph(w, machine, options);
+        const SlackReport report = graph.slack(machine, 8);
         EXPECT_GT(report.criticalPathMinor, 0u);
 
         std::uint64_t critLatency = 0;
@@ -148,7 +145,7 @@ TEST(DepGraphPropertyTest, SlackIsNonNegativeAndZeroOnCriticalPath)
     }
 }
 
-TEST(DepGraphPropertyTest, BuildIsDeterministicAcrossJobsAndPaths)
+TEST(DepGraphPropertyTest, BuildIsDeterministicAcrossJobsAndBackends)
 {
     const Workload &w = workloadByName("yacc");
     const CompileOptions options = defaultCompileOptions(w);
@@ -158,66 +155,30 @@ TEST(DepGraphPropertyTest, BuildIsDeterministicAcrossJobsAndPaths)
     std::size_t nodes = 0;
     {
         Study study(1);
-        auto graph = study.dependenceGraph(w, machine, options);
-        reference = graph->structureHash();
-        nodes = graph->size();
-        EXPECT_EQ(study.graphCache().misses(), 1u);
-        // Second request is served from the cache.
-        auto again = study.dependenceGraph(w, machine, options);
-        EXPECT_EQ(again.get(), graph.get());
-        EXPECT_EQ(study.graphCache().hits(), 1u);
+        const DepGraph graph =
+            study.dependenceGraph(w, machine, options);
+        reference = graph.structureHash();
+        nodes = graph.size();
     }
-    // Same hash at other job counts (graphs fan out over workers).
+    // Same hash at other job counts.
     for (int jobs : {2, 8}) {
         Study study(jobs);
-        auto graph = study.dependenceGraph(w, machine, options);
-        EXPECT_EQ(graph->structureHash(), reference)
+        const DepGraph graph =
+            study.dependenceGraph(w, machine, options);
+        EXPECT_EQ(graph.structureHash(), reference)
             << "jobs " << jobs;
-        EXPECT_EQ(graph->size(), nodes);
+        EXPECT_EQ(graph.size(), nodes);
     }
-    // Same hash when the trace cache is disabled and the graph is
-    // streamed straight out of live interpretation.
+    // Same hash when the interpreter produces the stream.
     {
+        setDefaultExecBackend(ExecBackend::Interp);
         Study study(1);
-        study.traceCache().setBudget(0);
-        auto graph = study.dependenceGraph(w, machine, options);
-        EXPECT_EQ(graph->structureHash(), reference);
-        EXPECT_EQ(graph->size(), nodes);
+        const DepGraph graph =
+            study.dependenceGraph(w, machine, options);
+        setDefaultExecBackend(std::nullopt);
+        EXPECT_EQ(graph.structureHash(), reference);
+        EXPECT_EQ(graph.size(), nodes);
     }
-}
-
-TEST(DepGraphPruneTest, PrunedSweepMatchesUnprunedExactly)
-{
-    const Workload &w = workloadByName("whet");
-    const CompileOptions options = defaultCompileOptions(w);
-
-    // Unpruned reference: one exact replay per degree.
-    std::vector<double> reference;
-    {
-        Study study(1);
-        for (int d = 1; d <= kMaxDegree; ++d)
-            reference.push_back(
-                study.speedup(w, idealSuperscalar(d), options));
-    }
-
-    Study study(2);
-    const whatif::PruneOutcome po =
-        whatif::prunedIlpSweep(study, w, options, kMaxDegree);
-    ASSERT_EQ(po.cells.size(), reference.size());
-    for (std::size_t i = 0; i < reference.size(); ++i) {
-        EXPECT_EQ(po.cells[i].speedup, reference[i])
-            << "degree " << i + 1;
-        EXPECT_TRUE(po.cells[i].certified);
-        EXPECT_EQ(po.cells[i].error, 0.0);
-    }
-    // Ideal machines are all certified, so only the two extremes are
-    // confirmed: base + 2 replays against base + 8 unpruned.
-    EXPECT_EQ(po.exactReplays, 3u);
-    EXPECT_EQ(po.exactReplaysUnpruned,
-              static_cast<std::uint64_t>(kMaxDegree) + 1);
-    EXPECT_EQ(po.maxError, 0.0);
-    EXPECT_EQ(po.meanError, 0.0);
-    EXPECT_GE(po.exactReplaysUnpruned, 3 * po.exactReplays);
 }
 
 using DepGraphTrapTest = test::ThrowingErrors;
@@ -233,12 +194,6 @@ TEST_F(DepGraphTrapTest, TrappedWorkloadThrowsInsteadOfBounding)
     Study study(1);
     EXPECT_THROW(study.dependenceGraph(w, idealSuperscalar(4),
                                        defaultCompileOptions(w)),
-                 TrapException);
-    // Also on the live-stream path.
-    Study uncached(1);
-    uncached.traceCache().setBudget(0);
-    EXPECT_THROW(uncached.dependenceGraph(w, idealSuperscalar(4),
-                                          defaultCompileOptions(w)),
                  TrapException);
 }
 

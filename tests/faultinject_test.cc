@@ -30,7 +30,6 @@ TEST_F(FaultInjectTest, DisabledByDefault)
 {
     EXPECT_FALSE(fault::enabled());
     EXPECT_NO_THROW(fault::maybeInject("cell"));
-    EXPECT_FALSE(fault::shouldEvict("tracecache.evict"));
 }
 
 TEST_F(FaultInjectTest, ConfigureParsesValidPlans)
@@ -38,7 +37,7 @@ TEST_F(FaultInjectTest, ConfigureParsesValidPlans)
     EXPECT_TRUE(fault::configure("cell:trap:0.5:42"));
     EXPECT_TRUE(fault::enabled());
     EXPECT_TRUE(fault::configure(
-        "compile:alloc:0.01:1,execute:trap:1:2,*:evict:0.25:3"));
+        "compile:alloc:0.01:1,execute:trap:1:2,*:alloc:0.25:3"));
     EXPECT_TRUE(fault::configure("")); // empty plan disarms
     EXPECT_FALSE(fault::enabled());
 }
@@ -50,6 +49,7 @@ TEST_F(FaultInjectTest, ConfigureRejectsMalformedPlans)
     EXPECT_FALSE(fault::configure("cell:trap:1.5:1")); // rate > 1
     EXPECT_FALSE(fault::configure("cell:trap:-0.5:1"));
     EXPECT_FALSE(fault::configure("cell:frobnicate:0.5:1"));
+    EXPECT_FALSE(fault::configure("cell:evict:0.5:1")); // not a kind
     EXPECT_FALSE(fault::configure("cell:trap:0.5:1:extra"));
     // A bad plan disarms rather than half-applying.
     EXPECT_FALSE(fault::enabled());
@@ -95,16 +95,6 @@ TEST_F(FaultInjectTest, WildcardMatchesEverySite)
     ASSERT_TRUE(fault::configure("*:trap:1:9"));
     EXPECT_THROW(fault::maybeInject("cell"), DiagException);
     EXPECT_THROW(fault::maybeInject("anything"), DiagException);
-}
-
-TEST_F(FaultInjectTest, EvictRulesOnlyAnswerShouldEvict)
-{
-    ASSERT_TRUE(fault::configure("tracecache.evict:evict:1:3"));
-    // maybeInject must not act on evict rules...
-    EXPECT_NO_THROW(fault::maybeInject("tracecache.evict"));
-    // ...and shouldEvict never throws, it decides.
-    EXPECT_TRUE(fault::shouldEvict("tracecache.evict"));
-    EXPECT_FALSE(fault::shouldEvict("othersite"));
 }
 
 /** The firing pattern of a seeded plan is a pure function of

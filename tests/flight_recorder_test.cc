@@ -452,7 +452,6 @@ TEST(ReconciliationTest, MetricsAgreeWithStudyCountersExactly)
     stats::Registry statsReg;
     study.compileCache().exportStats(
         statsReg.group("compile_cache", ""));
-    study.traceCache().exportStats(statsReg.group("trace_cache", ""));
     const stats::StatsSnapshot snap = statsReg.snapshot();
     metrics::Registry &reg = metrics::Registry::global();
     EXPECT_EQ(
@@ -461,8 +460,8 @@ TEST(ReconciliationTest, MetricsAgreeWithStudyCountersExactly)
         snap.number("compile_cache.hits"));
     EXPECT_EQ(
         static_cast<double>(
-            reg.counter("ssim_trace_cache_misses_total").value()),
-        snap.number("trace_cache.misses"));
+            reg.counter("ssim_compile_cache_misses_total").value()),
+        snap.number("compile_cache.misses"));
     EXPECT_EQ(reg.counter("ssim_sweep_cells_total").value(), 6u);
 
     // A perturbed counter must be caught.
@@ -482,7 +481,6 @@ TEST(ProgressReporterTest, RenderLineShowsRatesEtaAndFailures)
     pc.jobs = 2;
     pc.intervalMs = 1e9; // never auto-print during the test
     pc.compileCache = &study.compileCache();
-    pc.traceCache = &study.traceCache();
     pc.out = tmpfile();
     ASSERT_NE(pc.out, nullptr);
     {
@@ -503,7 +501,6 @@ TEST(ProgressReporterTest, RenderLineShowsRatesEtaAndFailures)
         // 1.0 busy second over 2 workers * 2 elapsed seconds = 25%.
         EXPECT_NE(line.find("util 25%"), std::string::npos) << line;
         EXPECT_NE(line.find("compile-cache"), std::string::npos);
-        EXPECT_NE(line.find("trace-cache"), std::string::npos);
         EXPECT_NE(line.find("failed 1"), std::string::npos) << line;
     }
     EXPECT_EQ(ProgressReporter::current(), nullptr);

@@ -266,6 +266,20 @@ TEST(MemoryTest, ReadGlobalHelper)
     EXPECT_EQ(mem.readGlobal(m, "xs", 2), 7u);
 }
 
+using AddSrcTest = test::ThrowingErrors;
+
+TEST_F(AddSrcTest, FifthSourceIsAnAssertionNotASilentDrop)
+{
+    DynInstr di;
+    for (Reg r = 1; r <= 4; ++r)
+        di.addSrc(r);
+    EXPECT_EQ(di.numSrcs, 4u);
+    EXPECT_THROW(di.addSrc(5), FatalError);
+    // kNoReg stays a quiet no-op at any arity.
+    di.numSrcs = 4;
+    EXPECT_NO_THROW(di.addSrc(kNoReg));
+}
+
 TEST(MemoryTest, StackBaseAboveGlobals)
 {
     Module m;

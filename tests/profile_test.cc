@@ -48,12 +48,9 @@ workload(const char *source)
 }
 
 prof::Profile
-profileOn(const MachineConfig &machine, int jobs = 1,
-          std::size_t trace_budget_set = 0, bool set_budget = false)
+profileOn(const MachineConfig &machine, int jobs = 1)
 {
     Study study(jobs);
-    if (set_budget)
-        study.traceCache().setBudget(trace_budget_set);
     Workload w = workload(kDotProd);
     return study.profiledRun(w, machine, defaultCompileOptions(w));
 }
@@ -172,16 +169,6 @@ TEST(ProfileReconcile, LoopRollupFindsTheHotLoop)
 }
 
 // ----------------------------------------------------- determinism
-
-TEST(ProfileDeterminism, ReplayMatchesLiveByteForByte)
-{
-    prof::Profile replay = profileOn(superpipelined(4));
-    // Budget 0 disables the trace cache: the run interprets live.
-    prof::Profile live =
-        profileOn(superpipelined(4), 1, 0, /*set_budget=*/true);
-    EXPECT_EQ(prof::toJson(replay).dump(2),
-              prof::toJson(live).dump(2));
-}
 
 TEST(ProfileDeterminism, IndependentOfJobCount)
 {

@@ -97,6 +97,50 @@ TEST(StudyTest, BaseCyclesMemoized)
     EXPECT_DOUBLE_EQ(a, b);
 }
 
+TEST(StudyTest, TimedRunMatchesRunWorkload)
+{
+    // The study path (compile cache, then runOnMachine) and the
+    // one-shot driver give the same outcome, cold cache or warm.
+    const Workload &w = workloadByName("whet");
+    const MachineConfig machine = idealSuperscalar(4);
+    const CompileOptions o = defaultCompileOptions(w);
+    const RunOutcome live = runWorkload(w, machine, o);
+    Study study(1);
+    for (int pass = 0; pass < 2; ++pass) {
+        const RunOutcome out = study.timedRun(w, machine, o);
+        EXPECT_EQ(out.checksum, w.expected);
+        EXPECT_EQ(out.checksum, live.checksum);
+        EXPECT_EQ(out.fpChecksum, live.fpChecksum);
+        EXPECT_EQ(out.instructions, live.instructions);
+        EXPECT_EQ(out.cycles, live.cycles);
+    }
+    EXPECT_EQ(study.compileCache().misses(), 1u);
+    EXPECT_EQ(study.compileCache().hits(), 1u);
+}
+
+using StudyTrapTest = test::ThrowingErrors;
+
+TEST_F(StudyTrapTest, TimedRunSurfacesTrapsInTheOutcome)
+{
+    // A trapping workload: timedRun reports the trap in the outcome
+    // (no bogus checksum), and speedup() turns it into a
+    // TrapException for sweep cells.
+    Workload w{"trapper", "always divides by zero",
+               R"(var int zero;
+                  func main() : int { return 1 / zero; })",
+               0, false, 1};
+    Study study(1);
+    RunOutcome out = study.timedRun(w, idealSuperscalar(4),
+                                    defaultCompileOptions(w));
+    ASSERT_TRUE(out.trapped());
+    EXPECT_EQ(out.trap.code, ErrCode::TrapDivideByZero);
+    EXPECT_EQ(out.checksum, 0);
+    EXPECT_EQ(out.fpChecksum, 0.0);
+    EXPECT_THROW(study.speedup(w, idealSuperscalar(4),
+                               defaultCompileOptions(w)),
+                 TrapException);
+}
+
 TEST(StudyTest, Cray1GainsLittleFromParallelIssueWithRealLatencies)
 {
     // Figure 4-4's punchline: with real latencies the CRAY-1 barely
