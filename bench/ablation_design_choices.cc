@@ -14,51 +14,97 @@
  * ideal 8-wide superscalar, except where noted.
  */
 
+#include <map>
+
 #include "bench/common.hh"
-#include "core/study/sweep.hh"
-#include "sim/interp.hh"
 
 using namespace ilp;
 
 namespace {
 
-// The ablation rows repeat whole-suite evaluations with overlapping
-// (sched-machine, options) pairs — e.g. the "default" configuration
-// appears in three tables — so compiles are shared through one cache.
-// Row 4 deliberately times a schedule on a *different* machine: the
-// module compiled for the machine scheduled *for* runs on whatever
-// machine is measured.
-CompileCache &
-compiles()
+/**
+ * Every table row, as one flat grid of distinct timed runs.  The rows
+ * overlap — the default configuration appears in three tables, and
+ * every row times the base machine under its options — so a run is
+ * keyed by its compilation plus the machine that times it, and each
+ * distinct run executes once.  Table 4 deliberately times a schedule
+ * on a *different* machine: the module compiled for the machine
+ * scheduled *for* runs on whatever machine is measured.
+ */
+class SuiteRows
 {
-    static CompileCache cache;
-    return cache;
-}
-
-RunOutcome
-timeOn(const Workload &w, const MachineConfig &sched_machine,
-       const MachineConfig &timing_machine, const CompileOptions &o)
-{
-    return runOnMachine(*compiles().compile(w, sched_machine, o),
-                        timing_machine);
-}
-
-double
-suiteSpeedup(const MachineConfig &timing_machine,
-             const MachineConfig &sched_machine,
+  public:
+    /** Add a row: the suite compiled for `sched` under (alias, temps)
+     *  and timed on `timing`, over the base machine. */
+    void add(const MachineConfig &timing, const MachineConfig &sched,
              AliasLevel alias, std::uint32_t temps)
-{
-    std::vector<double> speedups;
-    for (const auto &w : allWorkloads()) {
-        CompileOptions o = defaultCompileOptions(w);
-        o.alias = alias;
-        o.layout.numTemp = temps;
-        RunOutcome wide = timeOn(w, sched_machine, timing_machine, o);
-        RunOutcome base = timeOn(w, baseMachine(), baseMachine(), o);
-        speedups.push_back(base.cycles / wide.cycles);
+    {
+        std::vector<std::pair<std::size_t, std::size_t>> row;
+        for (const Workload &w : allWorkloads()) {
+            CompileOptions o = defaultCompileOptions(w);
+            o.alias = alias;
+            o.layout.numTemp = temps;
+            row.emplace_back(run(w, sched, timing, o),
+                             run(w, baseMachine(), baseMachine(), o));
+        }
+        rows_.push_back(std::move(row));
     }
-    return harmonicMean(speedups);
-}
+
+    /** Time every distinct run once across the bench pool; returns
+     *  each row's harmonic-mean speedup, in the order rows were
+     *  added. */
+    std::vector<double> evaluate() const
+    {
+        const std::vector<double> cycles = bench::sweeper().map<double>(
+            runs_.size(), [&](std::size_t i) {
+                const Run &r = runs_[i];
+                const Module module = compileWorkload(
+                    r.workload->source, r.sched, r.options);
+                const RunOutcome out = runOnMachine(module, r.timing);
+                if (out.trapped())
+                    throw TrapException(out.trap);
+                return out.cycles;
+            });
+        std::vector<double> means;
+        for (const auto &row : rows_) {
+            std::vector<double> speedups;
+            for (const auto &[measured, base] : row)
+                speedups.push_back(cycles[base] / cycles[measured]);
+            means.push_back(harmonicMean(speedups));
+        }
+        return means;
+    }
+
+  private:
+    struct Run
+    {
+        const Workload *workload;
+        MachineConfig sched;
+        MachineConfig timing;
+        CompileOptions options;
+    };
+
+    std::size_t run(const Workload &w, const MachineConfig &sched,
+                    const MachineConfig &timing, const CompileOptions &o)
+    {
+        const std::string key = CompileCache::key(w, sched, o) + "|t" +
+                                std::to_string(timing.specHash());
+        const auto [it, fresh] = index_.emplace(key, runs_.size());
+        if (fresh)
+            runs_.push_back({&w, sched, timing, o});
+        return it->second;
+    }
+
+    std::vector<Run> runs_;
+    std::map<std::string, std::size_t> index_;
+    std::vector<std::vector<std::pair<std::size_t, std::size_t>>> rows_;
+};
+
+struct AliasRow
+{
+    const char *name;
+    AliasLevel level;
+};
 
 } // namespace
 
@@ -68,24 +114,38 @@ main()
     bench::banner("Ablation", "design choices behind the defaults");
 
     MachineConfig wide = idealSuperscalar(8);
+    MachineConfig fenced = idealSuperscalar(8);
+    fenced.issueAcrossBranches = false;
+    fenced.name += "+fence";
+    MachineConfig mt = multiTitan();
+    const AliasRow alias_levels[] = {
+        {"Conservative", AliasLevel::Conservative},
+        {"Arrays (default)", AliasLevel::Arrays},
+        {"Symbols", AliasLevel::Symbols},
+        {"Careful", AliasLevel::Careful}};
+    const std::uint32_t temp_supplies[] = {6, 8, 12, 16, 24, 40};
+
+    // Every row of every table, added in print order.
+    SuiteRows rows;
+    for (const AliasRow &r : alias_levels)
+        rows.add(wide, wide, r.level, 16);
+    for (std::uint32_t temps : temp_supplies)
+        rows.add(wide, wide, AliasLevel::Arrays, temps);
+    rows.add(wide, wide, AliasLevel::Arrays, 16);
+    rows.add(fenced, fenced, AliasLevel::Arrays, 16);
+    rows.add(wide, wide, AliasLevel::Arrays, 16);
+    rows.add(wide, baseMachine(), AliasLevel::Arrays, 16);
+    rows.add(mt, mt, AliasLevel::Arrays, 16);
+    rows.add(mt, baseMachine(), AliasLevel::Arrays, 16);
+    const std::vector<double> speedup = rows.evaluate();
+    std::size_t next = 0;
 
     // --- 1. Alias level. --------------------------------------------
     Table alias_t("Scheduler memory disambiguation (suite HM speedup, "
                   "8-wide):");
     alias_t.setHeader({"alias level", "speedup"});
-    struct AliasRow
-    {
-        const char *name;
-        AliasLevel level;
-    };
-    for (const AliasRow &r :
-         {AliasRow{"Conservative", AliasLevel::Conservative},
-          AliasRow{"Arrays (default)", AliasLevel::Arrays},
-          AliasRow{"Symbols", AliasLevel::Symbols},
-          AliasRow{"Careful", AliasLevel::Careful}}) {
-        alias_t.row().cell(r.name).cell(
-            suiteSpeedup(wide, wide, r.level, 16), 3);
-    }
+    for (const AliasRow &r : alias_levels)
+        alias_t.row().cell(r.name).cell(speedup[next++], 3);
     alias_t.print();
     std::printf("\n");
 
@@ -93,27 +153,21 @@ main()
     Table temps_t("Expression-temp supply (§3; suite HM speedup, "
                   "8-wide):");
     temps_t.setHeader({"temps", "speedup"});
-    for (std::uint32_t temps : {6u, 8u, 12u, 16u, 24u, 40u}) {
+    for (std::uint32_t temps : temp_supplies) {
         temps_t.row()
             .cell(static_cast<long long>(temps))
-            .cell(suiteSpeedup(wide, wide, AliasLevel::Arrays, temps),
-                  3);
+            .cell(speedup[next++], 3);
     }
     temps_t.print();
     std::printf("\n");
 
     // --- 3. Branch fencing. -----------------------------------------
-    MachineConfig fenced = idealSuperscalar(8);
-    fenced.issueAcrossBranches = false;
-    fenced.name += "+fence";
     Table fence_t("Issue across predicted branches (8-wide):");
     fence_t.setHeader({"policy", "speedup"});
     fence_t.row()
         .cell("issue across branches (default)")
-        .cell(suiteSpeedup(wide, wide, AliasLevel::Arrays, 16), 3);
-    fence_t.row()
-        .cell("fence at every branch")
-        .cell(suiteSpeedup(fenced, fenced, AliasLevel::Arrays, 16), 3);
+        .cell(speedup[next++], 3);
+    fence_t.row().cell("fence at every branch").cell(speedup[next++], 3);
     fence_t.print();
     std::printf("\nnon-numeric code branches every ~6 instructions: "
                 "fencing caps its ILP near\nthe block length and costs "
@@ -125,22 +179,12 @@ main()
     sched_t.setHeader({"scheduled for", "speedup"});
     sched_t.row()
         .cell("the measured machine (default)")
-        .cell(suiteSpeedup(wide, wide, AliasLevel::Arrays, 16), 3);
-    sched_t.row()
-        .cell("the base machine")
-        .cell(suiteSpeedup(wide, baseMachine(), AliasLevel::Arrays,
-                           16),
-              3);
-    MachineConfig mt = multiTitan();
+        .cell(speedup[next++], 3);
+    sched_t.row().cell("the base machine").cell(speedup[next++], 3);
     Table sched2_t("Same, timing on the MultiTitan (real latencies):");
     sched2_t.setHeader({"scheduled for", "suite HM speedup vs base"});
-    sched2_t.row()
-        .cell("the MultiTitan")
-        .cell(suiteSpeedup(mt, mt, AliasLevel::Arrays, 16), 3);
-    sched2_t.row()
-        .cell("the base machine")
-        .cell(suiteSpeedup(mt, baseMachine(), AliasLevel::Arrays, 16),
-              3);
+    sched2_t.row().cell("the MultiTitan").cell(speedup[next++], 3);
+    sched2_t.row().cell("the base machine").cell(speedup[next++], 3);
     sched_t.print();
     std::printf("\n");
     sched2_t.print();

@@ -17,6 +17,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <string>
+#include <vector>
 
 #include "core/machine/models.hh"
 #include "core/study/experiment.hh"
@@ -24,6 +25,7 @@
 #include "core/study/sweep.hh"
 #include "support/bench.hh"
 #include "support/json.hh"
+#include "support/statistics.hh"
 #include "support/stats.hh"
 #include "support/table.hh"
 
@@ -159,6 +161,35 @@ journalCell(const std::string &key, const Json &value)
 {
     if (journal::Writer *w = sweepJournal())
         w->writeCell(key, value);
+}
+
+/**
+ * Harmonic-mean suite speedup (§4.3's aggregate) of each machine, in
+ * machine order.  Every (machine, workload) cell is one cell of a
+ * flat grid on sweeper(), journaled from its worker thread as
+ * "<workload>@<machine>"; the means are taken after the barrier.
+ */
+inline std::vector<double>
+harmonicSpeedups(Study &study, const std::string &artifact,
+                 const std::vector<MachineConfig> &machines)
+{
+    const auto &suite = allWorkloads();
+    const std::size_t n = suite.size();
+    journalHeader(artifact, machines.size() * n);
+    const std::vector<double> speedup = sweeper().map<double>(
+        machines.size() * n, [&](std::size_t i) {
+            const MachineConfig &m = machines[i / n];
+            const Workload &w = suite[i % n];
+            const double s = study.speedup(w, m);
+            Json cell = Json::object();
+            cell.set("speedup", Json(s));
+            journalCell(w.name + "@" + m.name, cell);
+            return s;
+        });
+    std::vector<double> means;
+    for (auto row = speedup.begin(); row != speedup.end(); row += n)
+        means.push_back(harmonicMean({row, row + n}));
+    return means;
 }
 
 } // namespace ilp::bench

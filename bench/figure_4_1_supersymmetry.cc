@@ -16,22 +16,23 @@ main()
     bench::banner("Figure 4-1",
                   "speedup vs degree, superscalar vs superpipelined");
 
-    // harmonicSpeedup fans the eight benchmarks out across the
-    // study's own worker pool, so the degree loop stays serial here
-    // (nesting pools would oversubscribe).
+    // Superscalar degrees 1..8, then superpipelined degrees 1..8.
+    std::vector<MachineConfig> machines;
+    for (int degree = 1; degree <= kMaxDegree; ++degree)
+        machines.push_back(idealSuperscalar(degree));
+    for (int degree = 1; degree <= kMaxDegree; ++degree)
+        machines.push_back(superpipelined(degree));
     Study study;
+    const std::vector<double> hm =
+        bench::harmonicSpeedups(study, "Figure 4-1", machines);
+
     Table t;
     t.setHeader({"degree", "superscalar", "superpipelined",
                  "gap (SS/SP)"});
-    bench::journalHeader("Figure 4-1",
-                         static_cast<std::size_t>(kMaxDegree));
     for (int degree = 1; degree <= kMaxDegree; ++degree) {
-        double ss = study.harmonicSpeedup(idealSuperscalar(degree));
-        double sp = study.harmonicSpeedup(superpipelined(degree));
-        Json cell = Json::object();
-        cell.set("superscalar", Json(ss));
-        cell.set("superpipelined", Json(sp));
-        bench::journalCell("degree:" + std::to_string(degree), cell);
+        const auto d = static_cast<std::size_t>(degree - 1);
+        const double ss = hm[d];
+        const double sp = hm[kMaxDegree + d];
         t.row()
             .cell(static_cast<long long>(degree))
             .cell(ss, 3)

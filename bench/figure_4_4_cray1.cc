@@ -11,39 +11,42 @@
 
 using namespace ilp;
 
-namespace {
-
-double
-harmonicAt(Study &study, bool unit_latencies, int width)
-{
-    MachineConfig m = cray1(unit_latencies);
-    m.issueWidth = width;
-    m.name += "+w" + std::to_string(width);
-    return study.harmonicSpeedup(m);
-}
-
-} // namespace
-
 int
 main()
 {
     bench::banner("Figure 4-4",
                   "CRAY-1 issue multiplicity, unit vs real latencies");
 
+    // Widths 1..8 with unit latencies, then widths 1..8 with the real
+    // ones.
+    constexpr int kWidths = 8;
+    std::vector<MachineConfig> machines;
+    for (bool unit_latencies : {true, false}) {
+        for (int width = 1; width <= kWidths; ++width) {
+            MachineConfig m = cray1(unit_latencies);
+            m.issueWidth = width;
+            m.name += "+w" + std::to_string(width);
+            machines.push_back(m);
+        }
+    }
     Study study;
+    const std::vector<double> hm =
+        bench::harmonicSpeedups(study, "Figure 4-4", machines);
+
     // Normalize each curve to its own multiplicity-1 point, like the
     // paper's "relative performance" axis.
-    double unit1 = harmonicAt(study, true, 1);
-    double real1 = harmonicAt(study, false, 1);
+    const double unit1 = hm[0];
+    const double real1 = hm[kWidths];
 
     Table t;
     t.setHeader({"issue multiplicity", "all latencies = 1",
                  "actual CRAY-1 latencies"});
-    for (int width = 1; width <= 8; ++width) {
+    for (int width = 1; width <= kWidths; ++width) {
+        const auto w = static_cast<std::size_t>(width - 1);
         t.row()
             .cell(static_cast<long long>(width))
-            .cell(harmonicAt(study, true, width) / unit1, 3)
-            .cell(harmonicAt(study, false, width) / real1, 3);
+            .cell(hm[w] / unit1, 3)
+            .cell(hm[kWidths + w] / real1, 3);
     }
     t.print();
     std::printf("\npaper: up to ~2.7x apparent speedup with unit "

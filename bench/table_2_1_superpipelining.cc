@@ -47,15 +47,19 @@ main()
                    "optimization):");
     measured.setHeader(
         {"benchmark", "avg degree (MultiTitan)", "avg degree (CRAY-1)"});
-    ClassCounts totals{};
-    for (const auto &w : allWorkloads()) {
-        CompileOptions o = defaultCompileOptions(w);
-        ClassFrequencies f = profileWorkload(w, o);
+    const auto &suite = allWorkloads();
+    const std::vector<ClassFrequencies> mixes =
+        bench::sweeper().map<ClassFrequencies>(
+            suite.size(), [&](std::size_t i) {
+                return profileWorkload(suite[i],
+                                       defaultCompileOptions(suite[i]));
+            });
+    for (std::size_t i = 0; i < suite.size(); ++i) {
         measured.row()
-            .cell(w.name)
-            .cell(averageDegreeOfSuperpipelining(f, mt.latency), 2)
-            .cell(averageDegreeOfSuperpipelining(f, cray.latency), 2);
-        (void)totals;
+            .cell(suite[i].name)
+            .cell(averageDegreeOfSuperpipelining(mixes[i], mt.latency), 2)
+            .cell(averageDegreeOfSuperpipelining(mixes[i], cray.latency),
+                  2);
     }
     measured.print();
     std::printf("\nReading: both machines already exploit much of the"

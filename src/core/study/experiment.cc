@@ -1,7 +1,6 @@
 #include "core/study/experiment.hh"
 
 #include "core/machine/models.hh"
-#include "support/statistics.hh"
 
 namespace ilp {
 
@@ -112,16 +111,6 @@ double
 Study::speedup(const Workload &workload, const MachineConfig &machine)
 {
     return speedup(workload, machine, defaultCompileOptions(workload));
-}
-
-double
-Study::harmonicSpeedup(const MachineConfig &machine)
-{
-    const auto &suite = allWorkloads();
-    std::vector<double> values = runner_.map<double>(
-        suite.size(),
-        [&](std::size_t i) { return speedup(suite[i], machine); });
-    return harmonicMean(values);
 }
 
 double

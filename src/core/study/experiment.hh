@@ -1,9 +1,11 @@
 /**
  * @file
- * Experiment harness shared by the bench binaries: speedups relative
- * to the base machine, per-benchmark sweeps, and harmonic-mean suite
- * aggregation (§4.3 plots "the harmonic mean of all eight
- * benchmarks").
+ * Experiment harness shared by the bench binaries and the CLI: the
+ * speedup of one (workload, machine) cell relative to the base
+ * machine.  A Study evaluates cells; it never fans out itself.
+ * Callers sweep their cells as one flat grid on one SweepRunner and
+ * aggregate after the barrier — e.g. the suite harmonic means §4.3
+ * plots ("the harmonic mean of all eight benchmarks").
  *
  * Every point reschedules the workload *for the machine being
  * evaluated* (the paper's system recompiles per machine
@@ -16,8 +18,7 @@
  * cache and the base-cycle memo are future-based (one producer per
  * key, everyone else blocks on the result), and each timing
  * evaluation runs in its own executor and IssueEngine over the shared
- * immutable Module.  harmonicSpeedup fans the eight benchmarks out
- * across the study's own SweepRunner.
+ * immutable Module.
  */
 
 #ifndef SUPERSYM_CORE_STUDY_EXPERIMENT_HH
@@ -37,8 +38,8 @@ namespace ilp {
 class Study
 {
   public:
-    /** @param jobs Worker count for suite-level fan-out; <= 0
-     *  resolves via defaultSweepJobs() (SSIM_JOBS, then hardware). */
+    /** @param jobs Worker count of runner(); <= 0 resolves via
+     *  defaultSweepJobs() (SSIM_JOBS, then hardware). */
     explicit Study(int jobs = 0) : runner_(jobs) {}
 
     /**
@@ -83,10 +84,6 @@ class Study
     prof::Profile profiledRun(const Workload &workload,
                               const MachineConfig &machine,
                               const CompileOptions &options);
-
-    /** Harmonic mean of speedup() across the whole suite, evaluated
-     *  benchmark-parallel on the study's worker pool. */
-    double harmonicSpeedup(const MachineConfig &machine);
 
     /**
      * Available parallelism of one workload at a compile

@@ -1,11 +1,14 @@
 #!/bin/sh
-# Paper-artifact golden check: run BIN [ARGS...] and byte-compare its
-# stdout with the reference text in GOLDEN.  On a mismatch, print the
-# first differing line number with the expected and the actual text.
+# Paper-artifact golden check: run BIN [ARGS...], check the named
+# shapes of its stdout (paper_shapes.awk, keyed by GOLDEN's basename)
+# and byte-compare it with the reference text in GOLDEN.  A failing
+# shape prints its name and values; on a mismatch, the first differing
+# line number is printed with the expected and the actual text.
 #
 #   paper_golden_test.sh BIN GOLDEN [ARGS...]
 #
-# Exit status: 0 identical, 1 different (or BIN failed), 2 usage.
+# Exit status: 0 identical with every shape holding, 1 a shape failed
+# or the texts differ (or BIN failed), 2 usage.
 set -u
 
 if [ $# -lt 2 ]; then
@@ -29,8 +32,11 @@ if [ "$rc" -ne 0 ]; then
     echo "paper_golden_test: $bin exited with status $rc" >&2
     exit 1
 fi
+shapes=0
+awk -v artifact="$(basename "$golden" .txt)" \
+    -f "$(dirname "$0")/paper_shapes.awk" "$out" || shapes=1
 if cmp -s "$golden" "$out"; then
-    exit 0
+    exit "$shapes"
 fi
 
 echo "paper_golden_test: stdout of $bin differs from $golden" >&2

@@ -1,7 +1,5 @@
 /** Tests for the experiment harness and its paper-level invariants. */
 
-#include <algorithm>
-
 #include <gtest/gtest.h>
 
 #include "core/study/experiment.hh"
@@ -73,18 +71,6 @@ TEST(StudyTest, AvailableParallelismInPaperRange)
     EXPECT_GT(linpack, 2.0);
     EXPECT_LT(linpack, 4.5);
     EXPECT_GT(linpack, yacc); // "a factor of two difference" ordering
-}
-
-TEST(StudyTest, HarmonicSpeedupBetweenMinAndMax)
-{
-    Study study;
-    MachineConfig ss4 = idealSuperscalar(4);
-    std::vector<double> all;
-    for (const auto &w : allWorkloads())
-        all.push_back(study.speedup(w, ss4));
-    double hm = study.harmonicSpeedup(ss4);
-    EXPECT_GE(hm, *std::min_element(all.begin(), all.end()) - 1e-9);
-    EXPECT_LE(hm, *std::max_element(all.begin(), all.end()) + 1e-9);
 }
 
 TEST(StudyTest, BaseCyclesMemoized)

@@ -1,5 +1,7 @@
 /** Tests for src/support: logging, tables, statistics. */
 
+#include <algorithm>
+
 #include <gtest/gtest.h>
 
 #include "support/logging.hh"
@@ -62,11 +64,15 @@ TEST(StatisticsTest, HarmonicMeanOfEqualValuesIsThatValue)
     EXPECT_DOUBLE_EQ(harmonicMean({3.5, 3.5, 3.5}), 3.5);
 }
 
-TEST(StatisticsTest, HarmonicLeqGeometricLeqArithmetic)
+TEST(StatisticsTest, MinLeqHarmonicLeqGeometricLeqArithmeticLeqMax)
 {
+    // The suite aggregate of §4.3 never leaves the range of the
+    // per-benchmark speedups it summarizes.
     std::vector<double> v{1.3, 2.7, 0.9, 5.5};
+    EXPECT_LE(*std::min_element(v.begin(), v.end()), harmonicMean(v));
     EXPECT_LE(harmonicMean(v), geometricMean(v) + 1e-12);
     EXPECT_LE(geometricMean(v), arithmeticMean(v) + 1e-12);
+    EXPECT_LE(arithmeticMean(v), *std::max_element(v.begin(), v.end()));
 }
 
 TEST(StatisticsTest, MeansRejectEmptyInput)
