@@ -19,16 +19,25 @@ echo "== ctest =="
 ctest --test-dir "$BUILD_DIR" --output-on-failure
 
 echo "== stats smoke =="
+# Stats documents hold no host time, so they are deterministic: the
+# suite's is byte-identical at one job and at four, and two runs of
+# one program write the same bytes.
 STATS_JSON="$BUILD_DIR/check_stats.json"
-TRACE_JSON="$BUILD_DIR/check_trace.json"
-"$BUILD_DIR/src/cli/ssim" suite --machine ss4 \
+STATS_JSON_PAR="$BUILD_DIR/check_stats_par.json"
+RUN_STATS_A="$BUILD_DIR/check_run_stats_a.json"
+RUN_STATS_B="$BUILD_DIR/check_run_stats_b.json"
+"$BUILD_DIR/src/cli/ssim" suite --machine ss4 --jobs 1 \
     --stats-json "$STATS_JSON" > /dev/null
 "$BUILD_DIR/src/cli/ssim" check-json "$STATS_JSON"
+"$BUILD_DIR/src/cli/ssim" suite --machine ss4 --jobs 4 \
+    --stats-json "$STATS_JSON_PAR" > /dev/null
+cmp "$STATS_JSON" "$STATS_JSON_PAR"
 "$BUILD_DIR/src/cli/ssim" run examples/mt/dotprod.mt --machine ss2x2 \
-    --stats-json "$STATS_JSON" --trace-events "$TRACE_JSON" \
-    > /dev/null
-"$BUILD_DIR/src/cli/ssim" check-json "$STATS_JSON"
-"$BUILD_DIR/src/cli/ssim" check-json "$TRACE_JSON"
+    --stats-json "$RUN_STATS_A" > /dev/null
+"$BUILD_DIR/src/cli/ssim" run examples/mt/dotprod.mt --machine ss2x2 \
+    --stats-json "$RUN_STATS_B" > /dev/null
+"$BUILD_DIR/src/cli/ssim" check-json "$RUN_STATS_A"
+cmp "$RUN_STATS_A" "$RUN_STATS_B"
 
 echo "== profile smoke =="
 # The cycle profiler must render a hot-loop listing, emit valid JSON,
@@ -125,9 +134,23 @@ grep -q 'oracle ilp bound' "$BUILD_DIR/check_whatif.txt"
 grep -q 'would speed up if' "$BUILD_DIR/check_slack.txt"
 
 echo "== flight recorder smoke =="
-# A traced sweep must be byte-identical to an untraced one on stdout,
-# and the sweep trace / metrics exports must be valid JSON with the
-# expected shape (one named track per worker, prom counters present).
+# A traced run or sweep must be byte-identical to an untraced one on
+# stdout, and the trace / metrics exports must be valid JSON with the
+# expected shape (recorder spans for the run's compiles and timing
+# runs plus its issue timeline, one named track per sweep worker,
+# prom counters present).
+TRACE_JSON="$BUILD_DIR/check_trace.json"
+RUN_PLAIN="$BUILD_DIR/check_run_plain.txt"
+RUN_TRACED="$BUILD_DIR/check_run_traced.txt"
+"$BUILD_DIR/src/cli/ssim" run examples/mt/dotprod.mt --machine ss2x2 \
+    > "$RUN_PLAIN"
+"$BUILD_DIR/src/cli/ssim" run examples/mt/dotprod.mt --machine ss2x2 \
+    --trace-events "$TRACE_JSON" > "$RUN_TRACED"
+cmp "$RUN_PLAIN" "$RUN_TRACED"
+"$BUILD_DIR/src/cli/ssim" check-json "$TRACE_JSON"
+grep -q '"frontend.parse"' "$TRACE_JSON"
+grep -q '"live_run"' "$TRACE_JSON"
+grep -q '"issue"' "$TRACE_JSON"
 SWEEP_PLAIN="$BUILD_DIR/check_sweep_plain.txt"
 SWEEP_TRACED="$BUILD_DIR/check_sweep_traced.txt"
 SWEEP_TRACE_JSON="$BUILD_DIR/check_sweep_trace.json"

@@ -78,12 +78,11 @@
  * Observability (see docs/observability.md):
  *   --stats            print the full stats tree after the run
  *   --stats-json FILE  write the stats tree as JSON (run/suite)
- *   --trace-events FILE  write Chrome tracing JSON: for `run`, the
- *                      compile spans + issue timeline of the single
- *                      run; for `ilp`/`suite`, the whole sweep from
- *                      the flight recorder — one timeline track per
- *                      worker thread with compile / live_run /
- *                      cache-wait / cell spans
+ *   --trace-events FILE  write Chrome tracing JSON from the flight
+ *                      recorder: host-time spans (compile phases,
+ *                      live_run, cache waits, cells) on one track per
+ *                      thread; `run` adds the simulated issue timeline
+ *                      of its measured run as a second process
  *   --trace-limit N    run: cap recorded issue events (default 100000)
  *   --metrics-json FILE  ilp/suite: write the runtime metrics
  *                      snapshot (counters, gauges, duration
@@ -426,18 +425,16 @@ struct Cli
     }
 
     /**
-     * Telemetry derived from the flags above.  For sweeps (`sweep`
-     * true), --trace-events is served by the flight recorder rather
-     * than the per-run issue timeline, so it must not force stats or
-     * timeline collection — traced and untraced sweeps have to stay
-     * byte-identical.
+     * Telemetry derived from the flags above.  --trace-events never
+     * forces stats: spans come from the flight recorder, so a traced
+     * run takes the same timing path as an untraced one.  Only `run`
+     * (`sweep` false) adds the issue timeline.
      */
     RunTelemetryOptions
     telemetry(bool sweep = false) const
     {
         RunTelemetryOptions t;
-        t.collectStats = stats || !statsJsonPath.empty() ||
-                         (!sweep && !traceEventsPath.empty());
+        t.collectStats = stats || !statsJsonPath.empty();
         if (!sweep && !traceEventsPath.empty())
             t.timelineLimit = traceLimit;
         t.collectProfile = wantProfile();
@@ -622,17 +619,6 @@ printStatsTree(const Json &node, const std::string &prefix)
 
 /** The stats document written by --stats-json: run context plus the
  *  full snapshot. */
-/** The standard provenance object for every emitted document: build
- *  info plus the machine spec hash (satellites of the profiler). */
-Json
-documentMeta(const MachineConfig &machine)
-{
-    Json meta = buildMeta();
-    meta.set("machine", machine.name);
-    meta.set("machine_hash", std::to_string(machine.specHash()));
-    return meta;
-}
-
 Json
 statsDocument(const Cli &cli, const std::string &program,
               const RunOutcome &out)
@@ -652,8 +638,9 @@ cmdRun(const Cli &cli)
     Workload w{cli.file, "user program", readFile(cli.file), 0, false,
                1};
     RunTelemetryOptions telemetry = cli.telemetry();
-    const bool want = telemetry.collectStats ||
-                      telemetry.timelineLimit > 0;
+    const bool traced = !cli.traceEventsPath.empty();
+    if (traced)
+        trace::Recorder::instance().start();
 
     // Checked compiles: a malformed program reports every diagnostic
     // (file:line:col, stable code) and exits 1 — no fatal() abort.
@@ -662,9 +649,10 @@ cmdRun(const Cli &cli)
     if (!base_mod.ok())
         return fail(base_mod.formatErrors());
     CompileTelemetry compile;
+    CompileTelemetry *record =
+        telemetry.collectStats ? &compile : nullptr;
     Result<Module> mod = compileWorkloadChecked(
-        w.source, cli.machine, cli.options, want ? &compile : nullptr,
-        cli.file);
+        w.source, cli.machine, cli.options, record, cli.file);
     if (!mod.ok())
         return fail(mod.formatErrors());
 
@@ -675,10 +663,12 @@ cmdRun(const Cli &cli)
         base = runOnMachine(base_mod.value(), baseMachine());
         if (!base.trapped())
             out = runOnMachine(mod.value(), cli.machine, telemetry,
-                               want ? &compile : nullptr);
+                               record);
     } catch (...) {
         return fail(currentCellError().message);
     }
+    const trace::Recording recording =
+        traced ? trace::Recorder::instance().stop() : trace::Recording{};
     if (base.trapped())
         return fail(base.trap.format());
     if (out.trapped())
@@ -702,9 +692,9 @@ cmdRun(const Cli &cli)
     if (!cli.statsJsonPath.empty())
         writeJsonFile(cli.statsJsonPath,
                       statsDocument(cli, cli.file, out));
-    if (!cli.traceEventsPath.empty())
+    if (traced)
         writeJsonFile(cli.traceEventsPath,
-                      buildTraceEvents(out, cli.machine));
+                      buildSweepTraceEvents(recording, cli.machine, &out));
     if (cli.wantProfile()) {
         prof::Profile p = prof::buildProfile(
             cli.file, cli.machine,
@@ -775,25 +765,6 @@ cmdProfile(const Cli &cli)
     } catch (const TrapException &e) {
         return fail(e.trap().format());
     }
-}
-
-void
-writeTextFile(const std::string &path, const std::string &text)
-{
-    // Same temp-and-rename contract as writeJsonFile: scrapers never
-    // see a torn exposition file.
-    const std::string tmp = path + ".tmp";
-    {
-        std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
-        if (!out)
-            SS_FATAL("cannot open '", tmp, "' for writing");
-        out << text;
-        out.flush();
-        if (!out)
-            SS_FATAL("write to '", tmp, "' failed");
-    }
-    if (std::rename(tmp.c_str(), path.c_str()) != 0)
-        SS_FATAL("cannot rename '", tmp, "' to '", path, "'");
 }
 
 /**

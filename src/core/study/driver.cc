@@ -1,7 +1,6 @@
 #include "core/study/driver.hh"
 
 #include <bit>
-#include <chrono>
 
 #include "sim/exec.hh"
 #include "support/faultinject.hh"
@@ -45,24 +44,18 @@ compileWorkloadChecked(const std::string &source,
                        CompileTelemetry *telemetry,
                        const std::string &unit)
 {
-    using Clock = std::chrono::steady_clock;
-    const Clock::time_point t0 = Clock::now();
     Result<Module> compiled =
         compileToIrChecked(source, options.unroll, unit);
     if (!compiled.ok())
         return compiled;
     Module module = compiled.take();
-    const Clock::time_point t1 = Clock::now();
     if (telemetry) {
         PhaseStat &fe = telemetry->phase("frontend");
-        fe.wallMs +=
-            std::chrono::duration<double, std::milli>(t1 - t0).count();
         fe.runs += 1;
         for (const auto &func : module.functions()) {
             fe.instrsAfter += func.instrCount();
             fe.blocksAfter += func.blocks.size();
         }
-        telemetry->addSpan("frontend", t0, t1);
     }
     OptimizeOptions oo;
     oo.level = options.level;
@@ -148,9 +141,6 @@ runOnMachine(const Module &module, const MachineConfig &machine,
             engine.issuePeriodMinorCycles() *
             static_cast<std::uint64_t>(engine.config().issueWidth);
     }
-    if (compile)
-        out.compile = *compile;
-
     if (telemetry.collectStats) {
         stats::Registry registry;
         stats::Group &run = registry.group("run", "headline numbers");
@@ -184,13 +174,12 @@ runWorkload(const Workload &workload, const MachineConfig &machine,
             const CompileOptions &options,
             const RunTelemetryOptions &telemetry)
 {
-    const bool want = telemetry.collectStats ||
-                      telemetry.timelineLimit > 0;
     CompileTelemetry compile;
-    Module module = compileWorkload(workload.source, machine, options,
-                                    want ? &compile : nullptr);
-    return runOnMachine(module, machine, telemetry,
-                        want ? &compile : nullptr);
+    CompileTelemetry *record =
+        telemetry.collectStats ? &compile : nullptr;
+    Module module =
+        compileWorkload(workload.source, machine, options, record);
+    return runOnMachine(module, machine, telemetry, record);
 }
 
 ClassFrequencies

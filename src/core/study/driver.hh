@@ -106,8 +106,6 @@ struct RunOutcome
      *  with exactly (filled with pcCounters when collectProfile). */
     StallBreakdown stalls;
     std::uint64_t issueSlotsTotal = 0;
-    /** Compile telemetry (filled by runWorkload with collectStats). */
-    CompileTelemetry compile;
     /** Set when the workload faulted mid-run; checksum is then
      *  meaningless and cycles/instructions count up to the fault. */
     Trap trap;
@@ -124,7 +122,7 @@ struct RunOutcome
 };
 
 /** Execute an already-compiled module against a machine.  `compile`
- *  telemetry, when given, is folded into the snapshot and outcome.
+ *  telemetry, when given, is exported into the stats snapshot.
  *  A workload fault surfaces through RunOutcome::trap; an injected
  *  fault at the "execute" site throws (see support/faultinject.hh). */
 RunOutcome runOnMachine(const Module &module,

@@ -66,13 +66,12 @@ Study::timedRun(const Workload &workload, const MachineConfig &machine,
                 const CompileOptions &options,
                 const RunTelemetryOptions &telemetry)
 {
-    const bool want = telemetry.collectStats ||
-                      telemetry.timelineLimit > 0;
     CompileTelemetry compile;
-    std::shared_ptr<const Module> module = cache_.compile(
-        workload, machine, options, want ? &compile : nullptr);
-    return runOnMachine(*module, machine, telemetry,
-                        want ? &compile : nullptr);
+    CompileTelemetry *record =
+        telemetry.collectStats ? &compile : nullptr;
+    std::shared_ptr<const Module> module =
+        cache_.compile(workload, machine, options, record);
+    return runOnMachine(*module, machine, telemetry, record);
 }
 
 prof::Profile

@@ -46,80 +46,26 @@ metadataEvent(const std::string &name, int pid, int tid,
 } // namespace
 
 Json
-buildTraceEvents(const RunOutcome &outcome,
-                 const MachineConfig &machine)
+documentMeta(const MachineConfig &machine)
 {
-    constexpr int kCompilePid = 1;
-    constexpr int kIssuePid = 2;
-
-    Json events = Json::array();
-    events.push(
-        metadataEvent("process_name", kCompilePid, 0, "compile"));
-    events.push(metadataEvent("process_name", kIssuePid, 0, "issue"));
-
-    // Compile spans: one tid per distinct phase prefix (the part
-    // before ':'), so each optimizer phase gets its own track.
-    // Each track is named so viewers show "frontend"/"opt"/... instead
-    // of bare thread ids.
-    std::vector<std::string> tracks;
-    for (const auto &span : outcome.compile.spans) {
-        std::string track = span.name.substr(0, span.name.find(':'));
-        int tid = -1;
-        for (std::size_t i = 0; i < tracks.size(); ++i) {
-            if (tracks[i] == track)
-                tid = static_cast<int>(i);
-        }
-        if (tid < 0) {
-            tid = static_cast<int>(tracks.size());
-            tracks.push_back(track);
-            events.push(metadataEvent("thread_name", kCompilePid, tid,
-                                      track));
-        }
-        events.push(completeEvent(span.name, "compile",
-                                  span.startMs * 1000.0,
-                                  span.durMs * 1000.0, kCompilePid,
-                                  tid));
-    }
-
-    // Issue timeline: one tid per issue slot; one simulated minor
-    // cycle = 1us of trace time, duration = operation latency.
-    bool slot_named[64] = {};
-    for (const auto &ev : outcome.issueTimeline) {
-        const int tid = static_cast<int>(ev.slot);
-        if (tid >= 0 && tid < 64 && !slot_named[tid]) {
-            slot_named[tid] = true;
-            events.push(metadataEvent(
-                "thread_name", kIssuePid, tid,
-                "slot " + std::to_string(tid)));
-        }
-        events.push(completeEvent(
-            std::string(instrClassName(ev.cls)), "issue",
-            static_cast<double>(ev.cycle),
-            static_cast<double>(ev.latencyMinor), kIssuePid, tid));
-    }
-
-    Json doc = Json::object();
-    doc.set("traceEvents", std::move(events));
-    doc.set("displayTimeUnit", Json("ms"));
     Json meta = buildMeta();
     meta.set("machine", Json(machine.name));
-    meta.set("machine_hash",
-             Json(std::to_string(machine.specHash())));
-    meta.set("issueWidth", Json(machine.issueWidth));
-    meta.set("pipelineDegree", Json(machine.pipelineDegree));
-    meta.set("timelineDropped", Json(outcome.timelineDropped));
-    doc.set("otherData", std::move(meta));
-    return doc;
+    meta.set("machine_hash", Json(std::to_string(machine.specHash())));
+    return meta;
 }
 
 Json
 buildSweepTraceEvents(const trace::Recording &recording,
-                      const MachineConfig &machine)
+                      const MachineConfig &machine,
+                      const RunOutcome *timeline)
 {
     constexpr int kSweepPid = 1;
+    constexpr int kIssuePid = 2;
 
     Json events = Json::array();
-    events.push(metadataEvent("process_name", kSweepPid, 0, "sweep"));
+    if (!recording.tracks.empty())
+        events.push(
+            metadataEvent("process_name", kSweepPid, 0, "sweep"));
     for (const auto &[track, label] : recording.tracks) {
         events.push(metadataEvent("thread_name", kSweepPid,
                                   static_cast<int>(track), label));
@@ -136,17 +82,35 @@ buildSweepTraceEvents(const trace::Recording &recording,
         events.push(std::move(e));
     }
 
-    Json doc = Json::object();
-    doc.set("traceEvents", std::move(events));
-    doc.set("displayTimeUnit", Json("ms"));
-    Json meta = buildMeta();
-    meta.set("machine", Json(machine.name));
-    meta.set("machine_hash",
-             Json(std::to_string(machine.specHash())));
+    Json meta = documentMeta(machine);
     meta.set("spans",
              Json(static_cast<std::uint64_t>(recording.spans.size())));
     meta.set("workers",
              Json(static_cast<std::uint64_t>(recording.tracks.size())));
+    if (timeline) {
+        // Simulated time: one tid per issue slot, one minor cycle =
+        // 1us of trace time, duration = operation latency.
+        events.push(
+            metadataEvent("process_name", kIssuePid, 0, "issue"));
+        for (int slot = 0; slot < machine.issueWidth; ++slot) {
+            events.push(metadataEvent("thread_name", kIssuePid, slot,
+                                      "slot " + std::to_string(slot)));
+        }
+        for (const IssueEvent &ev : timeline->issueTimeline) {
+            events.push(completeEvent(
+                std::string(instrClassName(ev.cls)), "issue",
+                static_cast<double>(ev.cycle),
+                static_cast<double>(ev.latencyMinor), kIssuePid,
+                ev.slot));
+        }
+        meta.set("issueWidth", Json(machine.issueWidth));
+        meta.set("pipelineDegree", Json(machine.pipelineDegree));
+        meta.set("timelineDropped", Json(timeline->timelineDropped));
+    }
+
+    Json doc = Json::object();
+    doc.set("traceEvents", std::move(events));
+    doc.set("displayTimeUnit", Json("ms"));
     doc.set("otherData", std::move(meta));
     return doc;
 }
@@ -215,24 +179,30 @@ checkMetricsReconciliation(const Study &study,
 }
 
 void
-writeJsonFile(const std::string &path, const Json &doc)
+writeTextFile(const std::string &path, const std::string &text)
 {
     // Temp-and-rename: rename(2) is atomic within a filesystem, so
-    // consumers polling `path` (dashboards, resume tooling) never
-    // observe a torn document, and a crash mid-write leaves the old
-    // file intact.
+    // consumers polling `path` (dashboards, resume tooling, scrapers)
+    // never observe a torn file, and a crash mid-write leaves the
+    // old file intact.
     const std::string tmp = path + ".tmp";
     {
         std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
         if (!out)
             SS_FATAL("cannot open '", tmp, "' for writing");
-        out << doc.dump(2) << "\n";
+        out << text;
         out.flush();
         if (!out)
             SS_FATAL("write to '", tmp, "' failed");
     }
     if (std::rename(tmp.c_str(), path.c_str()) != 0)
         SS_FATAL("cannot rename '", tmp, "' to '", path, "'");
+}
+
+void
+writeJsonFile(const std::string &path, const Json &doc)
+{
+    writeTextFile(path, doc.dump(2) + "\n");
 }
 
 } // namespace ilp

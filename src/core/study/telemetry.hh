@@ -1,9 +1,10 @@
 /**
  * @file
- * Structured run telemetry writers: Chrome tracing JSON from compile
- * spans and the issue timeline, and helpers for landing a
- * StatsSnapshot on disk.  Load --trace-events output in
- * chrome://tracing or https://ui.perfetto.dev.
+ * Structured telemetry writers: the one Chrome tracing JSON writer
+ * (flight-recorder spans plus an optional issue timeline), the
+ * provenance block every document carries, and crash-safe file
+ * writes.  Load --trace-events output in chrome://tracing or
+ * https://ui.perfetto.dev.
  */
 
 #ifndef SUPERSYM_CORE_STUDY_TELEMETRY_HH
@@ -21,25 +22,24 @@ namespace ilp {
 class Study;
 struct HardeningTotals;
 
-/**
- * Build a Chrome tracing document ({"traceEvents": [...]}) from one
- * run.  Compile spans become complete ("ph":"X") events on pid 1,
- * one tid per phase name; issue events become per-slot events on
- * pid 2, one tid per issue slot, with one simulated minor cycle
- * mapped to one microsecond of trace time.
- */
-Json buildTraceEvents(const RunOutcome &outcome,
-                      const MachineConfig &machine);
+/** The provenance block every emitted document carries: build info
+ *  plus the machine's name and specification hash. */
+Json documentMeta(const MachineConfig &machine);
 
 /**
- * Build a Chrome tracing document from a whole-sweep flight-recorder
- * session: one pid ("sweep"), one named tid per worker thread, and a
- * complete event per recorded span (compile phases, timing runs,
- * cache waits, cells) with the span's dynamic detail (cell index,
- * workload, E-code) under args.
+ * Build a Chrome tracing document ({"traceEvents": [...]}) from a
+ * flight-recorder session: pid 1 ("sweep", omitted when nothing was
+ * recorded) holds one named tid per thread and a complete ("ph":"X")
+ * event per span (compile phases, timing runs, cache waits, cells)
+ * with the span's dynamic detail (cell index, workload, E-code) under
+ * args.  `timeline`, when given, adds that run's issue timeline as
+ * pid 2 ("issue"): one tid per issue slot and one event per issued
+ * instruction, with one simulated minor cycle mapped to one
+ * microsecond of trace time.
  */
 Json buildSweepTraceEvents(const trace::Recording &recording,
-                           const MachineConfig &machine);
+                           const MachineConfig &machine,
+                           const RunOutcome *timeline = nullptr);
 
 /**
  * Cross-check the process-global metrics registry against the
@@ -62,11 +62,14 @@ std::string checkMetricsReconciliation(const Study &study,
                                        const HardeningTotals &totals);
 
 /**
- * Write a JSON document to `path` (SS_FATAL on I/O failure).
- * Crash-safe: the document lands in a sibling temp file first and is
- * renamed into place, so a reader (or a killed writer) never sees a
- * partial document at `path`.
+ * Write `text` to `path` (SS_FATAL on I/O failure).  Crash-safe: the
+ * text lands in a sibling temp file first and is renamed into place,
+ * so a reader (or a killed writer) never sees a partial file at
+ * `path`.
  */
+void writeTextFile(const std::string &path, const std::string &text);
+
+/** writeTextFile() of a JSON document, two-space indented. */
 void writeJsonFile(const std::string &path, const Json &doc);
 
 } // namespace ilp

@@ -1,7 +1,5 @@
 #include "opt/pipeline.hh"
 
-#include <utility>
-
 #include "ir/verifier.hh"
 #include "support/logging.hh"
 #include "support/trace.hh"
@@ -9,14 +7,6 @@
 namespace ilp {
 
 namespace {
-
-using Clock = std::chrono::steady_clock;
-
-double
-msBetween(Clock::time_point t0, Clock::time_point t1)
-{
-    return std::chrono::duration<double, std::milli>(t1 - t0).count();
-}
 
 void
 localCleanup(Function &func)
@@ -33,17 +23,16 @@ localCleanup(Function &func)
 }
 
 /**
- * Runs one phase of the per-function pipeline, recording wall time
- * and IR size deltas into `telemetry` when present.  The phase body
- * returns its "change units" (pass-specific: folds, hoists, spills).
+ * Runs one phase of the per-function pipeline inside a flight-
+ * recorder span (its only host-time record), adding IR size deltas
+ * to `telemetry` when present.  The phase body returns its "change
+ * units" (pass-specific: folds, hoists, spills).
  */
 template <typename Fn>
 void
 runPhase(CompileTelemetry *telemetry, const char *name,
          const Function &func, Fn &&body)
 {
-    // The flight recorder observes every phase even when the caller
-    // collects no CompileTelemetry (sweeps usually don't).
     trace::ScopedSpan span(name, "compile");
     if (span.armed())
         span.detail(func.name);
@@ -53,19 +42,15 @@ runPhase(CompileTelemetry *telemetry, const char *name,
     }
     const std::uint64_t instrs_before = func.instrCount();
     const std::uint64_t blocks_before = func.blocks.size();
-    const Clock::time_point t0 = Clock::now();
     const std::int64_t changed = static_cast<std::int64_t>(body());
-    const Clock::time_point t1 = Clock::now();
 
     PhaseStat &ps = telemetry->phase(name);
-    ps.wallMs += msBetween(t0, t1);
     ps.runs += 1;
     ps.instrsBefore += instrs_before;
     ps.instrsAfter += func.instrCount();
     ps.blocksBefore += blocks_before;
     ps.blocksAfter += func.blocks.size();
     ps.changed += changed;
-    telemetry->addSpan(std::string(name) + ":" + func.name, t0, t1);
 }
 
 } // namespace
@@ -83,34 +68,8 @@ CompileTelemetry::phase(const std::string &name)
 }
 
 void
-CompileTelemetry::addSpan(std::string name, Clock::time_point t0,
-                          Clock::time_point t1)
-{
-    if (!epoch_set_) {
-        epoch_ = t0;
-        epoch_set_ = true;
-    }
-    TraceSpan span;
-    span.name = std::move(name);
-    span.startMs = msBetween(epoch_, t0);
-    span.durMs = msBetween(t0, t1);
-    spans.push_back(std::move(span));
-}
-
-double
-CompileTelemetry::totalWallMs() const
-{
-    double total = 0.0;
-    for (const auto &ps : phases)
-        total += ps.wallMs;
-    return total;
-}
-
-void
 CompileTelemetry::exportStats(stats::Group &g) const
 {
-    g.scalar("wall_ms", "total wall time across phases")
-        .set(totalWallMs());
     g.counter("spills", "virtual registers demoted to memory")
         .inc(spills);
     g.scalar("sched_fill_rate",
@@ -128,7 +87,6 @@ CompileTelemetry::exportStats(stats::Group &g) const
     stats::Group &pg = g.group("phase", "per-phase telemetry");
     for (const auto &ps : phases) {
         stats::Group &p = pg.group(ps.name);
-        p.scalar("wall_ms").set(ps.wallMs);
         p.counter("runs").inc(ps.runs);
         p.counter("instrs_before").inc(ps.instrsBefore);
         p.counter("instrs_after").inc(ps.instrsAfter);

@@ -2,14 +2,14 @@
  * @file
  * The whole optimizer as one call: applies the cumulative Figure 4-8
  * levels, assigns registers, and schedules for a target machine —
- * optionally recording per-phase telemetry (wall time, IR deltas,
- * spills, static schedule fill rate) for the observability layer.
+ * optionally recording per-phase telemetry (IR deltas, spills, static
+ * schedule fill rate) for the stats tree.  Host time is the flight
+ * recorder's job (support/trace.hh): every phase is a span.
  */
 
 #ifndef SUPERSYM_OPT_PIPELINE_HH
 #define SUPERSYM_OPT_PIPELINE_HH
 
-#include <chrono>
 #include <string>
 #include <vector>
 
@@ -22,7 +22,6 @@ namespace ilp {
 struct PhaseStat
 {
     std::string name;
-    double wallMs = 0.0;
     /** Function-level invocations aggregated into this record. */
     std::uint64_t runs = 0;
     /** Instruction/block totals summed over runs, before and after. */
@@ -34,24 +33,16 @@ struct PhaseStat
     std::int64_t changed = 0;
 };
 
-/** One raw timed segment ("licm:main"), for --trace-events. */
-struct TraceSpan
-{
-    std::string name;
-    /** Milliseconds relative to this telemetry's first segment. */
-    double startMs = 0.0;
-    double durMs = 0.0;
-};
-
 /**
  * Everything the compile pipeline reports about one compilation.
- * Fill by passing a pointer to optimizeModule() (and, at the driver
- * level, to compileWorkload()); costs nothing when absent.
+ * Deterministic: the same source, machine and options always produce
+ * the same telemetry.  Fill by passing a pointer to optimizeModule()
+ * (and, at the driver level, to compileWorkload()); costs nothing
+ * when absent.
  */
 struct CompileTelemetry
 {
     std::vector<PhaseStat> phases;
-    std::vector<TraceSpan> spans;
     /** Virtual registers demoted to memory by assignRegisters. */
     std::uint64_t spills = 0;
     ScheduleStats sched;
@@ -59,19 +50,8 @@ struct CompileTelemetry
     /** Find-or-append the aggregated record for `name`. */
     PhaseStat &phase(const std::string &name);
 
-    /** Record a raw timed segment (also establishes the epoch). */
-    void addSpan(std::string name,
-                 std::chrono::steady_clock::time_point t0,
-                 std::chrono::steady_clock::time_point t1);
-
-    double totalWallMs() const;
-
     /** Export into a stats group ("compile"). */
     void exportStats(stats::Group &g) const;
-
-  private:
-    bool epoch_set_ = false;
-    std::chrono::steady_clock::time_point epoch_;
 };
 
 struct OptimizeOptions
@@ -92,7 +72,7 @@ struct OptimizeOptions
  * Optimize, allocate, and (at OptLevel >= Sched) schedule every
  * function of `module` for `machine`.  After this the module is
  * physical-register code, ready for tracing/timing.  `telemetry`,
- * when non-null, accumulates per-phase wall time and IR deltas.
+ * when non-null, accumulates per-phase IR deltas.
  */
 void optimizeModule(Module &module, const MachineConfig &machine,
                     const OptimizeOptions &options,

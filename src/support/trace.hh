@@ -1,9 +1,10 @@
 /**
  * @file
- * ilp::trace — the span flight recorder: low-overhead wall-clock
- * tracing of the whole pipeline (compile, timing runs, functional
- * execution, cache waits, sweep cells), exported as Chrome
- * tracing JSON with one timeline track per worker thread.
+ * ilp::trace — the span flight recorder, the one span source (stats
+ * carry no host time): low-overhead wall-clock tracing of the whole
+ * pipeline (compile, timing runs, functional execution, cache waits,
+ * sweep cells), exported as Chrome tracing JSON with one timeline
+ * track per worker thread.
  *
  * Design rules, in order:
  *

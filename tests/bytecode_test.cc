@@ -179,9 +179,6 @@ TEST_P(BackendDifferentialTest, StatsTreeIdentical)
     // class mix, compile telemetry — through the default pipeline
     // under each backend.  Json equality is structural and ordered,
     // so this is as strong as comparing the serialized bytes.
-    // One compile, shared telemetry: wall-clock phase timings are
-    // the one nondeterministic leaf in the tree, and they belong to
-    // the compiler, not the backends under test.
     const Workload &w = workloadByName(GetParam());
     CompileOptions o = defaultCompileOptions(w);
     CompileTelemetry compile;

@@ -341,27 +341,6 @@ TEST(CompileCacheTest, ConcurrentRequestersAllSeeTheFailure)
 
 // ---------------------------------------- serial == parallel sweeps
 
-/** Deep-copy a stats tree with every wall-time scalar zeroed: wall
- *  times are the only legitimately nondeterministic leaves. */
-Json
-scrubWallTimes(const Json &node)
-{
-    if (node.isObject()) {
-        Json out = Json::object();
-        for (const auto &[k, v] : node.asObject())
-            out.set(k, k == "wall_ms" ? Json(0.0)
-                                      : scrubWallTimes(v));
-        return out;
-    }
-    if (node.isArray()) {
-        Json out = Json::array();
-        for (const auto &v : node.asArray())
-            out.push(scrubWallTimes(v));
-        return out;
-    }
-    return node;
-}
-
 TEST(ParallelSweepTest, SpeedupGridBitIdenticalAcrossJobCounts)
 {
     const std::vector<std::string> names{"yacc", "whet", "linpack"};
@@ -439,10 +418,9 @@ TEST(ParallelSweepTest, RunOutcomesAndMergedStatsIdentical)
         EXPECT_EQ(serial[i].checksum, parallel[i].checksum);
         EXPECT_EQ(serial[i].instructions, parallel[i].instructions);
         EXPECT_EQ(serial[i].cycles, parallel[i].cycles);
-        // The merged stats snapshot is identical modulo wall times
-        // (the only nondeterministic leaves).
-        EXPECT_EQ(scrubWallTimes(serial[i].stats.root).dump(2),
-                  scrubWallTimes(parallel[i].stats.root).dump(2))
+        // The merged stats snapshot has no nondeterministic leaf.
+        EXPECT_EQ(serial[i].stats.root.dump(2),
+                  parallel[i].stats.root.dump(2))
             << names[i];
     }
 }

@@ -1,12 +1,15 @@
 /** End-to-end telemetry: RunOutcome stats snapshots, the stall
  *  attribution invariant on real workloads, compile-phase records,
- *  and the Chrome tracing document shape. */
+ *  and the Chrome tracing document of a traced run. */
 
 #include <gtest/gtest.h>
+
+#include <set>
 
 #include "core/machine/models.hh"
 #include "core/study/driver.hh"
 #include "core/study/telemetry.hh"
+#include "support/trace.hh"
 
 namespace ilp {
 namespace {
@@ -121,41 +124,57 @@ TEST(TelemetryTest, CompilePhasesRecorded)
     EXPECT_NE(out.stats.at("compile.phase.frontend"), nullptr);
     EXPECT_NE(out.stats.at("compile.phase.regalloc"), nullptr);
     EXPECT_NE(out.stats.at("compile.phase.sched"), nullptr);
-    EXPECT_GE(out.stats.number("compile.wall_ms"), 0.0);
     EXPECT_GT(out.stats.number("compile.sched_fill_rate"), 0.0);
     EXPECT_LE(out.stats.number("compile.sched_fill_rate"), 1.0);
-
-    // Telemetry rides in the outcome too, with raw spans for the
-    // trace writer.
-    EXPECT_FALSE(out.compile.phases.empty());
-    EXPECT_FALSE(out.compile.spans.empty());
-    for (const auto &span : out.compile.spans) {
-        EXPECT_GE(span.startMs, 0.0);
-        EXPECT_GE(span.durMs, 0.0);
-    }
 }
 
 TEST(TelemetryTest, TimelineRespectsLimit)
 {
+    // With stats the engine sits behind a TeeSink; without, the
+    // backend drives it through the fused runTimed path (what a
+    // traced `ssim run` takes).  Both must capture the same events.
     Workload w = tinyWorkload();
     RunTelemetryOptions t;
     t.collectStats = true;
     t.timelineLimit = 100;
-    RunOutcome out = runWorkload(w, idealSuperscalar(4),
+    RunOutcome tee = runWorkload(w, idealSuperscalar(4),
                                  defaultCompileOptions(w), t);
-    EXPECT_EQ(out.issueTimeline.size(), 100u);
-    EXPECT_GT(out.timelineDropped, 0u);
-    EXPECT_EQ(out.issueTimeline.size() + out.timelineDropped,
-              out.instructions);
+    EXPECT_EQ(tee.issueTimeline.size(), 100u);
+    EXPECT_GT(tee.timelineDropped, 0u);
+    EXPECT_EQ(tee.issueTimeline.size() + tee.timelineDropped,
+              tee.instructions);
+
+    t.collectStats = false;
+    RunOutcome fused = runWorkload(w, idealSuperscalar(4),
+                                   defaultCompileOptions(w), t);
+    EXPECT_TRUE(fused.stats.empty());
+    EXPECT_EQ(fused.timelineDropped, tee.timelineDropped);
+    ASSERT_EQ(fused.issueTimeline.size(), tee.issueTimeline.size());
+    for (std::size_t i = 0; i < tee.issueTimeline.size(); ++i) {
+        const IssueEvent &a = tee.issueTimeline[i];
+        const IssueEvent &b = fused.issueTimeline[i];
+        EXPECT_EQ(a.cycle, b.cycle) << "event " << i;
+        EXPECT_EQ(a.slot, b.slot) << "event " << i;
+        EXPECT_EQ(a.latencyMinor, b.latencyMinor) << "event " << i;
+        EXPECT_EQ(a.cls, b.cls) << "event " << i;
+    }
 }
 
-TEST(TelemetryTest, TraceEventsDocumentIsWellFormed)
+TEST(TelemetryTest, RunTraceHasRecorderSpansAndIssueTimeline)
 {
+    // What `ssim run --trace-events` does: a recorder session around
+    // the compile and the run, written with the run's timeline.
     Workload w = tinyWorkload();
-    MachineConfig m = idealSuperscalar(4);
-    RunOutcome out =
-        runWorkload(w, m, defaultCompileOptions(w), fullTelemetry());
-    Json doc = buildTraceEvents(out, m);
+    MachineConfig m = superpipelinedSuperscalar(2, 2);
+    RunTelemetryOptions t;
+    t.timelineLimit = 4096;
+    trace::Recorder::instance().start();
+    Module module = compileWorkload(w.source, m,
+                                    defaultCompileOptions(w));
+    RunOutcome out = runOnMachine(module, m, t);
+    const trace::Recording rec = trace::Recorder::instance().stop();
+    ASSERT_FALSE(out.issueTimeline.empty());
+    const Json doc = buildSweepTraceEvents(rec, m, &out);
 
     // Chrome tracing JSON object format: a traceEvents array whose
     // entries carry name/ph/pid/tid, with ts/dur on "X" events.
@@ -164,8 +183,9 @@ TEST(TelemetryTest, TraceEventsDocumentIsWellFormed)
     ASSERT_NE(events, nullptr);
     ASSERT_TRUE(events->isArray());
     ASSERT_GT(events->size(), 0u);
-
-    std::size_t complete = 0;
+    std::set<std::string> spans;
+    std::set<double> slotTracks;
+    std::size_t issued = 0;
     for (const Json &e : events->asArray()) {
         ASSERT_TRUE(e.isObject());
         ASSERT_NE(e.find("name"), nullptr);
@@ -173,18 +193,38 @@ TEST(TelemetryTest, TraceEventsDocumentIsWellFormed)
         ASSERT_NE(e.find("pid"), nullptr);
         ASSERT_NE(e.find("tid"), nullptr);
         const std::string &ph = e.find("ph")->asString();
+        const double pid = e.find("pid")->asNumber();
         if (ph == "X") {
-            ++complete;
             ASSERT_NE(e.find("ts"), nullptr);
             ASSERT_NE(e.find("dur"), nullptr);
             EXPECT_GE(e.find("ts")->asNumber(), 0.0);
             EXPECT_GE(e.find("dur")->asNumber(), 0.0);
+            if (pid == 1)
+                spans.insert(e.find("name")->asString());
+            else
+                ++issued;
         } else {
             EXPECT_EQ(ph, "M");
+            if (pid == 2 && e.find("name")->asString() == "thread_name")
+                slotTracks.insert(e.find("tid")->asNumber());
         }
     }
-    // Both compile spans and issue events made it in.
-    EXPECT_GT(complete, out.compile.spans.size());
+    EXPECT_EQ(issued, out.issueTimeline.size());
+    EXPECT_EQ(slotTracks.size(),
+              static_cast<std::size_t>(m.issueWidth));
+    ASSERT_NE(doc.at("otherData.timelineDropped"), nullptr);
+    EXPECT_EQ(doc.at("otherData.timelineDropped")->asNumber(),
+              static_cast<double>(out.timelineDropped));
+
+#ifndef SSIM_NO_FLIGHT_RECORDER
+    EXPECT_TRUE(spans.count("frontend.parse"));
+    EXPECT_TRUE(spans.count("regalloc"));
+    EXPECT_TRUE(spans.count("live_run"));
+#else
+    // Compiled out: the document carries only the issue process.
+    EXPECT_TRUE(rec.spans.empty());
+    EXPECT_TRUE(spans.empty());
+#endif
 
     // And the whole document survives a serialize/parse round-trip.
     EXPECT_EQ(Json::parse(doc.dump(2)), doc);

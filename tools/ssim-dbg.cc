@@ -70,11 +70,10 @@ cmdPipeline(const char *name)
                 static_cast<unsigned long long>(telemetry.spills),
                 telemetry.sched.fillRate());
     for (const auto &ps : telemetry.phases)
-        std::printf("  %-16s runs=%llu wall=%.2fms instrs %llu -> "
-                    "%llu changed=%lld\n",
+        std::printf("  %-16s runs=%llu instrs %llu -> %llu "
+                    "changed=%lld\n",
                     ps.name.c_str(),
                     static_cast<unsigned long long>(ps.runs),
-                    ps.wallMs,
                     static_cast<unsigned long long>(ps.instrsBefore),
                     static_cast<unsigned long long>(ps.instrsAfter),
                     static_cast<long long>(ps.changed));
