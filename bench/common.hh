@@ -23,10 +23,8 @@
 #include "core/study/experiment.hh"
 #include "core/study/journal.hh"
 #include "core/study/sweep.hh"
-#include "support/bench.hh"
 #include "support/json.hh"
 #include "support/statistics.hh"
-#include "support/stats.hh"
 #include "support/table.hh"
 
 namespace ilp::bench {
@@ -47,57 +45,6 @@ sweeper()
 {
     static const SweepRunner runner;
     return runner;
-}
-
-// ------------------------------------------- stats trajectory (opt-in)
-//
-// When SSIM_BENCH_STATS names a file, bench binaries append bench-v2
-// datapoints to it (support/bench.hh): stats snapshots from the
-// figure binaries, sampled rates from the throughput bench.  Future
-// perf PRs diff these entries to prove where cycles went, and the
-// regression sentinel (`ssim bench-check`) judges the newest point of
-// every label against its rolling baseline.  Unset, everything below
-// is a no-op and runs collect nothing.
-//
-// Appends are safe under concurrency (process-local mutex + advisory
-// flock() + temp-file/atomic rename) and a corrupt trajectory is
-// preserved under `.bak` rather than aborting the bench — all
-// inherited from bench::appendPoint.
-
-/** Path of the trajectory file, or nullptr when disabled. */
-inline const char *
-statsTrajectoryPath()
-{
-    const char *path = std::getenv("SSIM_BENCH_STATS");
-    return (path && *path) ? path : nullptr;
-}
-
-/** Run telemetry for bench runs: stats only when the trajectory is
- *  enabled, so the default bench cost is unchanged. */
-inline RunTelemetryOptions
-benchTelemetry()
-{
-    RunTelemetryOptions t;
-    t.collectStats = statsTrajectoryPath() != nullptr;
-    return t;
-}
-
-/** Append one stats snapshot to the trajectory as a bench-v2
- *  datapoint (no-op when disabled; append failures warn, never
- *  abort the bench). */
-inline void
-appendStatsTrajectory(const std::string &artifact,
-                      const std::string &label,
-                      const stats::StatsSnapshot &snapshot)
-{
-    const char *path = statsTrajectoryPath();
-    if (!path)
-        return;
-    std::string error;
-    if (!appendPoint(path, makeStatsPoint(artifact, label, snapshot.root),
-                     &error))
-        std::fprintf(stderr, "warning: stats trajectory %s: %s\n",
-                     path, error.c_str());
 }
 
 // --------------------------------------------- sweep journal (opt-in)

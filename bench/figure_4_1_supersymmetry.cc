@@ -44,27 +44,5 @@ main()
                 "superpipelined machine trails by <10%%\nand "
                 "converges towards the superscalar one as the degree "
                 "grows.\n");
-
-    // With SSIM_BENCH_STATS set, record one full snapshot per
-    // benchmark on the headline ss4 machine so perf PRs can diff
-    // stall attribution across revisions.  The runs go through the
-    // study, so the degree sweep above already compiled every
-    // (benchmark, ss4) cell — these runs only execute.  Appends
-    // follow serially in suite order so the trajectory is
-    // deterministic under any job count.
-    if (bench::statsTrajectoryPath()) {
-        const auto &suite = allWorkloads();
-        std::vector<RunOutcome> outs =
-            bench::sweeper().map<RunOutcome>(
-                suite.size(), [&](std::size_t i) {
-                    return study.timedRun(
-                        suite[i], idealSuperscalar(4),
-                        defaultCompileOptions(suite[i]),
-                        bench::benchTelemetry());
-                });
-        for (std::size_t i = 0; i < suite.size(); ++i)
-            bench::appendStatsTrajectory(
-                "Figure 4-1", suite[i].name + "@ss4", outs[i].stats);
-    }
     return 0;
 }

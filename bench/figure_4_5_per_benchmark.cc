@@ -64,24 +64,5 @@ main()
                 "approaches 2.5 and linpack.unroll4x reaches 3.2 —\n"
                 "\"a factor of two difference ... but the ceiling is "
                 "still quite low\" (§4.3).\n");
-
-    // With SSIM_BENCH_STATS set, record one full snapshot per
-    // benchmark on the headline ss4 machine.  The runs go through the
-    // study, so the n=4 column above already compiled each cell —
-    // these runs only execute.  The appends happen
-    // serially afterwards so the trajectory order is deterministic.
-    if (bench::statsTrajectoryPath()) {
-        std::vector<RunOutcome> outs =
-            bench::sweeper().map<RunOutcome>(
-                suite.size(), [&](std::size_t i) {
-                    return study.timedRun(
-                        suite[i], idealSuperscalar(4),
-                        defaultCompileOptions(suite[i]),
-                        bench::benchTelemetry());
-                });
-        for (std::size_t i = 0; i < suite.size(); ++i)
-            bench::appendStatsTrajectory(
-                "Figure 4-5", suite[i].name + "@ss4", outs[i].stats);
-    }
     return 0;
 }

@@ -7,8 +7,8 @@
 #include <benchmark/benchmark.h>
 
 #include <chrono>
+#include <cstdlib>
 
-#include "bench/common.hh"
 #include "core/study/driver.hh"
 #include "core/study/experiment.hh"
 #include "core/study/sweep.hh"
@@ -16,6 +16,7 @@
 #include "sim/exec.hh"
 #include "sim/interp.hh"
 #include "sim/issue.hh"
+#include "support/bench.hh"
 #include "support/trace.hh"
 
 using namespace ilp;
@@ -37,6 +38,15 @@ secondsSince(BenchClock::time_point t0)
         .count();
 }
 
+/** The bench-v2 trajectory named by SSIM_BENCH_STATS, or nullptr
+ *  when recording is off. */
+const char *
+trajectoryPath()
+{
+    const char *path = std::getenv("SSIM_BENCH_STATS");
+    return (path && *path) ? path : nullptr;
+}
+
 /**
  * Record one per-repetition rate sample for the SSIM_BENCH_STATS
  * trajectory (BENCH_throughput.json).  google-benchmark invokes each
@@ -52,7 +62,7 @@ void
 recordRateSample(const std::string &label, const char *unit,
                  double value, const benchmark::State &state)
 {
-    if (!bench::statsTrajectoryPath())
+    if (!trajectoryPath())
         return;
     bench::recordSample(label, unit, "higher", value,
                         static_cast<std::uint64_t>(state.iterations()));
@@ -362,7 +372,7 @@ main(int argc, char **argv)
         return 1;
     benchmark::RunSpecifiedBenchmarks();
     benchmark::Shutdown();
-    if (const char *path = bench::statsTrajectoryPath())
+    if (const char *path = trajectoryPath())
         bench::flushSamples("throughput", path);
     return 0;
 }

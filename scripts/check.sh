@@ -102,18 +102,15 @@ rc=0
 [ "$rc" -eq 2 ]
 
 echo "== parallel sweep smoke =="
-# A bench sweep must be byte-identical serial vs parallel, and the
-# stats trajectory written under SSIM_JOBS>1 must stay valid JSON.
+# A bench sweep must be byte-identical serial vs parallel, and a
+# suite stats document written under SSIM_JOBS=2 must parse.
 SWEEP_SERIAL="$BUILD_DIR/check_sweep_serial.txt"
 SWEEP_PAR="$BUILD_DIR/check_sweep_parallel.txt"
-TRAJ_JSON="$BUILD_DIR/check_trajectory.json"
-rm -f "$TRAJ_JSON" "$TRAJ_JSON.bak" "$TRAJ_JSON.lock"
 SSIM_JOBS=1 "$BUILD_DIR/bench/figure_4_5_per_benchmark" \
     > "$SWEEP_SERIAL"
-SSIM_JOBS="$JOBS" SSIM_BENCH_STATS="$TRAJ_JSON" \
-    "$BUILD_DIR/bench/figure_4_5_per_benchmark" > "$SWEEP_PAR"
+SSIM_JOBS="$JOBS" "$BUILD_DIR/bench/figure_4_5_per_benchmark" \
+    > "$SWEEP_PAR"
 cmp "$SWEEP_SERIAL" "$SWEEP_PAR"
-"$BUILD_DIR/src/cli/ssim" check-json "$TRAJ_JSON"
 SSIM_JOBS=2 "$BUILD_DIR/src/cli/ssim" suite --machine ss4 \
     --stats-json "$STATS_JSON" > /dev/null
 "$BUILD_DIR/src/cli/ssim" check-json "$STATS_JSON"
@@ -235,9 +232,9 @@ SSIM_BENCH_STATS="$EXEC_TRAJ" "$BUILD_DIR/bench/throughput" \
     --budget 0
 
 echo "== bench sentinel smoke =="
-# The committed perf trajectory must load (v1 rows normalize, v2 rows
-# parse) and the verdict table must be byte-stable across reruns on
-# identical input — CI diffs it against the job summary.
+# The committed perf trajectory must load (every row a bench-v2
+# sample row) and the verdict table must be byte-stable across reruns
+# on identical input — CI diffs it against the job summary.
 SENTINEL_A="$BUILD_DIR/check_sentinel_a.txt"
 SENTINEL_B="$BUILD_DIR/check_sentinel_b.txt"
 "$BUILD_DIR/src/cli/ssim" bench-check BENCH_throughput.json --soft \

@@ -17,15 +17,12 @@
  *   ssim suite [options]           run the built-in 8-benchmark suite
  *   ssim machines                  list predefined machine models
  *   ssim check-json FILE           validate a JSON file (exit status)
- *   ssim bench-check FILE [opts]   regression sentinel over a bench
+ *   ssim bench-check FILE [opts]   regression sentinel over a bench-v2
  *                                  trajectory: newest datapoint per
  *                                  label vs a rolling baseline window
  *                                  (Mann-Whitney U + relative-median
  *                                  threshold), or --compare A B for a
  *                                  head-to-head overhead budget
- *   ssim bench-migrate FILE        rewrite a trajectory in the
- *                                  bench-v2 schema in place (legacy
- *                                  rows gain null provenance)
  *   ssim report [options]          self-contained HTML dashboard from
  *                                  the observability artifacts
  *                                  (bench trajectory, stats-json,
@@ -175,7 +172,6 @@ usage()
         "                              --alpha A --threshold PCT\n"
         "                              --compare A B --budget PCT\n"
         "                              --soft]\n"
-        "       ssim bench-migrate FILE\n"
         "       ssim report [--bench FILE --stats-in FILE\n"
         "                    --metrics FILE --profile-in FILE\n"
         "                    --out FILE --title TEXT --profile-top N]\n"
@@ -456,8 +452,7 @@ parseArgs(int argc, char **argv)
     if (cli.command == "run" || cli.command == "ilp" ||
         cli.command == "profile" || cli.command == "mix" ||
         cli.command == "whatif" || cli.command == "dump" ||
-        cli.command == "check-json" || cli.command == "bench-check" ||
-        cli.command == "bench-migrate") {
+        cli.command == "check-json" || cli.command == "bench-check") {
         if (argc < 3)
             usage();
         cli.file = argv[2];
@@ -1381,18 +1376,6 @@ cmdBenchCheck(const Cli &cli)
 }
 
 int
-cmdBenchMigrate(const Cli &cli)
-{
-    std::string error;
-    std::size_t migrated = 0;
-    if (!bench::migrateTrajectory(cli.file, &error, &migrated))
-        return fail(error);
-    std::printf("%s: %zu row(s) rewritten in the %s schema\n",
-                cli.file.c_str(), migrated, bench::kSchemaV2);
-    return 0;
-}
-
-int
 cmdReport(const Cli &cli)
 {
     report::ReportInputs inputs;
@@ -1489,8 +1472,6 @@ main(int argc, char **argv)
         return cmdCheckJson(cli);
     if (cli.command == "bench-check")
         return cmdBenchCheck(cli);
-    if (cli.command == "bench-migrate")
-        return cmdBenchMigrate(cli);
     if (cli.command == "report")
         return cmdReport(cli);
     usage();

@@ -92,8 +92,7 @@ runOnMachine(const Module &module, const MachineConfig &machine,
     trace::ScopedSpan span("live_run", "execute");
     if (span.armed())
         span.detail(module.sourceName);
-    metrics::ScopedTimer timer(metrics::Registry::global(),
-                               liveRunSeconds());
+    metrics::ScopedTimer timer(liveRunSeconds());
     if (fault::enabled())
         fault::maybeInject("execute");
     std::unique_ptr<Executor> exec = makeExecutor(module);

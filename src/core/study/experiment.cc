@@ -100,7 +100,7 @@ Study::speedup(const Workload &workload, const MachineConfig &machine,
     double base = baseCycles(workload, options);
     RunOutcome out = timedRun(workload, machine, options);
     if (out.trapped())
-        // Re-raise the trap so sweep cells (mapChecked) record a
+        // Re-raise the trap so keep-going sweep cells record a
         // structured CellError instead of a bogus speedup.
         throw TrapException(out.trap);
     return base / out.cycles;

@@ -184,13 +184,13 @@ ProgressReporter::renderLine(double elapsedSeconds) const
     // cache-hot) start stops skewing the ETA once a window of cells
     // has finished.
     const double rate = windowRate(elapsedSeconds);
-    std::string eta = "-";
-    if (config_.totalCells > done && rate > 0.0) {
-        eta = renderDuration(
-            static_cast<double>(config_.totalCells - done) / rate);
-    } else if (config_.totalCells != 0 && done >= config_.totalCells) {
-        eta = "0s";
-    }
+    const bool finished =
+        config_.totalCells != 0 && done >= config_.totalCells;
+    const std::string eta =
+        config_.totalCells > done && rate > 0.0
+            ? renderDuration(
+                  static_cast<double>(config_.totalCells - done) / rate)
+            : std::string(finished ? "0s" : "-");
     // Worker utilization: busy worker-seconds over available
     // worker-seconds so far.
     const int jobs = config_.jobs > 0 ? config_.jobs : 1;

@@ -353,8 +353,7 @@ CompileCache::compile(const Workload &workload,
             trace::ScopedSpan span("compile", "compile");
             if (span.armed())
                 span.detail(workload.name);
-            metrics::ScopedTimer timer(metrics::Registry::global(),
-                                       metric_seconds);
+            metrics::ScopedTimer timer(metric_seconds);
             if (fault::enabled())
                 fault::maybeInject("compile");
             Compiled c;

@@ -13,15 +13,16 @@
  * SweepRunner fans cell evaluations out over a fixed pool of
  * std::thread workers pulling indices off an atomic queue; results
  * land in an index-ordered vector, so consumers that fill tables or
- * append trajectories after the barrier produce byte-identical
+ * write JSON documents after the barrier produce byte-identical
  * output regardless of the job count.
  *
  * CompileCache shares compiled Modules between cells: one compilation
  * per distinct (workload, compile options, scheduling-relevant
  * machine parameters) key, concurrency-safe via per-entry futures so
  * two workers never duplicate a compile.  Modules are immutable after
- * compilation and each cell gets its own Interpreter/IssueEngine, so
- * sharing them across threads is safe by construction.
+ * compilation and each cell runs its own executor and IssueEngine
+ * (runOnMachine), so sharing them across threads is safe by
+ * construction.
  *
  * Job-count resolution (see defaultSweepJobs): explicit argument >
  * SSIM_JOBS environment variable > std::thread::hardware_concurrency.
@@ -84,7 +85,7 @@ struct CellOutcome
     T value{};
     CellError error;
     /** Evaluation attempts this cell took (1 = first try succeeded;
-     *  only mapHardened retries, so mapChecked always reports 1). */
+     *  more only when CellPolicy::maxRetries allows retries). */
     int attempts = 1;
     /** The cell failed permanently (or exhausted its retries) and
      *  was isolated from the sweep. */
@@ -161,7 +162,7 @@ class SweepRunner
     /**
      * run() collecting fn(i) into slot i of the result vector — the
      * deterministic merge point: results are index-ordered no matter
-     * which worker computed them, so downstream table/trajectory
+     * which worker computed them, so downstream table/document
      * assembly is independent of the job count.
      */
     template <typename T, typename Fn>
@@ -174,37 +175,18 @@ class SweepRunner
     }
 
     /**
-     * Fault-isolated map: a throwing cell is captured as a CellError
-     * in its own slot while every other cell still runs to
-     * completion ("keep going").  Because errors are recorded at the
-     * failing index rather than by arrival order, the result —
-     * values and errors both — is deterministic across job counts.
-     */
-    template <typename T, typename Fn>
-    std::vector<CellOutcome<T>>
-    mapChecked(std::size_t count, Fn &&fn) const
-    {
-        std::vector<CellOutcome<T>> out(count);
-        run(count, [&](std::size_t i) {
-            try {
-                out[i].value = fn(i);
-            } catch (...) {
-                out[i].error = currentCellError();
-                noteCellFailure(out[i].error);
-            }
-        });
-        return out;
-    }
-
-    /**
-     * The survivable sweep: mapChecked plus per-attempt watchdog
+     * The survivable sweep: map() with per-attempt watchdog
      * deadlines, bounded retry with exponential backoff for
      * transient-classed errors (injected faults, memory pressure),
      * and quarantine of permanently failing cells.  Values stay
      * index-ordered and — because retried cells recompute the same
      * deterministic computation — byte-identical to a fault-free run.
-     * Without keepGoing a quarantined cell aborts the sweep by
-     * rethrowing (the fail-fast contract of run()).
+     * With keepGoing a quarantined cell is captured as a CellError in
+     * its own slot while every other cell still runs to completion;
+     * because errors land at the failing index rather than by arrival
+     * order, the outcomes (values and errors both) are deterministic
+     * across job counts.  Without keepGoing a quarantined cell aborts
+     * the sweep by rethrowing (the fail-fast contract of run()).
      */
     template <typename T, typename Fn>
     HardenedSweep<T>

@@ -57,8 +57,7 @@ Study::dependenceGraph(const Workload &workload,
 {
     std::shared_ptr<const Module> module =
         cache_.compile(workload, machine, options, nullptr);
-    metrics::ScopedTimer timer(metrics::Registry::global(),
-                               graphBuildSeconds());
+    metrics::ScopedTimer timer(graphBuildSeconds());
     if (fault::enabled())
         fault::maybeInject("depgraph");
     DepGraph::Builder builder;

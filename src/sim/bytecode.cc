@@ -295,7 +295,7 @@ lowerModule(const Module &module)
         metrics::Registry::global().histogram(
             "ssim_bytecode_lower_seconds",
             "wall time lowering a module to bytecode");
-    metrics::ScopedTimer timer(metrics::Registry::global(), lower_s);
+    metrics::ScopedTimer timer(lower_s);
 
     BcImage image;
     image.module = &module;

@@ -2,11 +2,10 @@
  * @file
  * Dynamic instruction records and trace sinks.
  *
- * The functional simulator (sim/interp.hh) executes a module and
- * streams one DynInstr per executed instruction into a TraceSink.
- * Sinks include the timing engine (sim/issue.hh), class-frequency
- * profilers, the cache model, and buffering sinks for replaying one
- * execution against many machine configurations.
+ * An execution backend (sim/exec.hh) runs a module and streams one
+ * DynInstr per executed instruction into a TraceSink.  Sinks include
+ * the timing engine (sim/issue.hh), the class-frequency profiler, the
+ * cache model, and an in-memory buffer.
  */
 
 #ifndef SUPERSYM_SIM_TRACE_HH
@@ -83,7 +82,9 @@ class TeeSink : public TraceSink
     std::vector<TraceSink *> sinks_;
 };
 
-/** Buffers the whole trace for replay against many machines. */
+/** Buffers the whole trace in memory, so tests and microbenchmarks
+ *  can inspect or re-time one execution (sweeps time every cell
+ *  live and never buffer). */
 class TraceBuffer : public TraceSink
 {
   public:

@@ -301,7 +301,7 @@ summaryToJson(const SampleSummary &s)
 Json
 makePoint(const std::string &artifact, const std::string &label,
           const std::string &unit, const std::string &direction,
-          const std::vector<double> &samples, Json config, Json stats)
+          const std::vector<double> &samples, Json config)
 {
     const SampleSummary s = summarize(samples);
     Json row = Json::object();
@@ -318,148 +318,49 @@ makePoint(const std::string &artifact, const std::string &label,
         arr.push(Json(v));
     row.set("samples", std::move(arr));
     row.set("summary", summaryToJson(s));
-    if (!stats.isNull())
-        row.set("stats", std::move(stats));
     return row;
 }
 
-Json
-makeStatsPoint(const std::string &artifact, const std::string &label,
-               Json stats)
+bool
+parsePoint(const Json &row, Point *out, std::string *error)
 {
-    Json row = Json::object();
-    row.set("schema", Json(kSchemaV2));
-    row.set("artifact", Json(artifact));
-    row.set("label", Json(label));
-    row.set("meta", pointMeta());
-    row.set("stats", std::move(stats));
-    return row;
-}
+    auto reject = [&](const std::string &why) {
+        if (error)
+            *error = why;
+        return false;
+    };
+    const Json *schema = row.find("schema");
+    if (!schema || !schema->isString() ||
+        schema->asString() != kSchemaV2)
+        return reject(std::string("not a ") + kSchemaV2 + " row");
+    const Json *value = row.find("value");
+    if (!value || !value->isNumber())
+        return reject("no numeric 'value'");
+    const Json *samples = row.find("samples");
+    if (!samples || !samples->isArray() || samples->size() == 0)
+        return reject("no 'samples' array");
 
-namespace {
-
-/** Extract the headline value of a v1 row from its stats.throughput
- *  group: a rate when one is nonzero, wall seconds otherwise. */
-void
-extractLegacyValue(const Json &stats, Point &p)
-{
-    if (const Json *v = stats.at("throughput.instr_per_s")) {
-        if (v->isNumber() && v->asNumber() > 0.0) {
-            p.unit = "instr_per_s";
-            p.direction = "higher";
-            p.value = v->asNumber();
-            p.hasValue = true;
-            return;
-        }
-    }
-    if (const Json *v = stats.at("throughput.cells_per_s")) {
-        if (v->isNumber() && v->asNumber() > 0.0) {
-            p.unit = "cells_per_s";
-            p.direction = "higher";
-            p.value = v->asNumber();
-            p.hasValue = true;
-            return;
-        }
-    }
-    if (const Json *v = stats.at("throughput.wall_s")) {
-        if (v->isNumber() && v->asNumber() > 0.0) {
-            p.unit = "wall_s";
-            p.direction = "lower";
-            p.value = v->asNumber();
-            p.hasValue = true;
-        }
-    }
-}
-
-} // namespace
-
-Point
-parsePoint(const Json &row)
-{
     Point p;
+    for (const Json &v : samples->asArray()) {
+        if (!v.isNumber())
+            return reject("non-numeric entry in 'samples'");
+        p.samples.push_back(v.asNumber());
+    }
     auto str = [&](const char *key) -> std::string {
         const Json *v = row.find(key);
         return (v && v->isString()) ? v->asString() : std::string();
     };
     p.artifact = str("artifact");
     p.label = str("label");
-    p.schema = str("schema");
-    if (const Json *stats = row.find("stats"))
-        p.stats = *stats;
-
-    if (p.schema != kSchemaV2) {
-        // v1 row: {artifact, label, stats}.  Normalize.
-        p.schema = kSchemaV1;
-        extractLegacyValue(p.stats, p);
-        if (p.hasValue)
-            p.samples.push_back(p.value);
-        return p;
-    }
-
     p.unit = str("unit");
     p.direction = str("direction");
-    if (const Json *v = row.find("value")) {
-        if (v->isNumber()) {
-            p.value = v->asNumber();
-            p.hasValue = true;
-        }
-    }
-    if (const Json *samples = row.find("samples")) {
-        if (samples->isArray())
-            for (const Json &s : samples->asArray())
-                if (s.isNumber())
-                    p.samples.push_back(s.asNumber());
-    }
-    if (p.samples.empty() && p.hasValue)
-        p.samples.push_back(p.value);
+    p.value = value->asNumber();
     if (const Json *meta = row.find("meta"))
         p.meta = *meta;
-    if (const Json *config = row.find("config"))
-        p.config = *config;
     if (const Json *summary = row.find("summary"))
         p.summary = *summary;
-    return p;
-}
-
-Json
-pointToJson(const Point &point, bool nullProvenance)
-{
-    Json row = Json::object();
-    row.set("schema", Json(kSchemaV2));
-    row.set("artifact", Json(point.artifact));
-    row.set("label", Json(point.label));
-    if (nullProvenance || point.meta.isNull()) {
-        // Historical rows: the provenance keys exist (one shape for
-        // every consumer) but record nothing.
-        Json meta = Json::object();
-        meta.set("generator", Json("supersym"));
-        meta.set("version", Json(nullptr));
-        meta.set("build", Json(nullptr));
-        meta.set("host_hash", Json(nullptr));
-        meta.set("timestamp_utc", Json(nullptr));
-        row.set("meta", std::move(meta));
-    } else {
-        row.set("meta", point.meta);
-    }
-    if (!point.config.isNull())
-        row.set("config", point.config);
-    if (!point.unit.empty())
-        row.set("unit", Json(point.unit));
-    if (!point.direction.empty())
-        row.set("direction", Json(point.direction));
-    if (point.hasValue) {
-        row.set("value", Json(point.value));
-        Json arr = Json::array();
-        for (double v : point.samples)
-            arr.push(Json(v));
-        row.set("samples", std::move(arr));
-        row.set("summary", point.summary.isNull()
-                               ? summaryToJson(summarize(point.samples))
-                               : point.summary);
-    }
-    if (!point.stats.isNull())
-        row.set("stats", point.stats);
-    return row;
+    *out = std::move(p);
+    return true;
 }
 
 bool
@@ -487,13 +388,16 @@ loadTrajectory(const std::string &path, Trajectory *out,
         return false;
     }
     out->points.clear();
-    out->legacyRows = 0;
-    for (const Json &row : doc.asArray()) {
-        if (!row.isObject())
-            continue;
-        Point p = parsePoint(row);
-        if (p.schema == kSchemaV1)
-            ++out->legacyRows;
+    const auto &rows = doc.asArray();
+    for (std::size_t i = 0; i < rows.size(); ++i) {
+        Point p;
+        std::string why;
+        if (!parsePoint(rows[i], &p, &why)) {
+            if (error)
+                *error = path + ": row " + std::to_string(i) + ": " +
+                         why;
+            return false;
+        }
         out->points.push_back(std::move(p));
     }
     return true;
@@ -601,30 +505,6 @@ appendPoint(const std::string &path, const Json &row,
         }
     }
     doc.push(row);
-    return writeAtomic(path, doc, error);
-}
-
-bool
-migrateTrajectory(const std::string &path, std::string *error,
-                  std::size_t *migrated)
-{
-    Trajectory traj;
-    if (!loadTrajectory(path, &traj, error))
-        return false;
-    Json doc = Json::array();
-    std::size_t converted = 0;
-    for (const Point &p : traj.points) {
-        const bool legacy = p.schema == kSchemaV1;
-        if (legacy)
-            ++converted;
-        // A legacy row's single extracted sample is synthetic — keep
-        // the headline value but do not fabricate a summary of one
-        // "repetition" beyond what pointToJson derives.
-        doc.push(pointToJson(p, legacy));
-    }
-    if (migrated)
-        *migrated = converted;
-    FileLock file_lock(path);
     return writeAtomic(path, doc, error);
 }
 
@@ -760,8 +640,6 @@ sentinelCheck(const Trajectory &trajectory,
         groups;
     for (std::size_t i = 0; i < trajectory.points.size(); ++i) {
         const Point &p = trajectory.points[i];
-        if (!p.hasValue)
-            continue; // pure stats snapshots carry no perf scalar
         bool found = false;
         for (auto &[label, indices] : groups) {
             if (label == p.label) {
@@ -810,7 +688,7 @@ sentinelCheck(const Trajectory &trajectory,
         v.p = test.p;
         // The normal approximation has no power below a handful of
         // samples per side; there the median threshold alone decides
-        // (a v1-era trajectory of single-value points still gates).
+        // (a trajectory of single-sample points still gates).
         const bool enough = test.usable &&
                             latest.samples.size() >= 3 &&
                             baseline.size() >= 3;
@@ -885,8 +763,6 @@ compareLabels(const Trajectory &trajectory, const std::string &labelA,
     std::vector<double> b;
     std::string direction = "higher";
     for (const Point &p : trajectory.points) {
-        if (!p.hasValue)
-            continue;
         if (p.label == labelA) {
             a.insert(a.end(), p.samples.begin(), p.samples.end());
             r.unit = p.unit;

@@ -4,9 +4,8 @@
  * `bench-v2` perf-trajectory schema, and the statistical regression
  * sentinel behind `ssim bench-check`.
  *
- * Why this layer exists: BENCH_*.json datapoints used to be bare
- * {artifact, label, stats} rows with no provenance and the only
- * regression gate was a single-sample 2% threshold — exactly the
+ * Why this layer exists: a bare single-sample datapoint with no
+ * provenance, gated by a single-sample threshold, is exactly the
  * "wrong data without doing anything obviously wrong" trap.  v2
  * datapoints carry per-repetition samples, robust summaries (median,
  * MAD, bootstrap CI on the median), and a provenance block (git
@@ -21,19 +20,17 @@
  * only wall-clock read is the timestamp stamped into new datapoints
  * (overridable via SSIM_BENCH_TIME_UTC for reproducible tests).
  *
- * The v2 row shape (one JSON object per appended datapoint):
+ * The bench-v2 row shape (one JSON object per appended datapoint),
+ * the only row kind a trajectory holds:
  *
  *   { "schema": "bench-v2", "artifact": ..., "label": ...,
  *     "meta": {generator, version, build, host_hash, timestamp_utc},
  *     "config": {repetitions, warmup_dropped, iterations, bootstrap},
  *     "unit": "instr_per_s", "direction": "higher", "value": <median>,
  *     "samples": [...], "summary": {n, mean, median, mad, ci_lo,
- *                                   ci_hi, min, max},
- *     "stats": {...} }            // optional full snapshot payload
+ *                                   ci_hi, min, max} }
  *
- * v1 rows ({artifact, label, stats}) still load: the loader extracts
- * a headline value from stats.throughput and normalizes them to
- * points with null provenance (see docs/observability.md).
+ * The loader rejects any other row (see docs/observability.md).
  */
 
 #ifndef SUPERSYM_SUPPORT_BENCH_HH
@@ -99,28 +96,19 @@ RankTest mannWhitney(const std::vector<double> &a,
 // ---------------------------------------------- trajectory schema
 
 inline constexpr const char *kSchemaV2 = "bench-v2";
-inline constexpr const char *kSchemaV1 = "bench-v1";
 
-/**
- * One loaded trajectory datapoint, normalized: v1 rows surface here
- * with schema "bench-v1", null meta/config/summary, and a headline
- * value extracted from stats.throughput (instr_per_s, then
- * cells_per_s, then wall_s).
- */
+/** One loaded trajectory datapoint (a bench-v2 row; the JSON blocks
+ *  are null when the row omits them). */
 struct Point
 {
-    std::string schema;
     std::string artifact;
     std::string label;
     std::string unit;      ///< e.g. "instr_per_s", "wall_s"
     std::string direction; ///< "higher" or "lower" is better
-    bool hasValue = false;
     double value = 0.0;            ///< headline scalar (the median)
-    std::vector<double> samples;   ///< per-repetition values
-    Json meta;    ///< provenance block (null for v1 rows)
-    Json config;  ///< run configuration (null for v1 rows)
-    Json summary; ///< robust summary (null for v1 rows)
-    Json stats;   ///< optional stats-snapshot payload
+    std::vector<double> samples;   ///< per-repetition values, non-empty
+    Json meta;    ///< provenance block
+    Json summary; ///< robust summary
 };
 
 /** Host identity hash (uname + core count), stamped into meta so
@@ -137,35 +125,27 @@ Json pointMeta();
 /**
  * Build a v2 datapoint from per-repetition samples.  `value` is the
  * sample median; `summary` is computed with the default seeded
- * bootstrap.  `config` and `stats` may be null.
+ * bootstrap.  `config` may be null.
  */
 Json makePoint(const std::string &artifact, const std::string &label,
                const std::string &unit, const std::string &direction,
-               const std::vector<double> &samples, Json config,
-               Json stats = Json());
+               const std::vector<double> &samples, Json config);
 
-/** Build a v2 datapoint that carries only a stats-snapshot payload
- *  (the figure binaries' trajectory entries). */
-Json makeStatsPoint(const std::string &artifact,
-                    const std::string &label, Json stats);
-
-/** Parse one trajectory row (v1 or v2) into a normalized Point. */
-Point parsePoint(const Json &row);
-
-/** Serialize a Point as a v2 row.  When `nullProvenance` is set the
- *  meta block is emitted with null fields (historical rows migrated
- *  from v1 have no recorded provenance). */
-Json pointToJson(const Point &point, bool nullProvenance = false);
+/** Parse one trajectory row into `out`.  False with `error` naming
+ *  the defect when the row is not a bench-v2 object with a numeric
+ *  `value` and a non-empty, all-numeric `samples` array. */
+bool parsePoint(const Json &row, Point *out, std::string *error);
 
 /** A loaded trajectory, points in file (append) order. */
 struct Trajectory
 {
     std::vector<Point> points;
-    std::size_t legacyRows = 0; ///< rows that loaded via the v1 path
 };
 
-/** Load a trajectory file (a JSON array of v1/v2 rows).  False with
- *  `error` filled on unreadable file or malformed JSON. */
+/** Load a trajectory file (a JSON array of bench-v2 rows).  False
+ *  with `error` filled on an unreadable file, malformed JSON, or a
+ *  row parsePoint rejects (the error names the file and the row
+ *  index). */
 bool loadTrajectory(const std::string &path, Trajectory *out,
                     std::string *error);
 
@@ -179,16 +159,6 @@ bool loadTrajectory(const std::string &path, Trajectory *out,
  */
 bool appendPoint(const std::string &path, const Json &row,
                  std::string *error);
-
-/**
- * Rewrite the trajectory at `path` with every row in the v2 schema,
- * in place (temp + atomic rename).  v1 rows gain null provenance
- * fields; v2 rows pass through byte-for-byte semantically.  Returns
- * false with `error` filled on I/O or parse failure; `migrated`
- * (optional) receives the number of rows converted.
- */
-bool migrateTrajectory(const std::string &path, std::string *error,
-                       std::size_t *migrated = nullptr);
 
 // ----------------------------------- sample recorder (bench main)
 
@@ -257,9 +227,8 @@ struct LabelVerdict
  * A label regresses when its worse-direction median shift exceeds
  * `threshold` AND the rank test rejects at `alpha` (when enough
  * samples exist for the test to have power; otherwise the median
- * threshold alone decides, flagged in the note).  Labels whose
- * points carry no numeric value (pure stats snapshots) are skipped.
- * Output order follows first appearance in the trajectory.
+ * threshold alone decides, flagged in the note).  Output order
+ * follows first appearance in the trajectory.
  */
 std::vector<LabelVerdict> sentinelCheck(const Trajectory &trajectory,
                                         const SentinelConfig &config);

@@ -47,10 +47,8 @@ Gauge::exposition(std::string &out) const
 
 // ---------------------------------------------------------- Histogram
 
-Histogram::Histogram(std::string name, std::string help,
-                     const std::atomic<bool> *enabled)
-    : Metric(std::move(name), std::move(help), enabled),
-      buckets_(kNumBuckets)
+Histogram::Histogram(std::string name, std::string help)
+    : Metric(std::move(name), std::move(help)), buckets_(kNumBuckets)
 {
 }
 
@@ -88,8 +86,6 @@ Histogram::bucketValue(int index)
 void
 Histogram::observe(double v)
 {
-    if (!enabled())
-        return;
     buckets_[static_cast<std::size_t>(bucketIndex(v))].fetch_add(
         1, std::memory_order_relaxed);
     count_.fetch_add(1, std::memory_order_relaxed);
@@ -206,7 +202,7 @@ Registry::getOrCreate(const std::string &name, const std::string &help)
                   "' already registered as a different kind");
         return *typed;
     }
-    auto created = std::make_unique<T>(name, help, &enabled_);
+    auto created = std::make_unique<T>(name, help);
     T &ref = *created;
     metrics_.push_back(std::move(created));
     return ref;

@@ -19,8 +19,7 @@
  * Concurrency: every update is a relaxed atomic; no locks anywhere on
  * the update path.  Registration (find-or-create by name) takes a
  * mutex but is meant to happen once per call site via a static
- * reference.  Registry::setEnabled(false) turns every update into a
- * single predictable branch.
+ * reference.
  *
  * Histograms are log-linear (HDR-style): each power of two is split
  * into kSubBuckets linear sub-buckets, bounding the relative error of
@@ -49,10 +48,8 @@ class Registry;
 class Metric
 {
   public:
-    Metric(std::string name, std::string help,
-           const std::atomic<bool> *enabled)
-        : name_(std::move(name)), help_(std::move(help)),
-          enabled_(enabled)
+    Metric(std::string name, std::string help)
+        : name_(std::move(name)), help_(std::move(help))
     {
     }
     virtual ~Metric() = default;
@@ -69,16 +66,9 @@ class Metric
     /** Zero the value, keeping the registration (for tests). */
     virtual void reset() = 0;
 
-  protected:
-    bool enabled() const
-    {
-        return enabled_->load(std::memory_order_relaxed);
-    }
-
   private:
     std::string name_;
     std::string help_;
-    const std::atomic<bool> *enabled_;
 };
 
 /** Monotonic event count.  inc() is one relaxed fetch_add. */
@@ -89,8 +79,7 @@ class Counter : public Metric
 
     void inc(std::uint64_t n = 1)
     {
-        if (enabled())
-            value_.fetch_add(n, std::memory_order_relaxed);
+        value_.fetch_add(n, std::memory_order_relaxed);
     }
     std::uint64_t value() const
     {
@@ -112,11 +101,7 @@ class Gauge : public Metric
   public:
     using Metric::Metric;
 
-    void set(double v)
-    {
-        if (enabled())
-            value_.store(v, std::memory_order_relaxed);
-    }
+    void set(double v) { value_.store(v, std::memory_order_relaxed); }
     double value() const
     {
         return value_.load(std::memory_order_relaxed);
@@ -151,8 +136,7 @@ class Histogram : public Metric
     /** Bucket 0 holds zero and negative observations. */
     static constexpr int kNumBuckets = 2 * kExpRange * kSubBuckets + 1;
 
-    Histogram(std::string name, std::string help,
-              const std::atomic<bool> *enabled);
+    Histogram(std::string name, std::string help);
 
     void observe(double v);
 
@@ -207,12 +191,6 @@ class Registry
     /** The global registry (what the CLI exports). */
     static Registry &global();
 
-    explicit Registry(bool enabled = true) : enabled_(enabled) {}
-
-    /** When disabled, every inc/set/observe is a no-op branch. */
-    void setEnabled(bool enabled) { enabled_.store(enabled); }
-    bool enabled() const { return enabled_.load(); }
-
     Counter &counter(const std::string &name,
                      const std::string &help = "");
     Gauge &gauge(const std::string &name, const std::string &help = "");
@@ -239,38 +217,30 @@ class Registry
     template <typename T>
     T &getOrCreate(const std::string &name, const std::string &help);
 
-    std::atomic<bool> enabled_;
     mutable std::mutex mu_;
     std::vector<std::unique_ptr<Metric>> metrics_;
 };
 
-/**
- * RAII wall-clock timer feeding a histogram in seconds.  Costs two
- * steady_clock reads when the registry is enabled, one branch when
- * not.
- */
+/** RAII wall-clock timer feeding a histogram in seconds (two
+ *  steady_clock reads). */
 class ScopedTimer
 {
   public:
-    ScopedTimer(Registry &registry, Histogram &h)
-        : hist_(registry.enabled() ? &h : nullptr)
+    explicit ScopedTimer(Histogram &h)
+        : hist_(h), t0_(std::chrono::steady_clock::now())
     {
-        if (hist_)
-            t0_ = std::chrono::steady_clock::now();
     }
     ~ScopedTimer()
     {
-        if (hist_) {
-            hist_->observe(std::chrono::duration<double>(
-                               std::chrono::steady_clock::now() - t0_)
-                               .count());
-        }
+        hist_.observe(std::chrono::duration<double>(
+                          std::chrono::steady_clock::now() - t0_)
+                          .count());
     }
     ScopedTimer(const ScopedTimer &) = delete;
     ScopedTimer &operator=(const ScopedTimer &) = delete;
 
   private:
-    Histogram *hist_;
+    Histogram &hist_;
     std::chrono::steady_clock::time_point t0_;
 };
 

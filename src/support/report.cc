@@ -272,13 +272,11 @@ benchSection(const ReportInputs &in)
 {
     const bench::Trajectory &traj = *in.bench;
 
-    // Group points by label, first-appearance order, values only.
+    // Group points by label, first-appearance order.
     std::vector<
         std::pair<std::string, std::vector<const bench::Point *>>>
         groups;
     for (const bench::Point &p : traj.points) {
-        if (!p.hasValue)
-            continue;
         bool found = false;
         for (auto &[label, pts] : groups) {
             if (label == p.label) {
@@ -662,12 +660,8 @@ renderHtml(const ReportInputs &inputs)
                        kStyle + "</style>\n</head>\n<body>\n";
     html += "<header><h1>" + esc(inputs.title) + "</h1>";
     html += "<div class=\"meta\">generated by supersym " +
-            esc(buildVersion()) + " (" + esc(buildType()) + ")";
-    if (inputs.bench && inputs.bench->legacyRows > 0)
-        html += " &middot; " +
-                std::to_string(inputs.bench->legacyRows) +
-                " legacy v1 rows normalized";
-    html += "</div></header>\n";
+            esc(buildVersion()) + " (" + esc(buildType()) +
+            ")</div></header>\n";
 
     bool any = false;
     if (inputs.bench) {
@@ -693,8 +687,8 @@ renderHtml(const ReportInputs &inputs)
     }
     if (!any)
         html += "<p class=\"note\">no renderable artifacts were "
-                "provided — pass --bench, --stats, --metrics, or "
-                "--profile.</p>";
+                "provided — pass --bench, --stats-in, --metrics, or "
+                "--profile-in.</p>";
     html += "</body>\n</html>\n";
     return html;
 }

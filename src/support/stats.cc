@@ -46,10 +46,8 @@ Formula::display() const
 }
 
 Distribution::Distribution(std::string name, std::string desc,
-                           const bool *enabled,
                            std::int64_t bucketWidth)
-    : Stat(std::move(name), std::move(desc), enabled),
-      bucket_width_(bucketWidth)
+    : Stat(std::move(name), std::move(desc)), bucket_width_(bucketWidth)
 {
     SS_ASSERT(bucketWidth >= 1, "Distribution bucket width must be >= 1");
 }
@@ -57,7 +55,7 @@ Distribution::Distribution(std::string name, std::string desc,
 void
 Distribution::sample(std::int64_t key, std::uint64_t weight)
 {
-    if (!enabled() || weight == 0)
+    if (weight == 0)
         return;
     // Floor-divide so negative keys bin consistently.
     std::int64_t q = key / bucket_width_;
@@ -131,7 +129,7 @@ Group::group(const std::string &name, const std::string &desc)
     }
     SS_ASSERT(!findStat(name), "stats: '", name,
               "' already registered as a stat, not a group");
-    groups_.emplace_back(new Group(name, desc, enabled_));
+    groups_.emplace_back(new Group(name, desc));
     return *groups_.back();
 }
 
@@ -155,29 +153,27 @@ getOrCreate(std::vector<std::unique_ptr<Stat>> &stats,
 Scalar &
 Group::scalar(const std::string &name, const std::string &desc)
 {
-    return getOrCreate<Scalar>(stats_, name, desc, enabled_);
+    return getOrCreate<Scalar>(stats_, name, desc);
 }
 
 Counter &
 Group::counter(const std::string &name, const std::string &desc)
 {
-    return getOrCreate<Counter>(stats_, name, desc, enabled_);
+    return getOrCreate<Counter>(stats_, name, desc);
 }
 
 Distribution &
 Group::distribution(const std::string &name, const std::string &desc,
                     std::int64_t bucketWidth)
 {
-    return getOrCreate<Distribution>(stats_, name, desc, enabled_,
-                                     bucketWidth);
+    return getOrCreate<Distribution>(stats_, name, desc, bucketWidth);
 }
 
 Formula &
 Group::formula(const std::string &name, const std::string &desc,
                std::function<double()> fn)
 {
-    return getOrCreate<Formula>(stats_, name, desc, enabled_,
-                                std::move(fn));
+    return getOrCreate<Formula>(stats_, name, desc, std::move(fn));
 }
 
 Json
@@ -210,8 +206,7 @@ Group::dump(std::ostream &os, const std::string &prefix) const
 
 // ----------------------------------------------------------- Registry
 
-Registry::Registry(bool enabled)
-    : enabled_(enabled), root_(new Group("", "", &enabled_))
+Registry::Registry() : root_(new Group("", ""))
 {
 }
 

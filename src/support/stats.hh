@@ -13,15 +13,13 @@
  *                 callable (IPC = instructions / cycles).
  *
  * dump() renders an aligned text table; json() produces the
- * machine-readable form consumed by `ssim --stats-json` and the bench
- * trajectory.  A StatsSnapshot is the frozen JSON tree of one run plus
- * dotted-path lookup helpers; RunOutcome carries one.
+ * machine-readable form written by `ssim --stats-json`.  A
+ * StatsSnapshot is the frozen JSON tree of one run plus dotted-path
+ * lookup helpers; RunOutcome carries one.
  *
  * Overhead discipline: hot simulator loops keep their own raw counters
  * and *export* into a Group at snapshot time, so instrumentation costs
- * nothing per event.  For stats updated inline, Registry::setEnabled
- * (false) turns add/inc/sample into a single predictable branch — the
- * zero-overhead-when-disabled contract.
+ * nothing per event.  A run that wants no stats builds no Registry.
  */
 
 #ifndef SUPERSYM_SUPPORT_STATS_HH
@@ -46,9 +44,8 @@ class Registry;
 class Stat
 {
   public:
-    Stat(std::string name, std::string desc, const bool *enabled)
-        : name_(std::move(name)), desc_(std::move(desc)),
-          enabled_(enabled)
+    Stat(std::string name, std::string desc)
+        : name_(std::move(name)), desc_(std::move(desc))
     {
     }
     virtual ~Stat() = default;
@@ -62,29 +59,17 @@ class Stat
     /** One-line value rendering for the text dump. */
     virtual std::string display() const = 0;
 
-  protected:
-    bool enabled() const { return *enabled_; }
-
   private:
     std::string name_;
     std::string desc_;
-    const bool *enabled_;
 };
 
 class Scalar : public Stat
 {
   public:
     using Stat::Stat;
-    void set(double v)
-    {
-        if (enabled())
-            value_ = v;
-    }
-    void add(double v)
-    {
-        if (enabled())
-            value_ += v;
-    }
+    void set(double v) { value_ = v; }
+    void add(double v) { value_ += v; }
     double value() const { return value_; }
     Json json() const override { return Json(value_); }
     std::string display() const override;
@@ -97,11 +82,7 @@ class Counter : public Stat
 {
   public:
     using Stat::Stat;
-    void inc(std::uint64_t n = 1)
-    {
-        if (enabled())
-            value_ += n;
-    }
+    void inc(std::uint64_t n = 1) { value_ += n; }
     std::uint64_t value() const { return value_; }
     Json json() const override { return Json(value_); }
     std::string display() const override;
@@ -118,7 +99,7 @@ class Distribution : public Stat
 {
   public:
     Distribution(std::string name, std::string desc,
-                 const bool *enabled, std::int64_t bucketWidth = 1);
+                 std::int64_t bucketWidth = 1);
 
     void sample(std::int64_t key, std::uint64_t weight = 1);
 
@@ -149,10 +130,9 @@ class Distribution : public Stat
 class Formula : public Stat
 {
   public:
-    Formula(std::string name, std::string desc, const bool *enabled,
+    Formula(std::string name, std::string desc,
             std::function<double()> fn)
-        : Stat(std::move(name), std::move(desc), enabled),
-          fn_(std::move(fn))
+        : Stat(std::move(name), std::move(desc)), fn_(std::move(fn))
     {
     }
     double value() const { return fn_(); }
@@ -194,9 +174,8 @@ class Group
 
   private:
     friend class Registry;
-    Group(std::string name, std::string desc, const bool *enabled)
-        : name_(std::move(name)), desc_(std::move(desc)),
-          enabled_(enabled)
+    Group(std::string name, std::string desc)
+        : name_(std::move(name)), desc_(std::move(desc))
     {
     }
 
@@ -204,7 +183,6 @@ class Group
 
     std::string name_;
     std::string desc_;
-    const bool *enabled_;
     /** Insertion-ordered children. */
     std::vector<std::unique_ptr<Stat>> stats_;
     std::vector<std::unique_ptr<Group>> groups_;
@@ -235,11 +213,7 @@ struct StatsSnapshot
 class Registry
 {
   public:
-    explicit Registry(bool enabled = true);
-
-    /** When disabled, every inline update is a no-op. */
-    void setEnabled(bool enabled) { enabled_ = enabled; }
-    bool enabled() const { return enabled_; }
+    Registry();
 
     Group &root() { return *root_; }
     const Group &root() const { return *root_; }
@@ -257,7 +231,6 @@ class Registry
     void dump(std::ostream &os) const { root_->dump(os); }
 
   private:
-    bool enabled_;
     std::unique_ptr<Group> root_;
 };
 

@@ -1,23 +1,28 @@
 /**
  * @file
  * Bench harness v2 (support/bench.hh): robust summaries (median, MAD,
- * seeded-bootstrap CI), the Mann-Whitney rank test, v1 -> v2 schema
- * normalization and in-place migration, the sample recorder's
- * append path, and the regression sentinel's verdicts on synthetic
- * regressed / improved / flat / too-short trajectories.
+ * seeded-bootstrap CI), the Mann-Whitney rank test, the bench-v2 row
+ * and its strict loader, the crash- and concurrency-hardened append
+ * path, the regression sentinel's verdicts on synthetic regressed /
+ * improved / flat / too-short trajectories, and the `ssim report`
+ * page rendered with no inputs.
  */
 
 #include <gtest/gtest.h>
+
+#include <unistd.h>
 
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "support/bench.hh"
 #include "support/json.hh"
+#include "support/report.hh"
 
 using namespace ilp;
 
@@ -91,188 +96,7 @@ TEST(BenchRankTest, SeparatedSamplesRejectTiedSamplesDoNot)
     EXPECT_FALSE(bench::mannWhitney({}, a).usable);
 }
 
-// -------------------------------------------- schema normalization
-
-Json
-v1Row(const std::string &label, double wall, double instrPerS,
-      double cellsPerS)
-{
-    Json tp = Json::object();
-    tp.set("wall_s", Json(wall));
-    tp.set("iterations", Json(3.0));
-    tp.set("instr_per_s", Json(instrPerS));
-    tp.set("cells_per_s", Json(cellsPerS));
-    Json stats = Json::object();
-    stats.set("throughput", std::move(tp));
-    Json row = Json::object();
-    row.set("artifact", Json(std::string("throughput")));
-    row.set("label", Json(label));
-    row.set("stats", std::move(stats));
-    return row;
-}
-
-TEST(BenchSchemaTest, V1RowsNormalizeWithTheRightUnitAndDirection)
-{
-    bench::Point rate =
-        bench::parsePoint(v1Row("BM_X", 0.5, 1e8, 0.0));
-    EXPECT_EQ(rate.schema, bench::kSchemaV1);
-    EXPECT_TRUE(rate.hasValue);
-    EXPECT_EQ(rate.unit, "instr_per_s");
-    EXPECT_EQ(rate.direction, "higher");
-    EXPECT_EQ(rate.value, 1e8);
-    ASSERT_EQ(rate.samples.size(), 1u);
-
-    bench::Point cells =
-        bench::parsePoint(v1Row("BM_Y", 0.5, 0.0, 32.0));
-    EXPECT_EQ(cells.unit, "cells_per_s");
-    EXPECT_EQ(cells.direction, "higher");
-    EXPECT_EQ(cells.value, 32.0);
-
-    bench::Point wall = bench::parsePoint(v1Row("BM_Z", 0.5, 0.0, 0.0));
-    EXPECT_EQ(wall.unit, "wall_s");
-    EXPECT_EQ(wall.direction, "lower");
-    EXPECT_EQ(wall.value, 0.5);
-}
-
-TEST(BenchSchemaTest, V2PointRoundTripsThroughJson)
-{
-    ::setenv("SSIM_BENCH_TIME_UTC", "2026-01-01T00:00:00Z", 1);
-    Json config = Json::object();
-    config.set("repetitions", Json(3.0));
-    const std::vector<double> samples{10.0, 12.0, 11.0};
-    Json row = bench::makePoint("throughput", "BM_R", "instr_per_s",
-                                "higher", samples, std::move(config));
-    ::unsetenv("SSIM_BENCH_TIME_UTC");
-
-    bench::Point p = bench::parsePoint(row);
-    EXPECT_EQ(p.schema, bench::kSchemaV2);
-    EXPECT_EQ(p.label, "BM_R");
-    EXPECT_EQ(p.unit, "instr_per_s");
-    EXPECT_EQ(p.direction, "higher");
-    EXPECT_TRUE(p.hasValue);
-    EXPECT_EQ(p.value, 11.0); // the sample median
-    EXPECT_EQ(p.samples, samples);
-    ASSERT_TRUE(p.meta.isObject());
-    EXPECT_EQ(p.meta.find("timestamp_utc")->asString(),
-              "2026-01-01T00:00:00Z");
-    ASSERT_TRUE(p.summary.isObject());
-    EXPECT_EQ(p.summary.find("median")->asNumber(), 11.0);
-
-    // Serialize and reparse: nothing drifts.
-    bench::Point q = bench::parsePoint(bench::pointToJson(p));
-    EXPECT_EQ(q.value, p.value);
-    EXPECT_EQ(q.samples, p.samples);
-    EXPECT_EQ(q.unit, p.unit);
-    EXPECT_EQ(q.meta.dump(), p.meta.dump());
-}
-
-// ------------------------------------------------ file round trips
-
-std::string
-tempPath(const char *name)
-{
-    return std::string("bench_test_") + name + ".json";
-}
-
-void
-writeFile(const std::string &path, const std::string &text)
-{
-    std::ofstream out(path, std::ios::trunc);
-    out << text;
-}
-
-std::string
-readFileText(const std::string &path)
-{
-    std::ifstream in(path);
-    std::ostringstream ss;
-    ss << in.rdbuf();
-    return ss.str();
-}
-
-TEST(BenchTrajectoryTest, AppendLoadAndCorruptFileRecovery)
-{
-    const std::string path = tempPath("append");
-    std::remove(path.c_str());
-    std::remove((path + ".bak").c_str());
-    std::remove((path + ".lock").c_str());
-
-    std::string error;
-    ASSERT_TRUE(bench::appendPoint(path, v1Row("BM_A", 0.5, 1e8, 0.0),
-                                   &error))
-        << error;
-    ASSERT_TRUE(bench::appendPoint(path, v1Row("BM_A", 0.4, 2e8, 0.0),
-                                   &error))
-        << error;
-
-    bench::Trajectory traj;
-    ASSERT_TRUE(bench::loadTrajectory(path, &traj, &error)) << error;
-    ASSERT_EQ(traj.points.size(), 2u);
-    EXPECT_EQ(traj.legacyRows, 2u);
-    EXPECT_EQ(traj.points[1].value, 2e8);
-
-    // A torn trajectory is preserved as .bak and the append restarts
-    // the array instead of failing the bench.
-    writeFile(path, "[{\"artifact\": \"thr");
-    ASSERT_TRUE(bench::appendPoint(path, v1Row("BM_B", 0.1, 3e8, 0.0),
-                                   &error))
-        << error;
-    ASSERT_TRUE(bench::loadTrajectory(path, &traj, &error)) << error;
-    ASSERT_EQ(traj.points.size(), 1u);
-    EXPECT_EQ(traj.points[0].label, "BM_B");
-    EXPECT_FALSE(readFileText(path + ".bak").empty());
-
-    std::remove(path.c_str());
-    std::remove((path + ".bak").c_str());
-    std::remove((path + ".lock").c_str());
-}
-
-TEST(BenchTrajectoryTest, MigrationIsInPlaceIdempotentAndLossless)
-{
-    ::setenv("SSIM_BENCH_TIME_UTC", "2026-01-01T00:00:00Z", 1);
-    const std::string path = tempPath("migrate");
-    std::remove(path.c_str());
-
-    // A mixed trajectory: two v1 rows, one native v2 row.
-    Json doc = Json::array();
-    doc.push(v1Row("BM_A", 0.5, 1e8, 0.0));
-    doc.push(v1Row("BM_A", 0.4, 0.0, 0.0));
-    doc.push(bench::makePoint("throughput", "BM_B", "instr_per_s",
-                              "higher", {9.0, 10.0, 11.0}, Json()));
-    writeFile(path, doc.dump(2) + "\n");
-
-    std::string error;
-    std::size_t migrated = 0;
-    ASSERT_TRUE(bench::migrateTrajectory(path, &error, &migrated))
-        << error;
-    EXPECT_EQ(migrated, 2u);
-
-    bench::Trajectory traj;
-    ASSERT_TRUE(bench::loadTrajectory(path, &traj, &error)) << error;
-    EXPECT_EQ(traj.legacyRows, 0u);
-    ASSERT_EQ(traj.points.size(), 3u);
-    // Headline values survive; migrated rows carry null provenance.
-    EXPECT_EQ(traj.points[0].value, 1e8);
-    EXPECT_EQ(traj.points[0].unit, "instr_per_s");
-    EXPECT_EQ(traj.points[1].unit, "wall_s");
-    EXPECT_TRUE(traj.points[0].meta.find("version")->isNull());
-    // The native v2 row keeps its real provenance.
-    EXPECT_EQ(traj.points[2].meta.find("timestamp_utc")->asString(),
-              "2026-01-01T00:00:00Z");
-
-    // Idempotent: a second migration rewrites the same bytes.
-    const std::string once = readFileText(path);
-    ASSERT_TRUE(bench::migrateTrajectory(path, &error, &migrated))
-        << error;
-    EXPECT_EQ(migrated, 0u);
-    EXPECT_EQ(readFileText(path), once);
-
-    ::unsetenv("SSIM_BENCH_TIME_UTC");
-    std::remove(path.c_str());
-    std::remove((path + ".lock").c_str());
-}
-
-// ----------------------------------------------------------- sentinel
+// ---------------------------------------------------- bench-v2 rows
 
 /** A v2 datapoint around `center` with a fixed +/- jitter pattern. */
 Json
@@ -286,12 +110,200 @@ v2Point(const std::string &label, double center,
                             direction, samples, Json());
 }
 
+TEST(BenchSchemaTest, V2PointRoundTripsThroughJson)
+{
+    ::setenv("SSIM_BENCH_TIME_UTC", "2026-01-01T00:00:00Z", 1);
+    Json config = Json::object();
+    config.set("repetitions", Json(3.0));
+    const std::vector<double> samples{10.0, 12.0, 11.0};
+    Json row = bench::makePoint("throughput", "BM_R", "instr_per_s",
+                                "higher", samples, std::move(config));
+    ::unsetenv("SSIM_BENCH_TIME_UTC");
+
+    bench::Point p;
+    std::string error;
+    ASSERT_TRUE(bench::parsePoint(Json::parse(row.dump()), &p, &error))
+        << error;
+    EXPECT_EQ(p.label, "BM_R");
+    EXPECT_EQ(p.unit, "instr_per_s");
+    EXPECT_EQ(p.direction, "higher");
+    EXPECT_EQ(p.value, 11.0); // the sample median
+    EXPECT_EQ(p.samples, samples);
+    ASSERT_TRUE(p.meta.isObject());
+    EXPECT_EQ(p.meta.find("timestamp_utc")->asString(),
+              "2026-01-01T00:00:00Z");
+    ASSERT_TRUE(p.summary.isObject());
+    EXPECT_EQ(p.summary.find("median")->asNumber(), 11.0);
+}
+
+// ------------------------------------------------ file round trips
+
+class BenchTrajectoryTest : public ::testing::Test
+{
+  protected:
+    void
+    SetUp() override
+    {
+        path_ = ::testing::TempDir() + "bench_trajectory_" +
+                std::to_string(::getpid()) + ".json";
+        removeFiles();
+    }
+
+    void TearDown() override { removeFiles(); }
+
+    void
+    removeFiles() const
+    {
+        for (const char *suffix : {"", ".bak", ".lock", ".tmp"})
+            std::remove((path_ + suffix).c_str());
+    }
+
+    void
+    writeFile(const std::string &path, const std::string &text) const
+    {
+        std::ofstream out(path, std::ios::trunc);
+        out << text;
+    }
+
+    std::string
+    readFile(const std::string &path) const
+    {
+        std::ifstream in(path);
+        std::ostringstream ss;
+        ss << in.rdbuf();
+        return ss.str();
+    }
+
+    void
+    append(const std::string &label, double center = 100.0) const
+    {
+        std::string error;
+        ASSERT_TRUE(
+            bench::appendPoint(path_, v2Point(label, center), &error))
+            << error;
+    }
+
+    std::string path_;
+};
+
+TEST_F(BenchTrajectoryTest, AppendsAccumulateAndLoadInOrder)
+{
+    append("BM_A", 100.0);
+    append("BM_B", 200.0);
+
+    bench::Trajectory traj;
+    std::string error;
+    ASSERT_TRUE(bench::loadTrajectory(path_, &traj, &error)) << error;
+    ASSERT_EQ(traj.points.size(), 2u);
+    EXPECT_EQ(traj.points[0].label, "BM_A");
+    EXPECT_EQ(traj.points[1].label, "BM_B");
+    EXPECT_EQ(traj.points[1].value, 200.0);
+    EXPECT_EQ(traj.points[1].samples.size(), 5u);
+}
+
+TEST_F(BenchTrajectoryTest, CorruptFileIsPreservedAsBakAndRestarted)
+{
+    // A torn trajectory (a killed run) is preserved as .bak and the
+    // append restarts the array instead of failing the bench.
+    writeFile(path_, "[{\"artifact\": \"T\", trunca");
+    append("fresh");
+
+    bench::Trajectory traj;
+    std::string error;
+    ASSERT_TRUE(bench::loadTrajectory(path_, &traj, &error)) << error;
+    ASSERT_EQ(traj.points.size(), 1u);
+    EXPECT_EQ(traj.points[0].label, "fresh");
+    EXPECT_EQ(readFile(path_ + ".bak"),
+              "[{\"artifact\": \"T\", trunca");
+}
+
+TEST_F(BenchTrajectoryTest, NonArrayFileIsRestarted)
+{
+    writeFile(path_, "{\"not\": \"an array\"}");
+    append("x");
+    Json doc = Json::parse(readFile(path_));
+    ASSERT_TRUE(doc.isArray());
+    EXPECT_EQ(doc.size(), 1u);
+}
+
+TEST_F(BenchTrajectoryTest, ConcurrentAppendsLoseNothing)
+{
+    constexpr int kThreads = 8;
+    constexpr int kAppends = 5;
+    std::vector<std::thread> pool;
+    for (int t = 0; t < kThreads; ++t) {
+        pool.emplace_back([&, t]() {
+            for (int a = 0; a < kAppends; ++a)
+                append(std::to_string(t) + "." + std::to_string(a));
+        });
+    }
+    for (auto &th : pool)
+        th.join();
+
+    Json doc = Json::parse(readFile(path_));
+    ASSERT_TRUE(doc.isArray());
+    EXPECT_EQ(doc.size(),
+              static_cast<std::size_t>(kThreads * kAppends));
+}
+
+TEST_F(BenchTrajectoryTest, LoaderRejectsRowsThatAreNotBenchV2Samples)
+{
+    // A legacy v1 row: {artifact, label, stats} with no schema.
+    Json throughput = Json::object();
+    throughput.set("instr_per_s", Json(1e8));
+    Json stats = Json::object();
+    stats.set("throughput", throughput);
+    Json v1 = Json::object();
+    v1.set("artifact", Json("throughput"));
+    v1.set("label", Json("BM_A"));
+    v1.set("stats", stats);
+
+    // A stats-only snapshot: bench-v2 schema, no value or samples.
+    Json snapshot = Json::object();
+    snapshot.set("schema", Json(bench::kSchemaV2));
+    snapshot.set("artifact", Json("Figure 4-5"));
+    snapshot.set("label", Json("whet@ss4"));
+    snapshot.set("stats", stats);
+
+    // A v2 row with its samples array missing.
+    const Json good = v2Point("BM_OK", 1.0);
+    Json unsampled = Json::object();
+    for (const auto &[key, value] : good.asObject())
+        if (key != "samples")
+            unsampled.set(key, value);
+
+    const std::vector<std::pair<std::vector<Json>, std::string>> cases{
+        {{good, v1}, "row 1"},
+        {{good, good, snapshot}, "row 2"},
+        {{unsampled, good}, "row 0"},
+    };
+    for (const auto &[rows, index] : cases) {
+        Json doc = Json::array();
+        for (const Json &row : rows)
+            doc.push(row);
+        writeFile(path_, doc.dump(2));
+        bench::Trajectory traj;
+        std::string error;
+        EXPECT_FALSE(bench::loadTrajectory(path_, &traj, &error))
+            << index;
+        EXPECT_NE(error.find(path_ + ": " + index + ":"),
+                  std::string::npos)
+            << error;
+    }
+}
+
+// ----------------------------------------------------------- sentinel
+
 bench::Trajectory
 trajectoryOf(const std::vector<Json> &rows)
 {
     bench::Trajectory traj;
-    for (const Json &row : rows)
-        traj.points.push_back(bench::parsePoint(row));
+    for (const Json &row : rows) {
+        bench::Point p;
+        std::string error;
+        EXPECT_TRUE(bench::parsePoint(row, &p, &error)) << error;
+        traj.points.push_back(std::move(p));
+    }
     return traj;
 }
 
@@ -359,21 +371,6 @@ TEST(BenchSentinelTest, ShortHistoryIsInsufficientNotARegression)
     EXPECT_FALSE(bench::anyRegression(rows));
 }
 
-TEST(BenchSentinelTest, StatsOnlySnapshotsAreSkipped)
-{
-    // The figure binaries' trajectory entries carry a stats tree but
-    // no perf scalar; the sentinel must ignore them entirely.
-    Json stats = Json::object();
-    stats.set("issue", Json::object());
-    bench::Trajectory traj = trajectoryOf(
-        {bench::makeStatsPoint("figure_4_5", "whet", stats),
-         v2Point("BM_R", 100.0)});
-    const std::vector<bench::LabelVerdict> rows =
-        bench::sentinelCheck(traj, bench::SentinelConfig{});
-    ASSERT_EQ(rows.size(), 1u);
-    EXPECT_EQ(rows[0].label, "BM_R");
-}
-
 TEST(BenchSentinelTest, VerdictTableRendersByteStably)
 {
     bench::Trajectory traj = trajectoryOf(
@@ -439,6 +436,19 @@ TEST(BenchCompareTest, OverheadBudgetJudgesPooledMedians)
 
     const std::string rendered = bench::renderCompare(r, 15.0);
     EXPECT_EQ(rendered, bench::renderCompare(r, 15.0));
+}
+
+// ------------------------------------------------------------ report
+
+TEST(ReportTest, EmptyReportHintNamesTheReportFlags)
+{
+    // With no inputs the page says which flags to pass; they must be
+    // the flags `ssim report` actually accepts.
+    const std::string html = report::renderHtml(report::ReportInputs{});
+    EXPECT_NE(html.find("no renderable artifacts"), std::string::npos);
+    for (const char *flag :
+         {"--bench,", "--stats-in,", "--metrics,", "--profile-in."})
+        EXPECT_NE(html.find(flag), std::string::npos) << flag;
 }
 
 } // namespace

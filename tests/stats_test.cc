@@ -33,22 +33,6 @@ TEST(StatsTest, RequestingDifferentKindPanics)
     setLoggingThrows(false);
 }
 
-TEST(StatsTest, DisabledRegistryIgnoresUpdates)
-{
-    stats::Registry reg(false);
-    stats::Group &g = reg.group("g");
-    g.counter("c").inc(10);
-    g.scalar("s").set(3.5);
-    g.distribution("d").sample(7);
-    EXPECT_EQ(g.counter("c").value(), 0u);
-    EXPECT_DOUBLE_EQ(g.scalar("s").value(), 0.0);
-    EXPECT_EQ(g.distribution("d").count(), 0u);
-
-    reg.setEnabled(true);
-    g.counter("c").inc(10);
-    EXPECT_EQ(g.counter("c").value(), 10u);
-}
-
 TEST(StatsTest, FormulaEvaluatesLazily)
 {
     stats::Registry reg;

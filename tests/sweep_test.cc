@@ -1,29 +1,25 @@
 /**
  * Tests for the parallel sweep engine (core/study/sweep.hh) and the
  * run/stats plumbing it hardened: SweepRunner determinism and error
- * propagation, CompileCache keying and hit accounting, parallel==
- * serial bit-identity for sweeps/tables/stats, the RunOutcome::ipc
- * zero-cycle guard, non-finite JSON handling, Json::tryParse, and the
- * crash-/concurrency-hardened bench stats trajectory.
+ * propagation, keep-going sweeps, CompileCache keying and hit
+ * accounting, parallel==serial bit-identity for sweeps/tables/stats,
+ * the RunOutcome::ipc zero-cycle guard, non-finite JSON handling, and
+ * Json::tryParse.
  */
 
 #include <atomic>
 #include <cmath>
-#include <cstdio>
 #include <cstdlib>
-#include <fstream>
 #include <limits>
-#include <sstream>
 #include <stdexcept>
-#include <thread>
 
 #include <gtest/gtest.h>
 
-#include "bench/common.hh"
 #include "core/machine/models.hh"
 #include "core/study/experiment.hh"
 #include "core/study/sweep.hh"
 #include "sim/trap.hh"
+#include "support/table.hh"
 #include "tests/helpers.hh"
 
 namespace ilp {
@@ -160,28 +156,32 @@ TEST(CompileCacheTest, HitReturnsTheMissTelemetry)
     }
 }
 
-// ------------------------------------------- keep-going (mapChecked)
+// ------------------------------------------------------- keep-going
 
-TEST(SweepRunnerTest, MapCheckedCompletesEveryCellPastFailures)
+/** What `ssim ilp|suite --keep-going` runs without --cell-timeout
+ *  or --cell-retries: failing cells are quarantined in place. */
+constexpr CellPolicy kKeepGoing{.keepGoing = true};
+
+TEST(SweepRunnerTest, KeepGoingCompletesEveryCellPastFailures)
 {
     // One throwing cell must not cost any other cell, at any job
     // count, and the recorded error must be identical everywhere.
+    auto cell = [](std::size_t i) -> long {
+        if (i == 13) {
+            throw DiagException(Diag{Severity::Error,
+                                     ErrCode::SemaUndefined,
+                                     "undefined variable 'zz'", {}});
+        }
+        if (i == 40) {
+            throw TrapException(Trap{ErrCode::TrapDivideByZero, "main",
+                                     "integer division by zero"});
+        }
+        return static_cast<long>(i * 2);
+    };
     for (int jobs : {1, 2, 8}) {
         SweepRunner runner(jobs);
         std::vector<CellOutcome<long>> out =
-            runner.mapChecked<long>(64, [](std::size_t i) -> long {
-                if (i == 13) {
-                    throw DiagException(
-                        Diag{Severity::Error, ErrCode::SemaUndefined,
-                             "undefined variable 'zz'", {}});
-                }
-                if (i == 40) {
-                    throw TrapException(
-                        Trap{ErrCode::TrapDivideByZero, "main",
-                             "integer division by zero"});
-                }
-                return static_cast<long>(i * 2);
-            });
+            runner.mapHardened<long>(64, kKeepGoing, cell).cells;
         ASSERT_EQ(out.size(), 64u) << "jobs " << jobs;
         for (std::size_t i = 0; i < out.size(); ++i) {
             if (i == 13) {
@@ -203,16 +203,16 @@ TEST(SweepRunnerTest, MapCheckedCompletesEveryCellPastFailures)
     }
 }
 
-TEST(SweepRunnerTest, MapCheckedErrorReportingIsDeterministic)
+TEST(SweepRunnerTest, KeepGoingErrorReportingIsDeterministic)
 {
-    auto sweep = [](int jobs) {
-        SweepRunner runner(jobs);
-        return runner.mapChecked<int>(32, [](std::size_t i) -> int {
-            if (i % 5 == 0)
-                throw std::runtime_error("cell " +
-                                         std::to_string(i));
-            return static_cast<int>(i);
-        });
+    auto cell = [](std::size_t i) -> int {
+        if (i % 5 == 0)
+            throw std::runtime_error("cell " + std::to_string(i));
+        return static_cast<int>(i);
+    };
+    auto sweep = [&](int jobs) {
+        return SweepRunner(jobs).mapHardened<int>(32, kKeepGoing, cell)
+            .cells;
     };
     std::vector<CellOutcome<int>> serial = sweep(1);
     for (int jobs : {2, 8}) {
@@ -228,13 +228,16 @@ TEST(SweepRunnerTest, MapCheckedErrorReportingIsDeterministic)
     }
 }
 
-TEST(SweepRunnerTest, MapCheckedTranslatesUnknownExceptions)
+TEST(SweepRunnerTest, KeepGoingTranslatesUnknownExceptions)
 {
     SweepRunner runner(1);
     std::vector<CellOutcome<int>> out =
-        runner.mapChecked<int>(1, [](std::size_t) -> int {
-            throw std::logic_error("surprise");
-        });
+        runner
+            .mapHardened<int>(1, kKeepGoing,
+                              [](std::size_t) -> int {
+                                  throw std::logic_error("surprise");
+                              })
+            .cells;
     ASSERT_FALSE(out[0].ok());
     EXPECT_EQ(out[0].error.code, ErrCode::Internal);
     EXPECT_EQ(out[0].error.message, "surprise");
@@ -250,14 +253,15 @@ TEST(KeepGoingStudyTest, FailingWorkloadIsolatedFromTheSweep)
                  false, 1};
     auto sweep = [&](int jobs) {
         Study study(jobs);
-        return study.runner().mapChecked<double>(
-            4, [&](std::size_t i) {
-                if (i == 2)
-                    return study.speedup(bad, idealSuperscalar(2));
-                return study.speedup(workloadByName("yacc"),
-                                     idealSuperscalar(
-                                         static_cast<int>(i) + 1));
-            });
+        auto cell = [&](std::size_t i) {
+            if (i == 2)
+                return study.speedup(bad, idealSuperscalar(2));
+            return study.speedup(workloadByName("yacc"),
+                                 idealSuperscalar(
+                                     static_cast<int>(i) + 1));
+        };
+        return study.runner().mapHardened<double>(4, kKeepGoing, cell)
+            .cells;
     };
     std::vector<CellOutcome<double>> serial = sweep(1);
     ASSERT_EQ(serial.size(), 4u);
@@ -469,113 +473,6 @@ TEST(JsonTryParseTest, ReportsErrorsWithoutFatal)
     EXPECT_TRUE(Json::tryParse("[1, 2, 3]", out, &error));
     ASSERT_TRUE(out.isArray());
     EXPECT_EQ(out.size(), 3u);
-}
-
-// --------------------------------------------- bench stats trajectory
-
-class TrajectoryTest : public ::testing::Test
-{
-  protected:
-    void
-    SetUp() override
-    {
-        path_ = ::testing::TempDir() + "sweep_trajectory_" +
-                std::to_string(::getpid()) + ".json";
-        std::remove(path_.c_str());
-        std::remove((path_ + ".bak").c_str());
-        ::setenv("SSIM_BENCH_STATS", path_.c_str(), 1);
-    }
-
-    void
-    TearDown() override
-    {
-        ::unsetenv("SSIM_BENCH_STATS");
-        std::remove(path_.c_str());
-        std::remove((path_ + ".bak").c_str());
-        std::remove((path_ + ".lock").c_str());
-    }
-
-    std::string
-    readFile(const std::string &p) const
-    {
-        std::ifstream in(p);
-        std::ostringstream ss;
-        ss << in.rdbuf();
-        return ss.str();
-    }
-
-    stats::StatsSnapshot
-    sampleSnapshot(double v) const
-    {
-        stats::Registry reg;
-        reg.group("run").scalar("value").set(v);
-        return reg.snapshot();
-    }
-
-    std::string path_;
-};
-
-TEST_F(TrajectoryTest, AppendsAccumulateAsAJsonArray)
-{
-    bench::appendStatsTrajectory("T", "one", sampleSnapshot(1));
-    bench::appendStatsTrajectory("T", "two", sampleSnapshot(2));
-    Json doc = Json::parse(readFile(path_));
-    ASSERT_TRUE(doc.isArray());
-    ASSERT_EQ(doc.size(), 2u);
-    EXPECT_EQ(doc.asArray()[0].find("label")->asString(), "one");
-    EXPECT_EQ(doc.asArray()[1].find("label")->asString(), "two");
-}
-
-TEST_F(TrajectoryTest, CorruptFilePreservedAsBakAndRestarted)
-{
-    {
-        std::ofstream out(path_);
-        out << "[{\"artifact\": \"T\", trunca";
-    }
-    bench::appendStatsTrajectory("T", "fresh", sampleSnapshot(3));
-
-    // The fresh trajectory is valid and holds only the new entry...
-    Json doc = Json::parse(readFile(path_));
-    ASSERT_TRUE(doc.isArray());
-    ASSERT_EQ(doc.size(), 1u);
-    EXPECT_EQ(doc.asArray()[0].find("label")->asString(), "fresh");
-    // ...and the corrupt bytes survive under .bak.
-    EXPECT_EQ(readFile(path_ + ".bak"),
-              "[{\"artifact\": \"T\", trunca");
-}
-
-TEST_F(TrajectoryTest, NonArrayDocumentIsAlsoRestarted)
-{
-    {
-        std::ofstream out(path_);
-        out << "{\"not\": \"an array\"}";
-    }
-    bench::appendStatsTrajectory("T", "x", sampleSnapshot(1));
-    Json doc = Json::parse(readFile(path_));
-    ASSERT_TRUE(doc.isArray());
-    EXPECT_EQ(doc.size(), 1u);
-}
-
-TEST_F(TrajectoryTest, ConcurrentAppendsLoseNothing)
-{
-    constexpr int kThreads = 8;
-    constexpr int kAppends = 5;
-    std::vector<std::thread> pool;
-    for (int t = 0; t < kThreads; ++t) {
-        pool.emplace_back([&, t]() {
-            for (int a = 0; a < kAppends; ++a)
-                bench::appendStatsTrajectory(
-                    "T", std::to_string(t) + "." + std::to_string(a),
-                    sampleSnapshot(t));
-        });
-    }
-    for (auto &th : pool)
-        th.join();
-
-    Json doc = Json::parse(readFile(path_));
-    ASSERT_TRUE(doc.isArray());
-    EXPECT_EQ(doc.size(),
-              static_cast<std::size_t>(kThreads * kAppends));
 }
 
 } // namespace
