@@ -199,13 +199,18 @@ BM_ProfiledLiveRun(benchmark::State &state)
     RunTelemetryOptions t;
     t.collectProfile = true;
     std::uint64_t instrs = 0;
+    const auto t0 = BenchClock::now();
     for (auto _ : state) {
         RunOutcome out = runOnMachine(m, mc, t);
         instrs += out.instructions;
         benchmark::DoNotOptimize(out.pcCounters.data());
     }
+    const double wall = secondsSince(t0);
     state.counters["instr/s"] = benchmark::Counter(
         static_cast<double>(instrs), benchmark::Counter::kIsRate);
+    recordRateSample(
+        "BM_ProfiledLiveRun", "instr_per_s",
+        wall > 0.0 ? static_cast<double>(instrs) / wall : 0.0, state);
 }
 BENCHMARK(BM_ProfiledLiveRun)->Unit(benchmark::kMillisecond);
 

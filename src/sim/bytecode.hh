@@ -70,9 +70,9 @@ namespace ilp {
 /**
  * Dispatch opcodes.  Binary ALU/FP ops come in _RR (second operand
  * is a register) and _RI (second operand is the pre-converted
- * immediate) forms; the VM handler binds the ilp::Opcode as a
- * compile-time constant, so sem::evalBinary folds to the single
- * operation.
+ * immediate) forms; the VM handler passes the ilp::Opcode as a
+ * compile-time constant into the force-inlined sem::evalBinary, so
+ * each handler computes just its one operation.
  */
 enum class BcOp : std::uint8_t
 {
@@ -110,17 +110,14 @@ enum class BcOp : std::uint8_t
 /**
  * One bytecode instruction: 40 bytes, fixed width, trivially
  * copyable.  Fields are overloaded per BcOp as documented on the
- * enum; srcOp/cls/pc/flags/dst feed DynInstr emission so the traced
- * stream is bit-identical to the interpreter's.
+ * enum; srcOp/pc/dst/a/b feed record emission so the traced stream
+ * is bit-identical to the interpreter's (a register operand is
+ * traced as a source exactly when it is present, not kNone16).
  */
 struct BcInstr
 {
     /** 16-bit register encoding of kNoReg. */
     static constexpr std::uint16_t kNone16 = 0xffff;
-    /** flags: IR src1 present (trace it). */
-    static constexpr std::uint8_t kSrcA = 0x01;
-    /** flags: IR src2 present (trace it). */
-    static constexpr std::uint8_t kSrcB = 0x02;
 
     /** ALU immediate (pre-converted value bits for Li), memory
      *  displacement, or the offending BlockId for BadJump. */
@@ -142,8 +139,6 @@ struct BcInstr
     std::uint8_t srcOp = 0;
     /** Pre-computed InstrClass of srcOp. */
     std::uint8_t cls = 0;
-    /** kSrcA | kSrcB. */
-    std::uint8_t flags = 0;
 };
 
 static_assert(sizeof(BcInstr) == 40,
@@ -209,12 +204,13 @@ std::optional<BcImage> lowerModule(const Module &module);
  * Interpreter; run() resets all execution state, so a VM is reusable
  * across runs including after a trap.
  *
- * The fused entry point (runTimed) is the hot-path variant: it binds
- * the issue engine into the dispatch loop, devirtualizing and
- * inlining the per-instruction emit.  run() with
- * a TraceSink* keeps the generic virtual-dispatch contract, and a
- * null sink selects an untraced specialization with zero per-
- * instruction trace work.
+ * The fused entry point (runTimed) is the hot-path variant: every
+ * dispatch handler hands its instruction to IssueEngine::issue(), a
+ * narrower record than DynInstr, which is force-inlined (see
+ * support/inline.hh), so the loop makes no call per instruction.
+ * run() with a TraceSink* keeps the generic virtual-dispatch
+ * contract, and a null sink selects an untraced specialization with
+ * zero per-instruction trace work.
  */
 class BytecodeVM
 {
@@ -225,7 +221,8 @@ class BytecodeVM
     RunResult run(const std::string &entry = "main",
                   TraceSink *sink = nullptr);
 
-    /** Fused: stream straight into the issue engine (live timing). */
+    /** Fused: time the run in `engine` as it executes; the same
+     *  results as run(entry, &engine). */
     RunResult runTimed(const std::string &entry, IssueEngine &engine);
 
     const Memory &memory() const { return mem_; }

@@ -77,7 +77,8 @@ class Executor
     /**
      * Fused hot path: identical artifacts to run(entry, &engine), but
      * a backend may bind the engine into its dispatch loop (the
-     * bytecode VM devirtualizes per-record emission).
+     * bytecode VM inlines the engine's issue step into every
+     * handler).
      */
     virtual RunResult runTimed(const std::string &entry,
                                IssueEngine &engine) = 0;

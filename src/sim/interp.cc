@@ -3,10 +3,31 @@
 #include "sim/cancel.hh"
 #include "sim/semantics.hh"
 #include "support/faultinject.hh"
+#include "support/inline.hh"
 #include "support/logging.hh"
 #include "support/trace.hh"
 
 namespace ilp {
+
+namespace {
+
+// The shared ALU semantics, called out of line.  They are force-
+// inlined for the bytecode VM's handlers; inlined here they would
+// grow execFrame's stack frame (by ~20% in a sanitizer build), and
+// execFrame recurses once per MT call, up to sem::kMaxCallDepth deep.
+SS_NOINLINE std::uint64_t
+evalBinaryOp(Opcode op, std::uint64_t a, std::uint64_t b)
+{
+    return sem::evalBinary(op, a, b);
+}
+
+SS_NOINLINE std::uint64_t
+evalUnaryOp(Opcode op, std::uint64_t a)
+{
+    return sem::evalUnary(op, a);
+}
+
+} // namespace
 
 Interpreter::Interpreter(const Module &module, InterpOptions options)
     : module_(module), opts_(options), mem_(module, options.stackBytes)
@@ -264,9 +285,9 @@ Interpreter::execFrame(const Function &func,
             // semantics (sim/semantics.hh), the same code the
             // bytecode VM runs.
             if (isBinaryAlu(in.op))
-                value = sem::evalBinary(in.op, get(in.src1), rhs());
+                value = evalBinaryOp(in.op, get(in.src1), rhs());
             else if (isUnaryAlu(in.op))
-                value = sem::evalUnary(in.op, get(in.src1));
+                value = evalUnaryOp(in.op, get(in.src1));
             else
                 SS_PANIC("unhandled opcode in interpreter: ",
                          opcodeName(in.op));

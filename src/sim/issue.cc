@@ -31,15 +31,81 @@ IssueEngine::IssueEngine(const MachineConfig &config)
     : config_(config)
 {
     config_.validate();
-    unit_free_.resize(config_.units.size());
-    for (std::size_t u = 0; u < config_.units.size(); ++u)
-        unit_free_[u].assign(
-            static_cast<std::size_t>(config_.units[u].multiplicity), 0);
-    counts_.assign(static_cast<std::size_t>(config_.issueWidth) + 1, 0);
-    for (std::size_t c = 0; c < kNumInstrClasses; ++c)
-        unit_for_[c] = config_.unitFor(static_cast<InstrClass>(c));
+    width_ = static_cast<std::uint64_t>(config_.issueWidth);
+
+    // Each unit's copies get a contiguous range of unit_free_.
+    std::vector<std::uint16_t> unit_begin;
+    for (const FuncUnit &u : config_.units) {
+        unit_begin.push_back(static_cast<std::uint16_t>(unit_free_.size()));
+        unit_free_.resize(unit_free_.size() +
+                              static_cast<std::size_t>(u.multiplicity),
+                          0);
+    }
+    SS_ASSERT(unit_free_.size() <= 0xffff, "too many unit copies in ",
+              config_.name);
+
+    for (std::size_t op = 0; op < kNumOpcodes; ++op) {
+        const Opcode opcode = static_cast<Opcode>(op);
+        const InstrClass cls = opcodeClass(opcode);
+        IssueRow &row = rows_[op];
+        row.cls = cls;
+        row.latency = static_cast<std::uint32_t>(config_.latencyMinor(cls));
+        row.store = isStore(opcode);
+        row.fence = !config_.issueAcrossBranches &&
+                    (cls == InstrClass::Branch || cls == InstrClass::Jump);
+        const int unit = config_.unitFor(cls);
+        if (unit >= 0) {
+            const FuncUnit &u = config_.units[static_cast<std::size_t>(unit)];
+            row.unitBegin = unit_begin[static_cast<std::size_t>(unit)];
+            row.unitEnd = static_cast<std::uint16_t>(
+                row.unitBegin + u.multiplicity);
+            row.unitIssueLatency =
+                static_cast<std::uint32_t>(u.issueLatency);
+        }
+    }
+    counts_.assign(width_ + 1, 0);
     SS_DEBUG("issue", "engine for ", config_.name, ": width ",
              config_.issueWidth, ", degree ", config_.pipelineDegree);
+}
+
+void
+IssueEngine::growRegReady(Reg r)
+{
+    reg_ready_.resize(static_cast<std::size_t>(r) + 1, 0);
+}
+
+void
+IssueEngine::growStoreReady(std::size_t word)
+{
+    store_ready_.resize(word + 1, 0);
+}
+
+void
+IssueEngine::observe(Opcode op, Pc pc, StallCause cause,
+                     std::uint64_t lost)
+{
+    if (timeline_enabled_) {
+        if (timeline_.size() < timeline_limit_) {
+            const IssueRow &row = rows_[static_cast<std::size_t>(op)];
+            IssueEvent ev;
+            ev.cycle = cur_cycle_;
+            ev.slot = static_cast<std::uint16_t>(cur_count_ - 1);
+            ev.latencyMinor = row.latency;
+            ev.cls = row.cls;
+            timeline_.push_back(ev);
+        } else {
+            ++timeline_dropped_;
+        }
+    }
+    if (profile_enabled_) {
+        // Last slot = records with no pc (unattributed).
+        const std::size_t p = pc < profile_.size() - 1
+                                  ? static_cast<std::size_t>(pc)
+                                  : profile_.size() - 1;
+        profile_[p].stallSlots[static_cast<std::size_t>(cause)] += lost;
+        ++profile_[p].issued;
+        last_profile_slot_ = p;
+    }
 }
 
 std::uint64_t
@@ -48,14 +114,26 @@ IssueEngine::minorCycles() const
     return last_complete_;
 }
 
+std::uint64_t
+IssueEngine::instructions() const
+{
+    std::uint64_t n = 0;
+    for (std::uint64_t c : class_issued_)
+        n += c;
+    return n;
+}
+
 std::vector<std::uint64_t>
 IssueEngine::issueCounts() const
 {
     std::vector<std::uint64_t> out = counts_;
-    out[0] += empty_cycles_;
-    if (cur_count_ > 0 &&
-        static_cast<std::size_t>(cur_count_) < out.size())
-        ++out[static_cast<std::size_t>(cur_count_)];
+    // Cycles 0 .. cur_cycle_ - 1 all closed; the ones that issued
+    // nothing are whatever the non-empty closed cycles leave.
+    out[0] = cur_cycle_;
+    for (std::size_t k = 1; k < out.size(); ++k)
+        out[0] -= out[k];
+    if (cur_count_ > 0)
+        ++out[cur_count_];
     return out;
 }
 
@@ -70,21 +148,19 @@ double
 IssueEngine::instrPerBaseCycle() const
 {
     SS_ASSERT(last_complete_ > 0, "no instructions simulated");
-    return static_cast<double>(instructions_) / baseCycles();
+    return static_cast<double>(instructions()) / baseCycles();
 }
 
 std::uint64_t
 IssueEngine::issuePeriodMinorCycles() const
 {
-    return instructions_ > 0 ? cur_cycle_ + 1 : 0;
+    return cur_count_ > 0 ? cur_cycle_ + 1 : 0;
 }
 
 std::uint64_t
 IssueEngine::lostIssueSlots() const
 {
-    return issuePeriodMinorCycles() *
-               static_cast<std::uint64_t>(config_.issueWidth) -
-           instructions_;
+    return issuePeriodMinorCycles() * width_ - instructions();
 }
 
 StallBreakdown
@@ -93,10 +169,8 @@ IssueEngine::stallBreakdown() const
     StallBreakdown bd = stalls_;
     // The final, still-open cycle: slots past the last issue had no
     // instruction left to claim them.
-    if (instructions_ > 0 && cur_count_ < config_.issueWidth)
-        bd[StallCause::FrontendDrain] +=
-            static_cast<std::uint64_t>(config_.issueWidth -
-                                       cur_count_);
+    if (cur_count_ > 0)
+        bd[StallCause::FrontendDrain] += width_ - cur_count_;
     return bd;
 }
 
@@ -110,6 +184,7 @@ void
 IssueEngine::enableProfile(std::size_t pcCount)
 {
     profile_enabled_ = true;
+    observing_ = true;
     profile_.assign(pcCount + 1, PcCounters{});
     last_profile_slot_ = pcCount; // unattributed until the 1st issue
 }
@@ -124,11 +199,9 @@ IssueEngine::profileCounters() const
     // slots drained with no instruction left to claim them; charge
     // them to the last instruction that did issue so per-pc records
     // sum exactly to the aggregate breakdown.
-    if (instructions_ > 0 && cur_count_ < config_.issueWidth)
+    if (cur_count_ > 0)
         out[last_profile_slot_].stallSlots[static_cast<std::size_t>(
-            StallCause::FrontendDrain)] +=
-            static_cast<std::uint64_t>(config_.issueWidth -
-                                       cur_count_);
+            StallCause::FrontendDrain)] += width_ - cur_count_;
     return out;
 }
 
@@ -136,6 +209,7 @@ void
 IssueEngine::recordTimeline(std::size_t limit)
 {
     timeline_enabled_ = limit > 0;
+    observing_ = profile_enabled_ || timeline_enabled_;
     timeline_limit_ = limit;
     timeline_.reserve(std::min<std::size_t>(limit, 1 << 16));
 }
@@ -144,11 +218,8 @@ void
 IssueEngine::exportStats(stats::Group &g) const
 {
     const std::uint64_t period = issuePeriodMinorCycles();
-    const std::uint64_t width =
-        static_cast<std::uint64_t>(config_.issueWidth);
-
     g.counter("instructions", "dynamic instructions issued")
-        .inc(instructions_);
+        .inc(instructions());
     g.counter("minor_cycles", "elapsed minor cycles to last completion")
         .inc(minorCycles());
     g.scalar("base_cycles", "elapsed base cycles (minor / m)")
@@ -160,7 +231,7 @@ IssueEngine::exportStats(stats::Group &g) const
         .inc(period);
     g.counter("issue_slots_total",
               "issue slots offered during the issue period")
-        .inc(period * width);
+        .inc(period * width_);
     g.counter("lost_issue_slots", "slots that issued nothing")
         .inc(lostIssueSlots());
     g.counter("completion_tail_minor_cycles",

@@ -25,6 +25,10 @@
  * WAW is resolved by overwrite (last writer wins; no interlock) — see
  * DESIGN.md.  Elapsed time in base cycles is minor cycles / m, making
  * superscalar and superpipelined machines directly comparable.
+ *
+ * RefIssueStepper (sim/issue_ref.hh) restates this rule naively, one
+ * minor cycle at a time; tests/issue_ref_test.cc holds the engine to
+ * it exactly.
  */
 
 #ifndef SUPERSYM_SIM_ISSUE_HH
@@ -37,6 +41,7 @@
 
 #include "core/machine/machine.hh"
 #include "sim/trace.hh"
+#include "support/inline.hh"
 #include "support/statistics.hh"
 #include "support/stats.hh"
 
@@ -127,14 +132,23 @@ class IssueEngine final : public TraceSink
   public:
     explicit IssueEngine(const MachineConfig &config);
 
-    /** Defined inline below: the per-record hot path.  Callers that
-     *  hold a concrete IssueEngine (the fused executor paths)
-     *  inline the whole thing; virtual dispatch remains for
-     *  TraceSink* callers. */
+    /** The per-record hot path, defined below; TraceSink* callers
+     *  reach the out-of-line copy through the vtable. */
     void emit(const DynInstr &di) override;
 
+    /**
+     * emit() from the bytecode VM's narrower fused record: at most
+     * two register sources, `a` and `b`, each kNoReg when absent, and
+     * the byte address of a load or store (-1 otherwise).  Exactly
+     * the effect of emit() on the equivalent DynInstr.  Force-inlined
+     * (support/inline.hh): the fused loop must not pay a call per
+     * instruction.
+     */
+    void issue(Opcode op, Reg dst, Reg a, Reg b, std::int64_t addr,
+               Pc pc);
+
     /** Dynamic instructions issued so far. */
-    std::uint64_t instructions() const { return instructions_; }
+    std::uint64_t instructions() const;
 
     /** Elapsed minor cycles until the last instruction completes. */
     std::uint64_t minorCycles() const;
@@ -224,16 +238,54 @@ class IssueEngine final : public TraceSink
     const MachineConfig &config() const { return config_; }
 
   private:
+    /**
+     * What issuing needs to know about one opcode on this machine,
+     * resolved once at construction so the hot path does no class,
+     * unit or latency lookups.
+     */
+    struct IssueRow
+    {
+        /** Operation latency in minor cycles. */
+        std::uint32_t latency = 1;
+        /** Minor cycles between two issues to one unit copy. */
+        std::uint32_t unitIssueLatency = 0;
+        /** The copies of the unit serving the class, as the range
+         *  [unitBegin, unitEnd) of unit_free_; empty when units are
+         *  fully duplicated. */
+        std::uint16_t unitBegin = 0;
+        std::uint16_t unitEnd = 0;
+        InstrClass cls = InstrClass::IntAdd;
+        /** Stores update the memory ready table. */
+        bool store = false;
+        /** A branch or jump on a machine that does not issue across
+         *  branches: later instructions wait for the next cycle. */
+        bool fence = false;
+    };
+
     std::uint64_t regReady(Reg r) const;
-    void setRegReady(Reg r, std::uint64_t t);
+
+    /** The shared body of emit() and issue(), given the latest
+     *  ready time of the register sources. */
+    void issueAfter(std::uint64_t t_regs, Opcode op, Reg dst,
+                    std::int64_t addr, Pc pc);
+
+    // Out-of-line slow paths of issueAfter(): table growth, and the
+    // issue timeline and per-pc profiling (both off in sweeps).
+    void growRegReady(Reg r);
+    void growStoreReady(std::size_t word);
+    /** Record the issue just made (at cur_cycle_, in slot
+     *  cur_count_ - 1) in the timeline and the per-pc profile. */
+    void observe(Opcode op, Pc pc, StallCause cause, std::uint64_t lost);
 
     MachineConfig config_;
+    /** config_.issueWidth, widened once. */
+    std::uint64_t width_ = 1;
+    std::array<IssueRow, kNumOpcodes> rows_{};
 
-    std::uint64_t instructions_ = 0;
     /** Minor cycle currently being filled. */
     std::uint64_t cur_cycle_ = 0;
     /** Instructions already issued in cur_cycle_. */
-    int cur_count_ = 0;
+    std::uint64_t cur_count_ = 0;
     /** Completion time of the latest-finishing instruction. */
     std::uint64_t last_complete_ = 0;
     /** Earliest cycle the next instruction may use (branch fences). */
@@ -246,21 +298,22 @@ class IssueEngine final : public TraceSink
      *  per-instruction hot path; absent entries mean "ready at 0",
      *  exactly like the map this replaces. */
     std::vector<std::uint64_t> store_ready_;
-    /** Next-free minor cycle per functional-unit copy, per unit. */
-    std::vector<std::vector<std::uint64_t>> unit_free_;
-    /** unitFor(cls), precomputed per class at construction. */
-    std::array<int, kNumInstrClasses> unit_for_{};
+    /** Next-free minor cycle of every functional-unit copy, unit by
+     *  unit in config_.units order. */
+    std::vector<std::uint64_t> unit_free_;
 
-    /** counts_[k] = closed cycles that issued exactly k instrs. */
+    /** counts_[k] = closed cycles that issued exactly k instrs, for
+     *  k >= 1; counts_[0] goes unread, because issueCounts() derives
+     *  the cycles that issued nothing from cur_cycle_. */
     std::vector<std::uint64_t> counts_;
-    /** Fully-empty cycles skipped during stalls. */
-    std::uint64_t empty_cycles_ = 0;
 
     /** Lost-slot attribution (FrontendDrain added at snapshot time). */
     StallBreakdown stalls_;
     /** Dynamic instructions per class. */
     ClassCounts class_issued_{};
 
+    /** profile_enabled_ || timeline_enabled_: observe() each issue. */
+    bool observing_ = false;
     /** Per-pc counters (empty unless enableProfile()). */
     bool profile_enabled_ = false;
     std::vector<PcCounters> profile_;
@@ -274,55 +327,64 @@ class IssueEngine final : public TraceSink
     std::vector<IssueEvent> timeline_;
 };
 
-inline std::uint64_t
+SS_ALWAYS_INLINE std::uint64_t
 IssueEngine::regReady(Reg r) const
 {
+    // kNoReg (an absent source) is out of range and reads as ready.
     return r < reg_ready_.size() ? reg_ready_[r] : 0;
 }
 
-inline void
-IssueEngine::setRegReady(Reg r, std::uint64_t t)
-{
-    if (r >= reg_ready_.size())
-        reg_ready_.resize(static_cast<std::size_t>(r) + 1, 0);
-    reg_ready_[r] = t;
-}
-
-inline void
+SS_ALWAYS_INLINE void
 IssueEngine::emit(const DynInstr &di)
 {
-    const InstrClass cls = di.cls();
-    const std::uint64_t width =
-        static_cast<std::uint64_t>(config_.issueWidth);
+    std::uint64_t t_regs = 0;
+    for (std::uint8_t i = 0; i < di.numSrcs; ++i)
+        t_regs = std::max(t_regs, regReady(di.srcs[i]));
+    issueAfter(t_regs, di.op, di.dst, di.addr, di.pc);
+}
+
+SS_ALWAYS_INLINE void
+IssueEngine::issue(Opcode op, Reg dst, Reg a, Reg b, std::int64_t addr,
+                   Pc pc)
+{
+    issueAfter(std::max(regReady(a), regReady(b)), op, dst, addr, pc);
+}
+
+SS_ALWAYS_INLINE void
+IssueEngine::issueAfter(std::uint64_t t_regs, Opcode op, Reg dst,
+                        std::int64_t addr, Pc pc)
+{
+    const IssueRow &row = rows_[static_cast<std::size_t>(op)];
+    const std::size_t word = static_cast<std::size_t>(addr / kWordBytes);
+    const bool stores = row.store && addr >= 0;
+
+    // Make room in the ready tables first, so the rest of the path
+    // makes no calls (kNoReg + 1 wraps to 0 and never grows).
+    if (static_cast<Reg>(dst + 1) > reg_ready_.size()) [[unlikely]]
+        growRegReady(dst);
+    if (stores && word >= store_ready_.size()) [[unlikely]]
+        growStoreReady(word);
 
     // Component earliest-issue times, kept separate so a stall can be
-    // charged to the binding constraint.
-    std::uint64_t t_data = 0;
+    // charged to the binding constraint.  Data: register RAW, then
+    // memory RAW / WAW through the actual word address.
+    std::uint64_t t_data = t_regs;
+    if (addr >= 0 && word < store_ready_.size())
+        t_data = std::max(t_data, store_ready_[word]);
 
-    // Register RAW.
-    for (std::uint8_t i = 0; i < di.numSrcs; ++i)
-        t_data = std::max(t_data, regReady(di.srcs[i]));
-
-    // Memory RAW / WAW through the actual word address.
-    if (di.addr >= 0) {
-        const std::size_t word =
-            static_cast<std::size_t>(di.addr / kWordBytes);
-        if (word < store_ready_.size())
-            t_data = std::max(t_data, store_ready_[word]);
-    }
-
-    // Functional-unit availability (class conflicts).
-    int unit = unit_for_[static_cast<std::size_t>(cls)];
-    std::size_t copy = 0;
+    // Functional-unit availability (class conflicts): the
+    // earliest-free copy of the unit serving the class.
+    std::uint64_t *copy = nullptr;
     std::uint64_t t_unit = 0;
-    if (unit >= 0) {
-        auto &copies = unit_free_[static_cast<std::size_t>(unit)];
-        copy = 0;
-        for (std::size_t i = 1; i < copies.size(); ++i) {
-            if (copies[i] < copies[copy])
-                copy = i;
+    if (row.unitBegin != row.unitEnd) {
+        std::uint64_t *const first = unit_free_.data() + row.unitBegin;
+        std::uint64_t *const last = unit_free_.data() + row.unitEnd;
+        copy = first;
+        for (std::uint64_t *c = first + 1; c != last; ++c) {
+            if (*c < *copy)
+                copy = c;
         }
-        t_unit = copies[copy];
+        t_unit = *copy;
     }
 
     // Earliest issue: in order, after the branch fence, operands
@@ -330,101 +392,49 @@ IssueEngine::emit(const DynInstr &di)
     std::uint64_t t = std::max(
         std::max(cur_cycle_, fence_), std::max(t_data, t_unit));
 
-    // Profile bucket for this record (last slot = unattributed).
-    std::size_t pslot = 0;
-    if (profile_enabled_)
-        pslot = di.pc < profile_.size() - 1
-                    ? static_cast<std::size_t>(di.pc)
-                    : profile_.size() - 1;
-
     // Issue-slot availability: if we moved past the cycle being
     // filled, the new cycle starts empty; otherwise check the width.
+    StallCause cause = StallCause::BranchFence;
+    std::uint64_t lost = 0;
     if (t > cur_cycle_) {
         // The cycle being filled closes short, plus (t-cur-1) fully
         // empty cycles: charge every lost slot to the binding
         // constraint (latency beats unit beats fence on ties — the
         // paper's headline cause wins ambiguous slots).
-        StallCause cause = StallCause::BranchFence;
         if (t_data >= t)
             cause = StallCause::RawLatency;
         else if (t_unit >= t)
             cause = StallCause::UnitConflict;
-        const std::uint64_t lost =
-            (width - static_cast<std::uint64_t>(cur_count_)) +
-            (t - cur_cycle_ - 1) * width;
+        lost = (t - cur_cycle_) * width_ - cur_count_;
         stalls_[cause] += lost;
-        if (profile_enabled_)
-            profile_[pslot]
-                .stallSlots[static_cast<std::size_t>(cause)] += lost;
-        ++counts_[static_cast<std::size_t>(cur_count_)];
-        empty_cycles_ += t - cur_cycle_ - 1;
+        ++counts_[cur_count_];
         cur_cycle_ = t;
         cur_count_ = 0;
-    } else if (cur_count_ >= config_.issueWidth) {
-        ++counts_[static_cast<std::size_t>(cur_count_)];
+    } else if (cur_count_ == width_) {
+        // A full cycle: issue first thing in the next one.  No slot
+        // is lost, because every constraint (the unit copy's free
+        // cycle included) already cleared by t == cur_cycle_.
+        ++counts_[cur_count_];
         t = ++cur_cycle_;
         cur_count_ = 0;
-        // Re-check unit availability at the new cycle: the chosen
-        // copy is still the earliest-free one, so only max() again.
-        if (unit >= 0)
-            t = std::max(
-                t, unit_free_[static_cast<std::size_t>(unit)][copy]);
-        if (t > cur_cycle_) {
-            const std::uint64_t lost = (t - cur_cycle_) * width;
-            stalls_[StallCause::UnitConflict] += lost;
-            if (profile_enabled_)
-                profile_[pslot].stallSlots[static_cast<std::size_t>(
-                    StallCause::UnitConflict)] += lost;
-            empty_cycles_ += t - cur_cycle_;
-            cur_cycle_ = t;
-        }
     }
 
     // --- Issue at minor cycle t. ---
-    if (timeline_enabled_) {
-        if (timeline_.size() < timeline_limit_) {
-            IssueEvent ev;
-            ev.cycle = t;
-            ev.slot = static_cast<std::uint16_t>(cur_count_);
-            ev.latencyMinor = static_cast<std::uint32_t>(
-                config_.latencyMinor(cls));
-            ev.cls = cls;
-            timeline_.push_back(ev);
-        } else {
-            ++timeline_dropped_;
-        }
-    }
-    ++class_issued_[static_cast<std::size_t>(cls)];
     ++cur_count_;
-    ++instructions_;
-    if (profile_enabled_) {
-        ++profile_[pslot].issued;
-        last_profile_slot_ = pslot;
-    }
+    ++class_issued_[static_cast<std::size_t>(row.cls)];
 
-    const std::uint64_t lat =
-        static_cast<std::uint64_t>(config_.latencyMinor(cls));
-    const std::uint64_t done = t + lat;
+    const std::uint64_t done = t + row.latency;
     last_complete_ = std::max(last_complete_, done);
-
-    if (di.dst != kNoReg)
-        setRegReady(di.dst, done);
-    if (di.addr >= 0 && isStore(di.op)) {
-        const std::size_t word =
-            static_cast<std::size_t>(di.addr / kWordBytes);
-        if (word >= store_ready_.size())
-            store_ready_.resize(word + 1, 0);
+    if (dst != kNoReg)
+        reg_ready_[dst] = done;
+    if (stores)
         store_ready_[word] = done;
-    }
-    if (unit >= 0) {
-        unit_free_[static_cast<std::size_t>(unit)][copy] =
-            t + static_cast<std::uint64_t>(
-                    config_.units[static_cast<std::size_t>(unit)]
-                        .issueLatency);
-    }
-    if (!config_.issueAcrossBranches &&
-        (cls == InstrClass::Branch || cls == InstrClass::Jump))
+    if (copy != nullptr)
+        *copy = t + row.unitIssueLatency;
+    if (row.fence)
         fence_ = t + 1;
+    if (observing_) [[unlikely]]
+        observe(op, pc, cause, lost);
 }
 
 /**

@@ -31,6 +31,7 @@
 #include "sim/cancel.hh"
 #include "sim/trap.hh"
 #include "support/faultinject.hh"
+#include "support/inline.hh"
 
 namespace ilp::sem {
 
@@ -162,12 +163,12 @@ pollPoint(std::uint64_t executed)
 
 // ------------------------------------------- ALU / FP op evaluation
 //
-// One inline function per computational opcode family.  `a` is the
-// first source's bits, `b` the second source's bits (or the sign-
+// One force-inlined function per computational opcode family.  `a` is
+// the first source's bits, `b` the second source's bits (or the sign-
 // extended immediate, already converted by the caller).  Memory,
 // control and call opcodes are structural and stay in the backends.
 
-inline std::uint64_t
+SS_ALWAYS_INLINE std::uint64_t
 evalBinary(Opcode op, std::uint64_t a, std::uint64_t b)
 {
     switch (op) {
@@ -216,7 +217,7 @@ evalBinary(Opcode op, std::uint64_t a, std::uint64_t b)
     SS_PANIC("evalBinary: not a binary opcode: ", opcodeName(op));
 }
 
-inline std::uint64_t
+SS_ALWAYS_INLINE std::uint64_t
 evalUnary(Opcode op, std::uint64_t a)
 {
     switch (op) {

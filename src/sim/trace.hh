@@ -17,29 +17,31 @@
 
 #include "core/metrics/metrics.hh"
 #include "isa/isa.hh"
+#include "support/inline.hh"
 #include "support/logging.hh"
 
 namespace ilp {
 
-/** One executed instruction. */
+/** One executed instruction.  Fields are ordered to pack into 40
+ *  bytes: a buffered trace streams one record per instruction. */
 struct DynInstr
 {
     Opcode op = Opcode::Jmp;
+    std::uint8_t numSrcs = 0;
     /** Destination register; kNoReg if none. */
     Reg dst = kNoReg;
     /** Source registers actually read (up to 4 recorded). */
     std::array<Reg, 4> srcs{kNoReg, kNoReg, kNoReg, kNoReg};
-    std::uint8_t numSrcs = 0;
-    /** Byte address for loads/stores; -1 otherwise. */
-    std::int64_t addr = -1;
     /** Static instruction id (Module::assignPcs order); kNoPc when
      *  the executed module never went through pc assignment.
      *  Synthetic call-convention moves carry the Call site's pc. */
     Pc pc = kNoPc;
+    /** Byte address for loads/stores; -1 otherwise. */
+    std::int64_t addr = -1;
 
     InstrClass cls() const { return opcodeClass(op); }
 
-    void
+    SS_ALWAYS_INLINE void
     addSrc(Reg r)
     {
         if (r == kNoReg)
@@ -58,6 +60,9 @@ struct DynInstr
     }
     bool operator!=(const DynInstr &o) const { return !(*this == o); }
 };
+
+static_assert(sizeof(DynInstr) == 40,
+              "DynInstr is the buffered-trace footprint; keep it packed");
 
 /** Receives the dynamic instruction stream. */
 class TraceSink

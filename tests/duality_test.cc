@@ -6,9 +6,12 @@
  *  superpipelined machine of degree m — so BOTH settle at exactly
  *  min(k, degree) instructions per base cycle.  That is the paper's
  *  "roughly equivalent ways of exploiting instruction-level
- *  parallelism" in closed form. */
+ *  parallelism" in closed form.  The unit-conflict throughput bound
+ *  of §2.3.2 machines gets the same closed-form treatment below. */
 
 #include <gtest/gtest.h>
+
+#include <string>
 
 #include "core/machine/models.hh"
 #include "sim/issue.hh"
@@ -103,6 +106,95 @@ INSTANTIATE_TEST_SUITE_P(
         return "deg" + std::to_string(std::get<0>(info.param)) + "_k" +
                std::to_string(std::get<1>(info.param));
     });
+
+/**
+ * The unit-conflict bound in closed form (PALMED, PAPERS.md:
+ * throughput is capped by each resource's use over its capacity).  A
+ * stream of independent instructions of one class issues, in the
+ * steady state, min(issueWidth, multiplicity / issueLatency) per
+ * minor cycle: whichever saturates first, the issue slots or the
+ * copies of the unit serving the class.
+ */
+struct UnitBoundCase
+{
+    std::string name;
+    MachineConfig machine;
+    Opcode op;
+};
+
+class UnitBoundTest : public ::testing::TestWithParam<UnitBoundCase>
+{
+};
+
+TEST_P(UnitBoundTest, IndependentStreamIssuesAtTheUnitBound)
+{
+    const UnitBoundCase &c = GetParam();
+    const MachineConfig &m = c.machine;
+    const int unit = m.unitFor(opcodeClass(c.op));
+    ASSERT_GE(unit, 0) << c.name;
+    const FuncUnit &u = m.units[static_cast<std::size_t>(unit)];
+    const double expect =
+        std::min(static_cast<double>(m.issueWidth),
+                 static_cast<double>(u.multiplicity) / u.issueLatency);
+
+    // No sources and a fresh word per memory access: nothing but the
+    // issue slots and the unit limits the rate.
+    constexpr int kInstrs = 4000;
+    IssueEngine engine(m);
+    for (int i = 0; i < kInstrs; ++i) {
+        DynInstr d;
+        d.op = c.op;
+        if (!isStore(c.op))
+            d.dst = 1;
+        if (isMem(c.op))
+            d.addr = kWordBytes * i;
+        engine.emit(d);
+    }
+    const double rate =
+        kInstrs / static_cast<double>(engine.issuePeriodMinorCycles());
+    EXPECT_NEAR(rate, expect, 0.01 * expect) << c.name;
+}
+
+MachineConfig
+slowAluCopies()
+{
+    // Two ALU copies that each accept an instruction every third
+    // cycle: a fractional bound, 2/3 per cycle.
+    MachineConfig m = superscalarWithClassConflicts(4, 2, 1);
+    m.units[0].issueLatency = 3;
+    return m;
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    ClassConflicts, UnitBoundTest,
+    ::testing::Values(
+        UnitBoundCase{"half_issue_add", underpipelinedHalfIssue(),
+                      Opcode::AddI},
+        UnitBoundCase{"slow_clock_add", underpipelinedSlowClock(),
+                      Opcode::AddI},
+        UnitBoundCase{"slow_clock_load", underpipelinedSlowClock(),
+                      Opcode::LoadW},
+        UnitBoundCase{"conflicts4_add",
+                      superscalarWithClassConflicts(4), Opcode::AddI},
+        UnitBoundCase{"conflicts4_load",
+                      superscalarWithClassConflicts(4), Opcode::LoadW},
+        UnitBoundCase{"conflicts4_fmul",
+                      superscalarWithClassConflicts(4), Opcode::MulF},
+        UnitBoundCase{"conflicts4_alu2_add",
+                      superscalarWithClassConflicts(4, 2, 1),
+                      Opcode::AddI},
+        UnitBoundCase{"conflicts4_alu3_mem2_shift",
+                      superscalarWithClassConflicts(4, 3, 2),
+                      Opcode::ShlI},
+        UnitBoundCase{"conflicts4_alu3_mem2_store",
+                      superscalarWithClassConflicts(4, 3, 2),
+                      Opcode::StoreW},
+        UnitBoundCase{"conflicts2_alu3_width_bound",
+                      superscalarWithClassConflicts(2, 3, 1),
+                      Opcode::AndI},
+        UnitBoundCase{"conflicts4_alu2_lat3_move", slowAluCopies(),
+                      Opcode::MovI}),
+    [](const auto &info) { return info.param.name; });
 
 TEST(DualityEdgeTest, PureChainIsDegreeProof)
 {
