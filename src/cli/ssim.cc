@@ -26,7 +26,7 @@
  *   ssim report [options]          self-contained HTML dashboard from
  *                                  the observability artifacts
  *                                  (bench trajectory, stats-json,
- *                                  metrics-json, profile-json)
+ *                                  trace-events, profile-json)
  *
  * Options:
  *   --machine NAME   base | ssN | spM | ssNxM | multititan | cray1 |
@@ -81,11 +81,6 @@
  *                      thread; `run` adds the simulated issue timeline
  *                      of its measured run as a second process
  *   --trace-limit N    run: cap recorded issue events (default 100000)
- *   --metrics-json FILE  ilp/suite: write the runtime metrics
- *                      snapshot (counters, gauges, duration
- *                      histograms with p50/p90/p99) as JSON
- *   --metrics-prom FILE  ilp/suite: the same snapshot in Prometheus
- *                      text exposition format
  *   --progress         ilp/suite: live sweep progress on stderr
  *                      (cells/s, ETA, cache hit rates, utilization)
  *
@@ -110,7 +105,8 @@
  * Dashboard (report):
  *   --bench FILE       bench trajectory (BENCH_*.json)
  *   --stats-in FILE    a --stats-json document (run or suite)
- *   --metrics FILE     a --metrics-json snapshot
+ *   --trace-in FILE    a --trace-events document (host time by
+ *                      span name)
  *   --profile-in FILE  a --profile-json document (schema profile-v1)
  *   --out FILE         output path              (default report.html)
  *   --title TEXT       page title
@@ -144,12 +140,10 @@
 #include "sim/exec.hh"
 #include "sim/trap.hh"
 #include "support/bench.hh"
-#include "support/buildinfo.hh"
 #include "support/diag.hh"
 #include "support/faultinject.hh"
 #include "support/json.hh"
 #include "support/logging.hh"
-#include "support/metrics.hh"
 #include "support/report.hh"
 #include "support/table.hh"
 #include "support/trace.hh"
@@ -173,7 +167,7 @@ usage()
         "                              --compare A B --budget PCT\n"
         "                              --soft]\n"
         "       ssim report [--bench FILE --stats-in FILE\n"
-        "                    --metrics FILE --profile-in FILE\n"
+        "                    --trace-in FILE --profile-in FILE\n"
         "                    --out FILE --title TEXT --profile-top N]\n"
         "options: --machine NAME --level 0..4 --unroll N --careful\n"
         "         --alias conservative|arrays|symbols|careful|heroic\n"
@@ -183,8 +177,7 @@ usage()
         "         --cell-timeout SECONDS --cell-retries N\n"
         "         --journal FILE --resume FILE\n"
         "         --stats --stats-json FILE --trace-events FILE\n"
-        "         --trace-limit N\n"
-        "         --metrics-json FILE --metrics-prom FILE --progress\n"
+        "         --trace-limit N --progress\n"
         "         --profile --profile-json FILE --profile-top N\n"
         "         --diff MACHINE_A MACHINE_B\n"
         "exit status: 0 ok, 1 compile/sim error, 2 usage error\n");
@@ -352,9 +345,6 @@ struct Cli
     std::string statsJsonPath;
     std::string traceEventsPath;
     std::size_t traceLimit = 100000;
-    /** Runtime metrics export for ilp/suite sweeps. */
-    std::string metricsJsonPath;
-    std::string metricsPromPath;
     /** Live sweep progress on stderr. */
     bool progress = false;
     /** Sweep workers for ilp/suite; 0 = SSIM_JOBS, then all cores. */
@@ -409,7 +399,7 @@ struct Cli
     /** `ssim report` inputs and output. */
     std::string reportBenchPath;
     std::string reportStatsPath;
-    std::string reportMetricsPath;
+    std::string reportTracePath;
     std::string reportProfilePath;
     std::string reportOutPath = "report.html";
     std::string reportTitle = "supersym perf report";
@@ -535,10 +525,6 @@ parseArgs(int argc, char **argv)
             cli.statsJsonPath = next();
         else if (arg == "--trace-events")
             cli.traceEventsPath = next();
-        else if (arg == "--metrics-json")
-            cli.metricsJsonPath = next();
-        else if (arg == "--metrics-prom")
-            cli.metricsPromPath = next();
         else if (arg == "--progress")
             cli.progress = true;
         else if (arg == "--trace-limit")
@@ -571,8 +557,8 @@ parseArgs(int argc, char **argv)
             cli.reportBenchPath = next();
         else if (arg == "--stats-in")
             cli.reportStatsPath = next();
-        else if (arg == "--metrics")
-            cli.reportMetricsPath = next();
+        else if (arg == "--trace-in")
+            cli.reportTracePath = next();
         else if (arg == "--profile-in")
             cli.reportProfilePath = next();
         else if (arg == "--out")
@@ -764,24 +750,19 @@ cmdProfile(const Cli &cli)
 
 /**
  * Sweep-level observability shared by `ilp` and `suite`: a flight-
- * recorder session behind --trace-events, a live ProgressReporter
- * behind --progress, the --metrics-json / --metrics-prom exports, and
- * the metrics-vs-stats reconciliation check.  Construct before the
- * sweep; call finish() after the barrier (all workers joined).  An
- * aborted sweep (non-keep-going failure) skips finish() and writes
- * nothing, matching the other output files.
+ * recorder session behind --trace-events and a live ProgressReporter
+ * behind --progress.  Construct before the sweep; call finish() after
+ * the barrier (all workers joined).  An aborted sweep (non-keep-going
+ * failure) skips finish() and writes nothing, matching the other
+ * output files.
  */
 class SweepObservability
 {
   public:
     SweepObservability(const Cli &cli, const Study &study,
                        std::size_t totalCells)
-        : cli_(cli), study_(study), expected_(totalCells)
+        : cli_(cli)
     {
-        // Metrics accumulate per process; zeroing them here makes the
-        // exported snapshot (and the reconciliation check) cover
-        // exactly this sweep.
-        metrics::Registry::global().reset();
         if (!cli_.traceEventsPath.empty())
             trace::Recorder::instance().start();
         if (cli_.progress) {
@@ -793,10 +774,8 @@ class SweepObservability
         }
     }
 
-    /** Also reconciles the survivability counters against
-     *  mapHardened's totals. */
     void
-    finish(const HardeningTotals &totals)
+    finish()
     {
         if (progress_) {
             progress_->finish();
@@ -808,38 +787,10 @@ class SweepObservability
                 buildSweepTraceEvents(trace::Recorder::instance().stop(),
                                       cli_.machine));
         }
-        if (!cli_.metricsJsonPath.empty()) {
-            Json doc = Json::object();
-            doc.set("meta", documentMeta(cli_.machine));
-            doc.set("metrics", metrics::Registry::global().json());
-            writeJsonFile(cli_.metricsJsonPath, doc);
-        }
-        if (!cli_.metricsPromPath.empty()) {
-            // Exposition preamble: provenance as labels, so a scraped
-            // snapshot can be matched to the toolchain and machine
-            // configuration that produced it.
-            std::string prom;
-            prom += "# HELP ssim_build_info build provenance carried "
-                    "as labels\n";
-            prom += "# TYPE ssim_build_info gauge\n";
-            prom += std::string("ssim_build_info{version=\"") +
-                    buildVersion() + "\",build=\"" + buildType() +
-                    "\",machine=\"" + cli_.machine.name + "\"} 1\n";
-            prom += metrics::Registry::global().prometheus();
-            writeTextFile(cli_.metricsPromPath, prom);
-        }
-        const std::string mismatch =
-            checkMetricsReconciliation(study_, expected_, totals);
-        if (!mismatch.empty())
-            SS_WARN("metrics do not reconcile with the stats "
-                    "registry: ",
-                    mismatch);
     }
 
   private:
     const Cli &cli_;
-    const Study &study_;
-    std::uint64_t expected_;
     std::unique_ptr<ProgressReporter> progress_;
 };
 
@@ -1016,7 +967,7 @@ cmdIlp(const Cli &cli)
     }
     for (std::size_t j = 0; j < todo.size(); ++j)
         cells[todo[j]] = hs.cells[j];
-    obs.finish(hs.totals);
+    obs.finish();
     sj.writer.close();
 
     Table t("Available parallelism (ideal superscalar sweep):");
@@ -1249,7 +1200,7 @@ cmdSuite(const Cli &cli)
     }
     for (std::size_t j = 0; j < todo.size(); ++j)
         cells[todo[j]] = std::move(hs.cells[j]);
-    obs.finish(hs.totals);
+    obs.finish();
     sj.writer.close();
 
     int status = 0;
@@ -1398,15 +1349,15 @@ cmdReport(const Cli &cli)
         }
     };
     Json stats;
-    Json metricsDoc;
+    Json traceDoc;
     Json profileDoc;
     if (!cli.reportStatsPath.empty()) {
         loadDoc(cli.reportStatsPath, stats);
         inputs.stats = &stats;
     }
-    if (!cli.reportMetricsPath.empty()) {
-        loadDoc(cli.reportMetricsPath, metricsDoc);
-        inputs.metrics = &metricsDoc;
+    if (!cli.reportTracePath.empty()) {
+        loadDoc(cli.reportTracePath, traceDoc);
+        inputs.trace = &traceDoc;
     }
     if (!cli.reportProfilePath.empty()) {
         loadDoc(cli.reportProfilePath, profileDoc);

@@ -5,24 +5,9 @@
 #include "sim/exec.hh"
 #include "support/faultinject.hh"
 #include "support/logging.hh"
-#include "support/metrics.hh"
 #include "support/trace.hh"
 
 namespace ilp {
-
-namespace {
-
-metrics::Histogram &
-liveRunSeconds()
-{
-    static metrics::Histogram &h =
-        metrics::Registry::global().histogram(
-            "ssim_live_run_seconds",
-            "Wall-clock seconds per timing run.");
-    return h;
-}
-
-} // namespace
 
 CompileOptions
 defaultCompileOptions(const Workload &workload)
@@ -92,7 +77,6 @@ runOnMachine(const Module &module, const MachineConfig &machine,
     trace::ScopedSpan span("live_run", "execute");
     if (span.armed())
         span.detail(module.sourceName);
-    metrics::ScopedTimer timer(liveRunSeconds());
     if (fault::enabled())
         fault::maybeInject("execute");
     std::unique_ptr<Executor> exec = makeExecutor(module);

@@ -8,29 +8,10 @@
 #include <unistd.h>
 
 #include "support/logging.hh"
-#include "support/metrics.hh"
 
 namespace ilp::journal {
 
 namespace {
-
-metrics::Counter &
-recordsWritten()
-{
-    static metrics::Counter &c = metrics::Registry::global().counter(
-        "ssim_journal_records_written_total",
-        "Records appended to sweep journals.");
-    return c;
-}
-
-metrics::Counter &
-corruptDropped()
-{
-    static metrics::Counter &c = metrics::Registry::global().counter(
-        "ssim_journal_corrupt_records_total",
-        "Journal lines dropped for CRC or parse failure on load.");
-    return c;
-}
 
 std::uint32_t
 crcByte(std::uint32_t crc, unsigned char byte)
@@ -117,7 +98,6 @@ Writer::writeRecord(const Json &record)
         }
         off += static_cast<std::size_t>(n);
     }
-    recordsWritten().inc();
     if (++unsynced_ >= kSyncInterval) {
         ::fsync(fd_);
         unsynced_ = 0;
@@ -183,7 +163,6 @@ load(const std::string &path)
         Json doc;
         if (!Json::tryParse(line, doc, nullptr)) {
             ++out.corrupt; // torn tail or bit rot: drop, keep going
-            corruptDropped().inc();
             continue;
         }
         const Json *crc = doc.find("c");
@@ -191,13 +170,11 @@ load(const std::string &path)
         if (!crc || !crc->isString() || !rec ||
             crcHex(crc32(rec->dump())) != crc->asString()) {
             ++out.corrupt;
-            corruptDropped().inc();
             continue;
         }
         const Json *kind = rec->find("kind");
         if (!kind || !kind->isString()) {
             ++out.corrupt;
-            corruptDropped().inc();
             continue;
         }
         if (kind->asString() == "header") {
@@ -209,10 +186,8 @@ load(const std::string &path)
             const Json *value = rec->find("value");
             if (key && key->isString() && value)
                 out.cells[key->asString()] = *value;
-            else {
+            else
                 ++out.corrupt;
-                corruptDropped().inc();
-            }
         }
         // Unknown kinds pass through silently: forward compatibility
         // with future record types.

@@ -7,73 +7,15 @@
 #include "core/study/progress.hh"
 #include "sim/trap.hh"
 #include "support/logging.hh"
-#include "support/metrics.hh"
 #include "support/trace.hh"
 
 namespace ilp {
 
 namespace {
 
-// Metric handles are resolved once and cached; updates after that are
-// one relaxed atomic each (see support/metrics.hh).
-metrics::Counter &
-cellsTotal()
-{
-    static metrics::Counter &c = metrics::Registry::global().counter(
-        "ssim_sweep_cells_total", "Sweep cells evaluated.");
-    return c;
-}
-
-metrics::Counter &
-cellsFailedTotal()
-{
-    static metrics::Counter &c = metrics::Registry::global().counter(
-        "ssim_sweep_cells_failed_total",
-        "Sweep cells that faulted under keep-going mode.");
-    return c;
-}
-
-metrics::Histogram &
-cellSeconds()
-{
-    static metrics::Histogram &h =
-        metrics::Registry::global().histogram(
-            "ssim_sweep_cell_seconds",
-            "Wall-clock seconds per sweep cell.");
-    return h;
-}
-
-metrics::Counter &
-cellRetriesTotal()
-{
-    static metrics::Counter &c = metrics::Registry::global().counter(
-        "ssim_sweep_cell_retries_total",
-        "Transient-fault cell retries under hardened sweeps.");
-    return c;
-}
-
-metrics::Counter &
-cellTimeoutsTotal()
-{
-    static metrics::Counter &c = metrics::Registry::global().counter(
-        "ssim_sweep_cell_timeouts_total",
-        "Cell attempts cancelled by the watchdog deadline.");
-    return c;
-}
-
-metrics::Counter &
-cellsQuarantinedTotal()
-{
-    static metrics::Counter &c = metrics::Registry::global().counter(
-        "ssim_sweep_cells_quarantined_total",
-        "Cells isolated after permanent failure or retry "
-        "exhaustion.");
-    return c;
-}
-
 /** One cell evaluation wrapped in its observability: a flight-recorder
- *  span (which a keep-going failure annotates rather than truncates),
- *  the cell metrics, and the live progress notification. */
+ *  span (which a keep-going failure annotates rather than truncates)
+ *  and the live progress notification. */
 void
 runSweepCell(const std::function<void(std::size_t)> &fn, std::size_t i)
 {
@@ -84,36 +26,15 @@ runSweepCell(const std::function<void(std::size_t)> &fn, std::size_t i)
             span.detail("cell " + std::to_string(i));
         fn(i);
     }
-    const double dur = std::chrono::duration<double>(
-                           std::chrono::steady_clock::now() - t0)
-                           .count();
-    cellsTotal().inc();
-    cellSeconds().observe(dur);
     if (ProgressReporter *progress = ProgressReporter::current())
-        progress->cellFinished(dur);
+        progress->cellFinished(std::chrono::duration<double>(
+                                   std::chrono::steady_clock::now() - t0)
+                                   .count());
 }
 
 } // namespace
 
 namespace detail {
-
-void
-noteRetryMetric()
-{
-    cellRetriesTotal().inc();
-}
-
-void
-noteTimeoutMetric()
-{
-    cellTimeoutsTotal().inc();
-}
-
-void
-noteQuarantineMetric()
-{
-    cellsQuarantinedTotal().inc();
-}
 
 void
 backoffBeforeRetry(std::size_t cell, int attempt)
@@ -140,7 +61,6 @@ backoffBeforeRetry(std::size_t cell, int attempt)
 void
 noteCellFailure(const CellError &error)
 {
-    cellsFailedTotal().inc();
     if (trace::active()) {
         trace::annotateCurrentSpan(
             "error[" + std::string(errCodeId(error.code)) + "]");
@@ -324,36 +244,12 @@ CompileCache::compile(const Workload &workload,
         }
     }
 
-    // Cache accounting runs twice on purpose: the cache's own atomics
-    // feed per-sweep exportStats snapshots, while the global metric
-    // counters feed the process-wide --metrics-json / Prometheus
-    // surface.  The two are independent paths over the same events and
-    // must reconcile exactly (checkMetricsReconciliation).
-    static metrics::Counter &metric_hits =
-        metrics::Registry::global().counter(
-            "ssim_compile_cache_hits_total",
-            "Compile-cache lookups served from an existing entry.");
-    static metrics::Counter &metric_misses =
-        metrics::Registry::global().counter(
-            "ssim_compile_cache_misses_total",
-            "Compile-cache lookups that had to compile.");
-    static metrics::Counter &metric_failures =
-        metrics::Registry::global().counter(
-            "ssim_compile_cache_failures_total",
-            "Compilations that failed (entry evicted).");
-    static metrics::Histogram &metric_seconds =
-        metrics::Registry::global().histogram(
-            "ssim_compile_seconds",
-            "Wall-clock seconds per workload compilation.");
-
     if (fill) {
         misses_.fetch_add(1, std::memory_order_relaxed);
-        metric_misses.inc();
         try {
             trace::ScopedSpan span("compile", "compile");
             if (span.armed())
                 span.detail(workload.name);
-            metrics::ScopedTimer timer(metric_seconds);
             if (fault::enabled())
                 fault::maybeInject("compile");
             Compiled c;
@@ -370,14 +266,12 @@ CompileCache::compile(const Workload &workload,
             // then evict it so later requesters retry instead of
             // replaying a stale failure forever.
             failures_.fetch_add(1, std::memory_order_relaxed);
-            metric_failures.inc();
             fill->set_exception(std::current_exception());
             std::lock_guard<std::mutex> lock(mu_);
             entries_.erase(k);
         }
     } else {
         hits_.fetch_add(1, std::memory_order_relaxed);
-        metric_hits.inc();
         // A hit on an entry another worker is still compiling is a
         // wait, and the worker timeline should show it as one.
         if (trace::active() &&

@@ -74,8 +74,7 @@ CellError currentCellError();
 /** Record a keep-going cell failure with the observability layer:
  *  stamps the error's E-code onto the enclosing flight-recorder span
  *  (so the worker timeline shows the trapped cell instead of
- *  truncating), bumps the failed-cells metric, and notifies the live
- *  progress reporter. */
+ *  truncating) and notifies the live progress reporter. */
 void noteCellFailure(const CellError &error);
 
 /** Value-or-error result of one sweep cell under keep-going mode. */
@@ -106,8 +105,7 @@ struct CellPolicy
     bool keepGoing = false;
 };
 
-/** Sweep-wide survivability accounting; each field reconciles
- *  exactly with its ssim_sweep_* metric counter. */
+/** Sweep-wide survivability accounting (stats-json `meta.cells`). */
 struct HardeningTotals
 {
     std::uint64_t retries = 0;
@@ -124,11 +122,6 @@ struct HardenedSweep
 };
 
 namespace detail {
-
-/** Bump the hardening metric counters (one relaxed atomic each). */
-void noteRetryMetric();
-void noteTimeoutMetric();
-void noteQuarantineMetric();
 
 /** Sleep the exponential-backoff delay (deterministic jitter from
  *  (cell, attempt), ~1-100 ms) before a retry. */
@@ -216,21 +209,16 @@ class SweepRunner
                     slot.error = {};
                     return;
                 }
-                if (slot.error.code ==
-                    ErrCode::TrapDeadlineExceeded) {
+                if (slot.error.code == ErrCode::TrapDeadlineExceeded)
                     timeouts.fetch_add(1, std::memory_order_relaxed);
-                    detail::noteTimeoutMetric();
-                }
                 if (errCodeTransient(slot.error.code) &&
                     attempt < policy.maxRetries) {
                     retries.fetch_add(1, std::memory_order_relaxed);
-                    detail::noteRetryMetric();
                     detail::backoffBeforeRetry(i, attempt);
                     continue;
                 }
                 slot.quarantined = true;
                 quarantined.fetch_add(1, std::memory_order_relaxed);
-                detail::noteQuarantineMetric();
                 noteCellFailure(slot.error);
                 if (!policy.keepGoing)
                     std::rethrow_exception(raised);

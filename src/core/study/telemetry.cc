@@ -3,11 +3,8 @@
 #include <cstdio>
 #include <fstream>
 
-#include "core/study/experiment.hh"
-#include "core/study/sweep.hh"
 #include "support/buildinfo.hh"
 #include "support/logging.hh"
-#include "support/metrics.hh"
 
 namespace ilp {
 
@@ -113,69 +110,6 @@ buildSweepTraceEvents(const trace::Recording &recording,
     doc.set("displayTimeUnit", Json("ms"));
     doc.set("otherData", std::move(meta));
     return doc;
-}
-
-std::string
-checkMetricsReconciliation(const Study &study,
-                           std::uint64_t expectedCells)
-{
-    metrics::Registry &reg = metrics::Registry::global();
-    struct Pair
-    {
-        const char *metric;
-        std::uint64_t expected;
-    };
-    const Pair pairs[] = {
-        {"ssim_sweep_cells_total", expectedCells},
-        {"ssim_compile_cache_hits_total",
-         study.compileCache().hits()},
-        {"ssim_compile_cache_misses_total",
-         study.compileCache().misses()},
-        {"ssim_compile_cache_failures_total",
-         study.compileCache().failures()},
-    };
-    for (const Pair &p : pairs) {
-        const std::uint64_t got = reg.counter(p.metric).value();
-        if (got != p.expected) {
-            return std::string("metric '") + p.metric + "' is " +
-                   std::to_string(got) +
-                   " but the stats-side counter says " +
-                   std::to_string(p.expected);
-        }
-    }
-    return {};
-}
-
-std::string
-checkMetricsReconciliation(const Study &study,
-                           std::uint64_t expectedCells,
-                           const HardeningTotals &totals)
-{
-    std::string mismatch =
-        checkMetricsReconciliation(study, expectedCells);
-    if (!mismatch.empty())
-        return mismatch;
-    metrics::Registry &reg = metrics::Registry::global();
-    struct Pair
-    {
-        const char *metric;
-        std::uint64_t expected;
-    };
-    const Pair pairs[] = {
-        {"ssim_sweep_cell_retries_total", totals.retries},
-        {"ssim_sweep_cell_timeouts_total", totals.timeouts},
-        {"ssim_sweep_cells_quarantined_total", totals.quarantined},
-    };
-    for (const Pair &p : pairs) {
-        const std::uint64_t got = reg.counter(p.metric).value();
-        if (got != p.expected) {
-            return std::string("metric '") + p.metric + "' is " +
-                   std::to_string(got) +
-                   " but the sweep-side counter says " +
-                   std::to_string(p.expected);
-        }
-    }
-    return {};
 }
 
 void

@@ -10,7 +10,6 @@
 #ifndef SUPERSYM_CORE_STUDY_TELEMETRY_HH
 #define SUPERSYM_CORE_STUDY_TELEMETRY_HH
 
-#include <cstdint>
 #include <string>
 
 #include "core/study/driver.hh"
@@ -18,9 +17,6 @@
 #include "support/trace.hh"
 
 namespace ilp {
-
-class Study;
-struct HardeningTotals;
 
 /** The provenance block every emitted document carries: build info
  *  plus the machine's name and specification hash. */
@@ -40,26 +36,6 @@ Json documentMeta(const MachineConfig &machine);
 Json buildSweepTraceEvents(const trace::Recording &recording,
                            const MachineConfig &machine,
                            const RunOutcome *timeline = nullptr);
-
-/**
- * Cross-check the process-global metrics registry against the
- * study's own cache counters and an expected cell count — the two
- * independent accounting paths over the same events (see
- * support/metrics.hh).  Call with a metrics registry that was reset
- * before the study ran.  @return empty when everything reconciles,
- * else a description of the first mismatch.
- */
-std::string checkMetricsReconciliation(const Study &study,
-                                       std::uint64_t expectedCells);
-
-/**
- * The hardened-sweep variant: additionally reconciles the three
- * survivability counters (retries, timeouts, quarantined) against
- * the totals mapHardened accumulated in its own atomics.
- */
-std::string checkMetricsReconciliation(const Study &study,
-                                       std::uint64_t expectedCells,
-                                       const HardeningTotals &totals);
 
 /**
  * Write `text` to `path` (SS_FATAL on I/O failure).  Crash-safe: the

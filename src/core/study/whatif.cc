@@ -11,42 +11,9 @@
 #include "support/buildinfo.hh"
 #include "support/faultinject.hh"
 #include "support/logging.hh"
-#include "support/metrics.hh"
 #include "support/table.hh"
 
 namespace ilp {
-
-namespace {
-
-metrics::Counter &
-graphBuilds()
-{
-    static metrics::Counter &c = metrics::Registry::global().counter(
-        "ssim_depgraph_builds_total",
-        "Dependence graphs built from a live run.");
-    return c;
-}
-
-metrics::Histogram &
-graphBuildSeconds()
-{
-    static metrics::Histogram &h =
-        metrics::Registry::global().histogram(
-            "ssim_depgraph_build_seconds",
-            "Wall-clock seconds per dependence-graph build.");
-    return h;
-}
-
-metrics::Counter &
-whatifQueries()
-{
-    static metrics::Counter &c = metrics::Registry::global().counter(
-        "ssim_whatif_queries_total",
-        "Analytic what-if queries answered from a dependence graph.");
-    return c;
-}
-
-} // namespace
 
 // -------------------------------------------- Study::dependenceGraph
 
@@ -57,7 +24,6 @@ Study::dependenceGraph(const Workload &workload,
 {
     std::shared_ptr<const Module> module =
         cache_.compile(workload, machine, options, nullptr);
-    metrics::ScopedTimer timer(graphBuildSeconds());
     if (fault::enabled())
         fault::maybeInject("depgraph");
     DepGraph::Builder builder;
@@ -65,7 +31,6 @@ Study::dependenceGraph(const Workload &workload,
     RunResult r = exec->run("main", &builder);
     if (r.trapped())
         throw TrapException(r.trap);
-    graphBuilds().inc();
     return builder.take();
 }
 
@@ -83,7 +48,6 @@ analyze(Study &study, const Workload &workload,
                                      nullptr);
     const DepGraph graph =
         study.dependenceGraph(workload, machine, options);
-    whatifQueries().inc();
 
     Report r;
     r.workload = workload.name;

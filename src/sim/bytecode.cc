@@ -7,7 +7,6 @@
 #include "sim/semantics.hh"
 #include "support/inline.hh"
 #include "support/logging.hh"
-#include "support/metrics.hh"
 #include "support/trace.hh"
 
 // Threaded dispatch wants GNU computed goto; everything else gets a
@@ -89,16 +88,6 @@ terminated(const BasicBlock &bb)
         return false;
     const Opcode op = bb.instrs.back().op;
     return op == Opcode::Br || op == Opcode::Jmp || op == Opcode::Ret;
-}
-
-metrics::Counter &
-fallbackCounter()
-{
-    static metrics::Counter &c = metrics::Registry::global().counter(
-        "ssim_bytecode_fallbacks_total",
-        "modules the bytecode compiler could not represent "
-        "(interpreter fallback)");
-    return c;
 }
 
 /**
@@ -290,11 +279,6 @@ std::optional<BcImage>
 lowerModule(const Module &module)
 {
     trace::ScopedSpan span("bytecode_lower", "compile");
-    static metrics::Histogram &lower_s =
-        metrics::Registry::global().histogram(
-            "ssim_bytecode_lower_seconds",
-            "wall time lowering a module to bytecode");
-    metrics::ScopedTimer timer(lower_s);
 
     BcImage image;
     image.module = &module;
@@ -302,7 +286,6 @@ lowerModule(const Module &module)
     for (std::size_t i = 0; i < module.functions().size(); ++i) {
         if (!lowerFunction(module, module.functions()[i],
                            image.funcs[i], image.argPool)) {
-            fallbackCounter().inc();
             SS_DEBUG("bytecode", "lowering fell back on ",
                      module.functions()[i].name,
                      ": register file exceeds 16-bit encoding");

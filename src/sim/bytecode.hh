@@ -189,12 +189,11 @@ struct BcImage
 };
 
 /**
- * Lower a module to bytecode.  Returns std::nullopt — after counting
- * a ssim_bytecode_fallbacks_total metric — when the image cannot
- * represent the program (any function whose register file exceeds
- * 16-bit indices); the caller falls back to the interpreter.
- * Records a "bytecode_lower" compile span and the
- * ssim_bytecode_lower_seconds histogram.
+ * Lower a module to bytecode.  Returns std::nullopt — after logging
+ * on the "bytecode" debug channel — when the image cannot represent
+ * the program (any function whose register file exceeds 16-bit
+ * indices); the caller falls back to the interpreter.  Records a
+ * "bytecode_lower" compile span.
  */
 std::optional<BcImage> lowerModule(const Module &module);
 

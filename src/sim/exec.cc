@@ -4,7 +4,6 @@
 
 #include "sim/bytecode.hh"
 #include "support/logging.hh"
-#include "support/metrics.hh"
 
 namespace ilp {
 

@@ -17,8 +17,8 @@
  * SSIM_EXEC environment variable ("interp" | "bytecode"), defaulting
  * to bytecode.  When bytecode lowering cannot represent a module,
  * makeExecutor transparently falls back to the interpreter —
- * backend() then reports what actually runs, and the
- * ssim_bytecode_fallbacks_total metric counts the event.
+ * backend() then reports what actually runs, and SSIM_DEBUG=bytecode
+ * logs the event.
  *
  * An Executor owns its data memory (like one Interpreter or one VM)
  * and is reusable across runs, including after a trap.  It is not

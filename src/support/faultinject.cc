@@ -10,7 +10,6 @@
 
 #include "support/diag.hh"
 #include "support/logging.hh"
-#include "support/metrics.hh"
 
 namespace ilp::fault {
 
@@ -64,15 +63,6 @@ currentPlan()
     return planSlot();
 }
 
-metrics::Counter &
-injectedTotal()
-{
-    static metrics::Counter &c = metrics::Registry::global().counter(
-        "ssim_faults_injected_total",
-        "Faults fired by the SSIM_FAULT injection registry.");
-    return c;
-}
-
 /** splitmix64: the standard 64-bit finalizing mixer — every input
  *  bit avalanches, so (seed ^ site ^ index) streams are effectively
  *  independent uniform draws. */
@@ -119,7 +109,6 @@ void
 countInjection()
 {
     injected.fetch_add(1, std::memory_order_relaxed);
-    injectedTotal().inc();
 }
 
 bool

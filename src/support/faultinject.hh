@@ -32,7 +32,7 @@
  *
  * The disabled fast path (no SSIM_FAULT, no configure()) is one
  * relaxed atomic load per site visit.  Every injected fault is
- * counted in the ssim_faults_injected_total metric.
+ * counted (injectedCount()).
  */
 
 #ifndef SUPERSYM_SUPPORT_FAULTINJECT_HH
@@ -67,7 +67,7 @@ bool configure(const std::string &spec);
 /** Disarm all rules and zero the draw counters. */
 void reset();
 
-/** Total faults injected so far (mirrors the metric; for tests). */
+/** Total faults injected so far (for tests). */
 std::uint64_t injectedCount();
 
 /** Arm from $SSIM_FAULT if set; called once from the CLI edge. */

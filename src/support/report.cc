@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
+#include <map>
 #include <vector>
 
 #include "support/buildinfo.hh"
@@ -199,8 +200,9 @@ trendSvg(const std::vector<const bench::Point *> &pts)
         svg += "<polyline class=\"line\" points=\"" + line_points +
                "\"/>";
     for (std::size_t i = 0; i < n; ++i) {
-        std::string tip = "#" + std::to_string(i) + ": " +
-                          fmt(pts[i]->value) + " " + pts[i]->unit;
+        std::string tip = "#";
+        tip += std::to_string(i);
+        tip += ": " + fmt(pts[i]->value) + " " + pts[i]->unit;
         if (pts[i]->meta.isObject()) {
             if (const Json *v = pts[i]->meta.find("version"))
                 if (v->isString())
@@ -455,46 +457,134 @@ statsSection(const Json &doc)
            body + "</div></section>";
 }
 
-std::string
-metricsSection(const Json &doc)
+/** Nearest-rank percentile `pct` (1..100) of sorted, non-empty
+ *  samples. */
+double
+nearestRank(const std::vector<double> &sorted, std::size_t pct)
 {
-    const Json *metrics = doc.find("metrics");
-    if (!metrics || !metrics->isObject())
+    const std::size_t rank = (pct * sorted.size() + 99) / 100;
+    return sorted[std::max<std::size_t>(rank, 1) - 1];
+}
+
+/**
+ * Host time by span name from a --trace-events document: every
+ * complete ("X") event of pid 1, the flight recorder's process (pid
+ * 2, a run's simulated issue timeline, is not host time).  A span's
+ * self time is its duration minus what its nested spans on the same
+ * thread cover; spans on one thread nest and never straddle, so the
+ * direct children are disjoint and their clipped durations add up.
+ */
+std::string
+traceSection(const Json &doc)
+{
+    const Json *events = doc.find("traceEvents");
+    if (!events || !events->isArray())
         return "";
-    std::string rows;
-    std::vector<std::pair<std::string, double>> p99bars;
-    for (const auto &[name, entry] : metrics->asObject()) {
-        const Json *type = entry.find("type");
-        const Json *value = entry.find("value");
-        if (!type || !type->isString() || !value)
+
+    struct Event
+    {
+        std::string name;
+        std::string cat;
+        double ts = 0.0;
+        double dur = 0.0;
+        double childUs = 0.0;
+    };
+    auto number = [](const Json &e, const char *key) {
+        const Json *v = e.find(key);
+        return v && v->isNumber() ? v->asNumber() : std::nan("");
+    };
+    auto text = [](const Json &e, const char *key) {
+        const Json *v = e.find(key);
+        return v && v->isString() ? v->asString() : std::string();
+    };
+    std::map<double, std::vector<Event>> threads;
+    for (const Json &e : events->asArray()) {
+        const double tid = number(e, "tid");
+        const double ts = number(e, "ts");
+        const double dur = number(e, "dur");
+        if (text(e, "ph") != "X" || number(e, "pid") != 1.0 ||
+            std::isnan(tid + ts + dur))
             continue;
-        if (type->asString() != "summary" || !value->isObject())
-            continue;
-        auto num = [&](const char *key) {
-            const Json *v = value->find(key);
-            return (v && v->isNumber()) ? v->asNumber() : 0.0;
-        };
-        rows += "<tr><td>" + esc(name) + "</td><td class=\"num\">" +
-                fmt(num("count")) + "</td><td class=\"num\">" +
-                fmt(num("sum")) + "</td><td class=\"num\">" +
-                fmt(num("p50")) + "</td><td class=\"num\">" +
-                fmt(num("p90")) + "</td><td class=\"num\">" +
-                fmt(num("p99")) + "</td></tr>";
-        p99bars.push_back({name, num("p99")});
+        threads[tid].push_back({text(e, "name"), text(e, "cat"), ts,
+                                std::max(0.0, dur)});
     }
-    if (rows.empty())
+
+    struct Totals
+    {
+        std::string cat;
+        double totalUs = 0.0;
+        double selfUs = 0.0;
+        std::vector<double> durs;
+    };
+    std::map<std::string, Totals> names;
+    std::size_t spans = 0;
+    for (auto &[tid, evs] : threads) {
+        // Parents sort before the children they contain.
+        std::stable_sort(evs.begin(), evs.end(),
+                         [](const Event &a, const Event &b) {
+                             return a.ts != b.ts ? a.ts < b.ts
+                                                 : a.dur > b.dur;
+                         });
+        std::vector<Event *> open; // innermost last
+        for (Event &ev : evs) {
+            while (!open.empty() &&
+                   open.back()->ts + open.back()->dur <= ev.ts)
+                open.pop_back();
+            if (!open.empty()) {
+                Event &parent = *open.back();
+                parent.childUs += std::max(
+                    0.0, std::min(ev.ts + ev.dur,
+                                  parent.ts + parent.dur) -
+                             ev.ts);
+            }
+            open.push_back(&ev);
+        }
+        for (const Event &ev : evs) {
+            Totals &t = names[ev.name];
+            if (t.durs.empty())
+                t.cat = ev.cat;
+            t.totalUs += ev.dur;
+            t.selfUs += std::max(0.0, ev.dur - ev.childUs);
+            t.durs.push_back(ev.dur);
+        }
+        spans += evs.size();
+    }
+    if (names.empty())
         return "";
-    std::string html =
-        "<section><h2>Runtime metrics: duration histograms</h2>"
-        "<table><thead><tr><th>histogram</th>"
-        "<th class=\"num\">count</th><th class=\"num\">sum</th>"
-        "<th class=\"num\">p50</th><th class=\"num\">p90</th>"
-        "<th class=\"num\">p99</th></tr></thead><tbody>" +
-        rows + "</tbody></table>";
-    html += "<h4>p99 (seconds)</h4>";
-    html += barList(p99bars, false);
-    html += "</section>";
-    return html;
+
+    // Most self time first; ties keep name order.
+    std::vector<std::pair<const std::string, Totals> *> order;
+    for (auto &entry : names)
+        order.push_back(&entry);
+    std::stable_sort(order.begin(), order.end(),
+                     [](const auto *a, const auto *b) {
+                         return a->second.selfUs > b->second.selfUs;
+                     });
+    auto ms = [](double us) { return fmtFixed(us / 1000.0, 3); };
+    std::string rows;
+    for (auto *entry : order) {
+        Totals &t = entry->second;
+        std::sort(t.durs.begin(), t.durs.end());
+        rows += "<tr><td>" + esc(entry->first) + "</td><td>" +
+                esc(t.cat) + "</td>";
+        for (const std::string &cell :
+             {std::to_string(t.durs.size()), ms(t.totalUs),
+              ms(t.selfUs), ms(nearestRank(t.durs, 50)),
+              ms(nearestRank(t.durs, 90)), ms(nearestRank(t.durs, 99))})
+            rows += "<td class=\"num\">" + cell + "</td>";
+        rows += "</tr>";
+    }
+    return "<section><h2>Host time by span</h2><p class=\"note\">" +
+           std::to_string(spans) + " spans on " +
+           std::to_string(threads.size()) +
+           " threads. Self time leaves out nested spans on the same "
+           "thread; p50/p90/p99 are nearest-rank durations.</p>"
+           "<table><thead><tr><th>span</th><th>category</th>"
+           "<th class=\"num\">count</th><th class=\"num\">total ms"
+           "</th><th class=\"num\">self ms</th><th class=\"num\">"
+           "p50 ms</th><th class=\"num\">p90 ms</th>"
+           "<th class=\"num\">p99 ms</th></tr></thead><tbody>" +
+           rows + "</tbody></table></section>";
 }
 
 std::string
@@ -674,8 +764,8 @@ renderHtml(const ReportInputs &inputs)
         any = any || !s.empty();
         html += s;
     }
-    if (inputs.metrics) {
-        const std::string s = metricsSection(*inputs.metrics);
+    if (inputs.trace) {
+        const std::string s = traceSection(*inputs.trace);
         any = any || !s.empty();
         html += s;
     }
@@ -687,7 +777,7 @@ renderHtml(const ReportInputs &inputs)
     }
     if (!any)
         html += "<p class=\"note\">no renderable artifacts were "
-                "provided — pass --bench, --stats-in, --metrics, or "
+                "provided — pass --bench, --stats-in, --trace-in, or "
                 "--profile-in.</p>";
     html += "</body>\n</html>\n";
     return html;

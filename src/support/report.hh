@@ -7,8 +7,8 @@
  *     bootstrap CI band, plus the regression sentinel's verdicts),
  *   - stall breakdown and dynamic instruction mix from a --stats-json
  *     document (run- or suite-shaped),
- *   - runtime-metrics duration histograms (p50/p90/p99) from a
- *     --metrics-json snapshot,
+ *   - host time by span name (count, total and self time,
+ *     p50/p90/p99) from a --trace-events document,
  *   - the profiler's hottest source lines from a profile-v1 document.
  *
  * The output is ONE file: inline CSS and SVG, no script, no external
@@ -36,8 +36,8 @@ struct ReportInputs
     bench::SentinelConfig sentinel;
     /** --stats-json document (run or suite shape); nullptr to skip. */
     const Json *stats = nullptr;
-    /** --metrics-json document; nullptr to skip. */
-    const Json *metrics = nullptr;
+    /** --trace-events document; nullptr to skip. */
+    const Json *trace = nullptr;
     /** profile-v1 document; nullptr to skip. */
     const Json *profile = nullptr;
     /** Hot lines shown from the profile. */

@@ -447,8 +447,62 @@ TEST(ReportTest, EmptyReportHintNamesTheReportFlags)
     const std::string html = report::renderHtml(report::ReportInputs{});
     EXPECT_NE(html.find("no renderable artifacts"), std::string::npos);
     for (const char *flag :
-         {"--bench,", "--stats-in,", "--metrics,", "--profile-in."})
+         {"--bench,", "--stats-in,", "--trace-in,", "--profile-in."})
         EXPECT_NE(html.find(flag), std::string::npos) << flag;
+}
+
+TEST(ReportTest, TraceSectionTabulatesSelfTimeAndQuantiles)
+{
+    // Thread 0 nests cell > compile > licm; thread 1 runs one more
+    // cell; pid 2 is a simulated issue timeline, not host time.
+    const Json trace = Json::parse(R"({"traceEvents": [
+        {"name": "process_name", "ph": "M", "pid": 1, "tid": 0,
+         "args": {"name": "sweep"}},
+        {"name": "licm", "cat": "compile", "ph": "X", "ts": 2000,
+         "dur": 2000, "pid": 1, "tid": 0},
+        {"name": "compile", "cat": "compile", "ph": "X", "ts": 1000,
+         "dur": 6000, "pid": 1, "tid": 0},
+        {"name": "cell", "cat": "sweep", "ph": "X", "ts": 0,
+         "dur": 10000, "pid": 1, "tid": 0},
+        {"name": "cell", "cat": "sweep", "ph": "X", "ts": 500,
+         "dur": 4000, "pid": 1, "tid": 1},
+        {"name": "int_alu", "cat": "issue", "ph": "X", "ts": 0,
+         "dur": 3, "pid": 2, "tid": 0}]})");
+    report::ReportInputs inputs;
+    inputs.trace = &trace;
+    const std::string html = report::renderHtml(inputs);
+    EXPECT_EQ(html, report::renderHtml(inputs));
+
+    auto row = [](const char *name, const char *cat, const char *count,
+                  const char *total, const char *self, const char *p50,
+                  const char *p90, const char *p99) {
+        std::string r = "<tr><td>";
+        r += name;
+        r += "</td><td>";
+        r += cat;
+        for (const char *num : {count, total, self, p50, p90, p99}) {
+            r += "</td><td class=\"num\">";
+            r += num;
+        }
+        return r + "</td></tr>";
+    };
+    // cell: self 10 - 6 = 4 ms on thread 0 plus 4 ms on thread 1;
+    // nearest-rank p50 of {4, 10} is 4, p90 and p99 are 10.
+    const std::string cell = row("cell", "sweep", "2", "14.000", "8.000",
+                                 "4.000", "10.000", "10.000");
+    const std::string compile = row("compile", "compile", "1", "6.000",
+                                    "4.000", "6.000", "6.000", "6.000");
+    const std::string licm = row("licm", "compile", "1", "2.000",
+                                 "2.000", "2.000", "2.000", "2.000");
+    EXPECT_NE(html.find("Host time by span"), std::string::npos);
+    EXPECT_NE(html.find("4 spans on 2 threads"), std::string::npos);
+    // Rows run from the most self time to the least.
+    ASSERT_NE(html.find(cell), std::string::npos) << html;
+    ASSERT_NE(html.find(compile), std::string::npos) << html;
+    ASSERT_NE(html.find(licm), std::string::npos) << html;
+    EXPECT_LT(html.find(cell), html.find(compile));
+    EXPECT_LT(html.find(compile), html.find(licm));
+    EXPECT_EQ(html.find("int_alu"), std::string::npos);
 }
 
 } // namespace

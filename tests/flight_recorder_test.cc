@@ -1,19 +1,15 @@
 /**
  * @file
- * The observability layer end to end: metrics (counters, gauges,
- * bounded-error histograms, Prometheus exposition), the span flight
- * recorder (nested spans, worker tracks, concurrent recording — run
- * under TSan in CI), the sweep trace-events writer, the
- * metrics-vs-stats reconciliation invariant, keep-going degradation
+ * The observability layer end to end: the span flight recorder
+ * (nested spans, worker tracks, concurrent recording — run under
+ * TSan in CI), the sweep trace-events writer, keep-going degradation
  * (a trapped cell annotates its span instead of truncating the worker
  * timeline), and the live progress reporter.
  */
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <atomic>
-#include <cmath>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -23,242 +19,18 @@
 #include "core/study/progress.hh"
 #include "core/study/sweep.hh"
 #include "core/study/telemetry.hh"
-#include "support/metrics.hh"
 #include "support/trace.hh"
 
 using namespace ilp;
 
 namespace {
 
-// ------------------------------------------------- histogram accuracy
-
-/** Deterministic xorshift stream — no <random> seeding ambiguity. */
-std::uint64_t
-nextRand(std::uint64_t &s)
-{
-    s ^= s << 13;
-    s ^= s >> 7;
-    s ^= s << 17;
-    return s;
-}
-
-double
-exactQuantile(std::vector<double> sorted, double q)
-{
-    const auto n = sorted.size();
-    std::size_t rank = static_cast<std::size_t>(
-        std::ceil(q * static_cast<double>(n)));
-    if (rank == 0)
-        rank = 1;
-    return sorted[rank - 1];
-}
-
-TEST(HistogramTest, QuantilesTrackExactOrderStatistics)
-{
-    // The log-linear bucketing bounds the relative error of any
-    // quantile by ~1/kSubBuckets; allow 2/kSubBuckets for the
-    // midpoint representation.
-    metrics::Registry reg;
-    metrics::Histogram &h = reg.histogram("t_seconds");
-
-    std::uint64_t seed = 0x9e3779b97f4a7c15ull;
-    std::vector<double> samples;
-    for (int i = 0; i < 20000; ++i) {
-        // Span ~6 decades, like real phase durations do.
-        const double u =
-            static_cast<double>(nextRand(seed) % 1000000) / 1000000.0;
-        samples.push_back(std::pow(10.0, -6.0 + 6.0 * u));
-        h.observe(samples.back());
-    }
-    std::sort(samples.begin(), samples.end());
-
-    const double tol =
-        2.0 / static_cast<double>(metrics::Histogram::kSubBuckets);
-    for (double q : {0.5, 0.9, 0.99}) {
-        const double exact = exactQuantile(samples, q);
-        const double est = h.quantile(q);
-        EXPECT_NEAR(est / exact, 1.0, tol)
-            << "q=" << q << " exact=" << exact << " est=" << est;
-    }
-    EXPECT_EQ(h.count(), 20000u);
-}
-
-TEST(HistogramTest, BucketRoundTripStaysWithinOneSubBucket)
-{
-    for (double v :
-         {1e-10, 3.7e-4, 0.5, 1.0, 1.5, 2.0, 3.14159, 1e6}) {
-        const int idx = metrics::Histogram::bucketIndex(v);
-        const double rep = metrics::Histogram::bucketValue(idx);
-        const double err = std::abs(rep - v) / v;
-        EXPECT_LT(err, 1.0 / metrics::Histogram::kSubBuckets)
-            << "v=" << v << " rep=" << rep;
-    }
-}
-
-TEST(HistogramTest, DegenerateObservationsLandInTheFloorBucket)
-{
-    metrics::Registry reg;
-    metrics::Histogram &h = reg.histogram("t");
-    h.observe(0.0);
-    h.observe(-3.0);
-    h.observe(std::nan(""));
-    EXPECT_EQ(h.count(), 3u);
-    EXPECT_EQ(h.quantile(0.5), 0.0); // floor bucket represents zero
-    EXPECT_EQ(metrics::Histogram::bucketIndex(0.0), 0);
-    EXPECT_EQ(metrics::Histogram::bucketIndex(-1.0), 0);
-}
-
-TEST(HistogramTest, EmptyHistogramQuantileIsZero)
-{
-    metrics::Registry reg;
-    EXPECT_EQ(reg.histogram("t").quantile(0.99), 0.0);
-}
-
-TEST(HistogramTest, MergeMatchesObservingTheUnion)
-{
-    // Identical log-linear bucketing on both sides makes merge()
-    // exact: bucket-wise sums give the same counts, sum, and
-    // quantiles as observing every sample into one histogram.
-    metrics::Registry reg;
-    metrics::Histogram &a = reg.histogram("a");
-    metrics::Histogram &b = reg.histogram("b");
-    metrics::Histogram &u = reg.histogram("union");
-
-    std::uint64_t seed = 0xdecafbadull;
-    for (int i = 0; i < 5000; ++i) {
-        const double x =
-            static_cast<double>(nextRand(seed) % 1000000) / 1000.0;
-        const double y =
-            static_cast<double>(nextRand(seed) % 1000000) / 7.0;
-        a.observe(x);
-        b.observe(y);
-        u.observe(x);
-        u.observe(y);
-    }
-    a.merge(b);
-
-    EXPECT_EQ(a.count(), u.count());
-    // Addition order differs (a's total + b's total vs interleaved
-    // observes), so the sums agree only up to rounding.
-    EXPECT_NEAR(a.sum(), u.sum(), 1e-9 * u.sum());
-    for (double q : {0.01, 0.5, 0.9, 0.99})
-        EXPECT_EQ(a.quantile(q), u.quantile(q)) << "q=" << q;
-}
-
-TEST(HistogramTest, MergePreservesTheQuantileErrorBound)
-{
-    // Quantiles of a merged histogram keep the single-histogram
-    // worst-case relative error: shards see disjoint decade ranges,
-    // the merged view must still track the exact order statistics of
-    // the union within 2/kSubBuckets.
-    metrics::Registry reg;
-    metrics::Histogram &lo = reg.histogram("lo");
-    metrics::Histogram &hi = reg.histogram("hi");
-
-    std::uint64_t seed = 0x5eedull;
-    std::vector<double> all;
-    for (int i = 0; i < 10000; ++i) {
-        const double u =
-            static_cast<double>(nextRand(seed) % 1000000) / 1000000.0;
-        const double small = std::pow(10.0, -6.0 + 3.0 * u);
-        const double large = std::pow(10.0, 0.0 + 3.0 * u);
-        lo.observe(small);
-        hi.observe(large);
-        all.push_back(small);
-        all.push_back(large);
-    }
-    lo.merge(hi);
-    std::sort(all.begin(), all.end());
-
-    EXPECT_EQ(lo.count(), all.size());
-    const double tol =
-        2.0 / static_cast<double>(metrics::Histogram::kSubBuckets);
-    for (double q : {0.1, 0.5, 0.9, 0.99}) {
-        const double exact = exactQuantile(all, q);
-        const double est = lo.quantile(q);
-        EXPECT_NEAR(est / exact, 1.0, tol)
-            << "q=" << q << " exact=" << exact << " est=" << est;
-    }
-}
-
-TEST(HistogramTest, MergingAnEmptyHistogramIsANoOp)
-{
-    metrics::Registry reg;
-    metrics::Histogram &a = reg.histogram("a");
-    metrics::Histogram &empty = reg.histogram("empty");
-    a.observe(1.5);
-    a.merge(empty);
-    EXPECT_EQ(a.count(), 1u);
-    EXPECT_DOUBLE_EQ(a.sum(), 1.5);
-}
-
-// -------------------------------------------------- registry plumbing
-
-TEST(MetricsRegistryTest, CountersGaugesAndLookupStability)
-{
-    metrics::Registry reg;
-    metrics::Counter &c = reg.counter("a_total", "help a");
-    c.inc();
-    c.inc(4);
-    EXPECT_EQ(c.value(), 5u);
-    // Same name returns the same instance.
-    EXPECT_EQ(&reg.counter("a_total"), &c);
-
-    metrics::Gauge &g = reg.gauge("g");
-    g.set(2.5);
-    EXPECT_DOUBLE_EQ(g.value(), 2.5);
-
-    reg.reset();
-    EXPECT_EQ(c.value(), 0u);
-    EXPECT_DOUBLE_EQ(g.value(), 0.0);
-}
-
-TEST(MetricsRegistryTest, PrometheusExpositionShape)
-{
-    metrics::Registry reg;
-    reg.counter("ssim_x_total", "Things counted.").inc(3);
-    reg.gauge("ssim_bytes", "Bytes held.").set(128);
-    reg.histogram("ssim_t_seconds", "Durations.").observe(2.0);
-
-    const std::string text = reg.prometheus();
-    EXPECT_NE(text.find("# HELP ssim_x_total Things counted.\n"),
-              std::string::npos);
-    EXPECT_NE(text.find("# TYPE ssim_x_total counter\n"),
-              std::string::npos);
-    EXPECT_NE(text.find("ssim_x_total 3\n"), std::string::npos);
-    EXPECT_NE(text.find("# TYPE ssim_bytes gauge\n"),
-              std::string::npos);
-    EXPECT_NE(text.find("ssim_bytes 128\n"), std::string::npos);
-    EXPECT_NE(text.find("# TYPE ssim_t_seconds summary\n"),
-              std::string::npos);
-    EXPECT_NE(text.find("ssim_t_seconds{quantile=\"0.99\"}"),
-              std::string::npos);
-    EXPECT_NE(text.find("ssim_t_seconds_sum 2\n"), std::string::npos);
-    EXPECT_NE(text.find("ssim_t_seconds_count 1\n"),
-              std::string::npos);
-}
-
-TEST(MetricsRegistryTest, JsonSnapshotRoundTrips)
-{
-    metrics::Registry reg;
-    reg.counter("c_total", "c help").inc(2);
-    reg.histogram("h_seconds").observe(1.0);
-    const Json doc = reg.json();
-    Json parsed;
-    std::string error;
-    ASSERT_TRUE(Json::tryParse(doc.dump(2), parsed, &error)) << error;
-    ASSERT_NE(parsed.at("c_total.type"), nullptr);
-    EXPECT_EQ(parsed.at("c_total.type")->asString(), "counter");
-    EXPECT_EQ(parsed.at("c_total.value")->asNumber(), 2.0);
-    EXPECT_EQ(parsed.at("h_seconds.value.count")->asNumber(), 1.0);
-}
-
 // ------------------------------------------------------ span recorder
 
 // Configured with -DSSIM_DISABLE_FLIGHT_RECORDER=ON, the recorder
 // compiles out: every session records nothing, while sweep results
-// and metrics counters stay exactly what they are with it compiled
-// in.  The span-count tests below assert that contract instead.
+// stay exactly what they are with it compiled in.  The span-count
+// tests below assert that contract instead.
 #ifdef SSIM_NO_FLIGHT_RECORDER
 constexpr bool kRecorderCompiledIn = false;
 #else
@@ -345,9 +117,7 @@ TEST(FlightRecorderTest, ConcurrentSpansAndCountersAreSafe)
 {
     // The TSan CI job runs this test: many workers recording spans
     // and bumping one counter at once, twice, to cover session reuse.
-    metrics::Registry &reg = metrics::Registry::global();
-    metrics::Counter &c = reg.counter("test_concurrent_total");
-    c.reset();
+    std::atomic<std::uint64_t> c{0};
     for (int round = 0; round < 2; ++round) {
         trace::Recorder::instance().start();
         SweepRunner runner(8);
@@ -355,12 +125,12 @@ TEST(FlightRecorderTest, ConcurrentSpansAndCountersAreSafe)
             trace::ScopedSpan span("work", "test");
             if (span.armed())
                 span.detail(std::to_string(i));
-            c.inc();
+            c.fetch_add(1, std::memory_order_relaxed);
         });
         trace::Recording rec = trace::Recorder::instance().stop();
         EXPECT_EQ(rec.spans.size(), kRecorderCompiledIn ? 512u : 0u);
     }
-    EXPECT_EQ(c.value(), 512u);
+    EXPECT_EQ(c.load(), 512u);
 }
 
 TEST(FlightRecorderTest, SweepTraceEventsDocumentShape)
@@ -452,41 +222,6 @@ TEST(FlightRecorderTest, KeepGoingCellAnnotatesSpanWithErrorCode)
     }
     EXPECT_EQ(cells, 4u); // the failed cell's span is NOT dropped
     EXPECT_EQ(annotated, 1u);
-}
-
-// --------------------------------------- metrics-vs-stats reconciling
-
-TEST(ReconciliationTest, MetricsAgreeWithStudyCountersExactly)
-{
-    metrics::Registry::global().reset();
-    Study study(4);
-    const Workload &w = workloadByName("yacc");
-    study.runner().run(6, [&](std::size_t i) {
-        study.speedup(w, idealSuperscalar(static_cast<int>(i % 3) + 1));
-    });
-
-    EXPECT_EQ(checkMetricsReconciliation(study, 6), "");
-
-    // The same invariant spelled out against exportStats, the
-    // stats-side export the CLI serves.
-    stats::Registry statsReg;
-    study.compileCache().exportStats(
-        statsReg.group("compile_cache", ""));
-    const stats::StatsSnapshot snap = statsReg.snapshot();
-    metrics::Registry &reg = metrics::Registry::global();
-    EXPECT_EQ(
-        static_cast<double>(
-            reg.counter("ssim_compile_cache_hits_total").value()),
-        snap.number("compile_cache.hits"));
-    EXPECT_EQ(
-        static_cast<double>(
-            reg.counter("ssim_compile_cache_misses_total").value()),
-        snap.number("compile_cache.misses"));
-    EXPECT_EQ(reg.counter("ssim_sweep_cells_total").value(), 6u);
-
-    // A perturbed counter must be caught.
-    reg.counter("ssim_sweep_cells_total").inc();
-    EXPECT_NE(checkMetricsReconciliation(study, 6), "");
 }
 
 // ------------------------------------------------------ live progress

@@ -177,7 +177,8 @@ randomMachine(Draws &d)
         const int nunits = 1 + d.below(4);
         for (int u = 0; u < nunits; ++u) {
             FuncUnit unit;
-            unit.name = "u" + std::to_string(u);
+            unit.name = "u";
+            unit.name += std::to_string(u);
             unit.multiplicity = 1 + d.below(3);
             unit.issueLatency = 1 + d.below(3);
             m.units.push_back(unit);

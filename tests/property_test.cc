@@ -48,7 +48,9 @@ class ProgramGen
         src_ += "func main() : int {\n";
         src_ += "  var int chk = 1;\n";
         for (int i = 0; i < 4; ++i) {
-            locals_.push_back("v" + std::to_string(i));
+            std::string local = "v";
+            local += std::to_string(i);
+            locals_.push_back(std::move(local));
             src_ += "  var int v" + std::to_string(i) + " = " +
                     std::to_string(pick(50)) + ";\n";
         }
@@ -118,16 +120,29 @@ class ProgramGen
     std::string
     indexExpr(int size)
     {
-        return "(" + intExpr(1) + " & " + std::to_string(size - 1) +
-               ")";
+        std::string e = "(";
+        e += intExpr(1);
+        e += " & ";
+        e += std::to_string(size - 1);
+        e += ")";
+        return e;
     }
 
     std::string
     cmpExpr()
     {
         static const char *ops[] = {"<", "<=", ">", ">=", "==", "!="};
-        return "(" + intExpr(1) + " " + ops[pick(6)] + " " +
-               intExpr(1) + ")";
+        // Drawn right to left: the right operand, then the operator.
+        const std::string rhs = intExpr(1);
+        const char *op = ops[pick(6)];
+        std::string e = "(";
+        e += intExpr(1);
+        e += " ";
+        e += op;
+        e += " ";
+        e += rhs;
+        e += ")";
+        return e;
     }
 
     void
