@@ -24,7 +24,7 @@ main()
         machines.push_back(superpipelined(degree));
     Study study;
     const std::vector<double> hm =
-        bench::harmonicSpeedups(study, "Figure 4-1", machines);
+        bench::harmonicSpeedups(study, machines);
 
     Table t;
     t.setHeader({"degree", "superscalar", "superpipelined",

@@ -31,7 +31,7 @@ main()
     }
     Study study;
     const std::vector<double> hm =
-        bench::harmonicSpeedups(study, "Figure 4-4", machines);
+        bench::harmonicSpeedups(study, machines);
 
     // Normalize each curve to its own multiplicity-1 point, like the
     // paper's "relative performance" axis.

@@ -23,20 +23,11 @@ main()
     // Every (benchmark, degree) cell fans out across the pool; the
     // table is filled from the index-ordered results, so output is
     // byte-identical at any SSIM_JOBS.
-    const std::size_t cells = suite.size() * kMaxDegree;
-    bench::journalHeader("Figure 4-5", cells);
     std::vector<double> speedup = bench::sweeper().map<double>(
-        cells, [&](std::size_t i) {
+        suite.size() * kMaxDegree, [&](std::size_t i) {
             const Workload &w = suite[i / kMaxDegree];
             const int d = static_cast<int>(i % kMaxDegree) + 1;
-            const double s = study.speedup(w, idealSuperscalar(d));
-            // Checkpoint at the success point, on the worker thread:
-            // a killed bench keeps every completed cell on disk.
-            Json cell = Json::object();
-            cell.set("speedup", Json(s));
-            bench::journalCell(w.name + "@ss" + std::to_string(d),
-                               cell);
-            return s;
+            return study.speedup(w, idealSuperscalar(d));
         });
 
     Table t;

@@ -114,8 +114,7 @@ BM_BytecodeRun(benchmark::State &state)
     const Workload &w = wl();
     CompileOptions o = defaultCompileOptions(w);
     Module m = compileWorkload(w.source, baseMachine(), o);
-    std::unique_ptr<Executor> exec =
-        makeExecutor(m, ExecBackend::Bytecode);
+    std::unique_ptr<Executor> exec = makeExecutor(m);
     std::uint64_t instrs = 0;
     const auto t0 = BenchClock::now();
     for (auto _ : state) {

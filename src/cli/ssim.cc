@@ -137,7 +137,6 @@
 #include "core/study/sweep.hh"
 #include "core/study/telemetry.hh"
 #include "ir/printer.hh"
-#include "sim/exec.hh"
 #include "sim/trap.hh"
 #include "support/bench.hh"
 #include "support/diag.hh"
@@ -172,7 +171,6 @@ usage()
         "options: --machine NAME --level 0..4 --unroll N --careful\n"
         "         --alias conservative|arrays|symbols|careful|heroic\n"
         "         --temps N --homes N --jobs N --keep-going\n"
-        "         --exec interp|bytecode\n"
         "         --top N --slack\n"
         "         --cell-timeout SECONDS --cell-retries N\n"
         "         --journal FILE --resume FILE\n"
@@ -483,15 +481,6 @@ parseArgs(int argc, char **argv)
                 parseIntOption("--jobs", next(), 1, 4096));
         else if (arg == "--keep-going")
             cli.keepGoing = true;
-        else if (arg == "--exec") {
-            const std::string value = next();
-            std::optional<ExecBackend> backend =
-                parseExecBackend(value);
-            if (!backend)
-                usageError("unknown backend '" + value +
-                           "' for --exec (interp|bytecode)");
-            setDefaultExecBackend(backend);
-        }
         else if (arg == "--cell-timeout")
             cli.cellTimeout =
                 parseSecondsOption("--cell-timeout", next());
@@ -950,20 +939,16 @@ cmdIlp(const Cli &cli)
     };
 
     SweepObservability obs(cli, study, todo.size());
+    // Transient failures retry and permanent ones are quarantined.
+    // Under --keep-going a failing degree is recorded as a structured
+    // CellError while the other degrees still run; without it, the
+    // first quarantined cell rethrows here.
     HardenedSweep<double> hs;
-    if (cli.keepGoing) {
-        // Fault-isolated sweep: a failing degree is recorded as a
-        // structured CellError while the other degrees still run;
-        // transient failures retry, permanent ones are quarantined.
+    try {
         hs = study.runner().mapHardened<double>(todo.size(),
                                                 cli.cellPolicy(), cell);
-    } else {
-        try {
-            hs = study.runner().mapHardened<double>(
-                todo.size(), cli.cellPolicy(), cell);
-        } catch (...) {
-            return fail(currentCellError().message);
-        }
+    } catch (...) {
+        return fail(currentCellError().message);
     }
     for (std::size_t j = 0; j < todo.size(); ++j)
         cells[todo[j]] = hs.cells[j];
@@ -1187,16 +1172,11 @@ cmdSuite(const Cli &cli)
 
     SweepObservability obs(cli, study, todo.size());
     HardenedSweep<SuiteCell> hs;
-    if (cli.keepGoing) {
+    try {
         hs = study.runner().mapHardened<SuiteCell>(
             todo.size(), cli.cellPolicy(), cell);
-    } else {
-        try {
-            hs = study.runner().mapHardened<SuiteCell>(
-                todo.size(), cli.cellPolicy(), cell);
-        } catch (...) {
-            return fail(currentCellError().message);
-        }
+    } catch (...) {
+        return fail(currentCellError().message);
     }
     for (std::size_t j = 0; j < todo.size(); ++j)
         cells[todo[j]] = std::move(hs.cells[j]);

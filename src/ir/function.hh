@@ -97,6 +97,13 @@ struct Function
         return allocated ? layout.fp() : fpReg;
     }
 
+    /** Register slots one activation needs: the allocated file once
+     *  `allocated`, else every virtual register. */
+    std::uint32_t registerFileSize() const
+    {
+        return allocated ? layout.total() : numVirtRegs;
+    }
+
     BasicBlock &entry() { return blocks.front(); }
     const BasicBlock &entry() const { return blocks.front(); }
 

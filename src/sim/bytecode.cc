@@ -5,6 +5,7 @@
 #include <unordered_map>
 
 #include "sim/semantics.hh"
+#include "support/diag.hh"
 #include "support/inline.hh"
 #include "support/logging.hh"
 #include "support/trace.hh"
@@ -34,9 +35,9 @@ reg32(std::uint16_t r)
     return r == BcInstr::kNone16 ? kNoReg : static_cast<Reg>(r);
 }
 
-/** Does every register operand of `in` fit the 16-bit encoding and
- *  the function's register file?  (The VM indexes the frame arena
- *  without per-access checks, so lowering is the bounds gate.) */
+/** Does every register operand of `in` fit the function's register
+ *  file?  (The VM indexes the frame arena without per-access checks,
+ *  so lowering is the bounds gate.) */
 bool
 regsFit(const Instr &in, std::size_t nregs)
 {
@@ -90,18 +91,29 @@ terminated(const BasicBlock &bb)
     return op == Opcode::Br || op == Opcode::Jmp || op == Opcode::Ret;
 }
 
+/** A function the image cannot represent: E0502, naming it. */
+[[noreturn]] void
+unlowerable(const Function &func, const std::string &why)
+{
+    throw DiagException(Diag{Severity::Error,
+                             ErrCode::BytecodeLoweringFailed,
+                             "cannot lower '" + func.name +
+                                 "' to bytecode: " + why,
+                             {}});
+}
+
 /**
- * Lower one function.  Returns false when the register file does not
- * fit the 16-bit encoding (the only unrepresentable shape).
+ * Lower one function.  Throws E0502 when its register file exceeds
+ * the 16-bit encoding or an operand lies outside that file.
  */
-bool
+void
 lowerFunction(const Module &module, const Function &func,
               BcFunction &out, std::vector<BcArgMove> &pool)
 {
-    const std::size_t nregs = std::max<std::size_t>(
-        func.numVirtRegs, func.layout.total());
+    const std::size_t nregs = func.registerFileSize();
     if (nregs > BcInstr::kNone16)
-        return false;
+        unlowerable(func, std::to_string(nregs) +
+                              " registers exceed the 16-bit encoding");
 
     out.name = func.name;
     out.nregs = static_cast<std::uint32_t>(nregs);
@@ -145,7 +157,11 @@ lowerFunction(const Module &module, const Function &func,
     for (const BasicBlock &bb : func.blocks) {
         for (const Instr &in : bb.instrs) {
             if (!regsFit(in, nregs))
-                return false;
+                unlowerable(func, std::string("an operand of ") +
+                                      opcodeName(in.op).data() +
+                                      " lies outside its " +
+                                      std::to_string(nregs) +
+                                      "-register frame");
             BcInstr bc;
             bc.srcOp = static_cast<std::uint8_t>(in.op);
             bc.cls = static_cast<std::uint8_t>(opcodeClass(in.op));
@@ -203,12 +219,13 @@ lowerFunction(const Module &module, const Function &func,
                     bc.t1 = static_cast<std::uint32_t>(pool.size());
                     bc.aux =
                         static_cast<std::uint32_t>(in.args.size());
-                    const std::size_t callee_nregs =
-                        std::max<std::size_t>(callee.numVirtRegs,
-                                              callee.layout.total());
                     for (std::size_t i = 0; i < in.args.size(); ++i) {
-                        if (callee.paramRegs[i] >= callee_nregs)
-                            return false;
+                        if (callee.paramRegs[i] >=
+                            callee.registerFileSize())
+                            unlowerable(func, "a parameter of '" +
+                                                  callee.name +
+                                                  "' lies outside "
+                                                  "its frame");
                         BcArgMove mv;
                         mv.dst = static_cast<std::uint16_t>(
                             callee.paramRegs[i]);
@@ -261,7 +278,6 @@ lowerFunction(const Module &module, const Function &func,
         bc.imm = 0;
         out.code.push_back(bc);
     }
-    return true;
 }
 
 } // namespace
@@ -275,7 +291,7 @@ BcImage::codeBytes() const
     return bytes;
 }
 
-std::optional<BcImage>
+BcImage
 lowerModule(const Module &module)
 {
     trace::ScopedSpan span("bytecode_lower", "compile");
@@ -283,15 +299,9 @@ lowerModule(const Module &module)
     BcImage image;
     image.module = &module;
     image.funcs.resize(module.functions().size());
-    for (std::size_t i = 0; i < module.functions().size(); ++i) {
-        if (!lowerFunction(module, module.functions()[i],
-                           image.funcs[i], image.argPool)) {
-            SS_DEBUG("bytecode", "lowering fell back on ",
-                     module.functions()[i].name,
-                     ": register file exceeds 16-bit encoding");
-            return std::nullopt;
-        }
-    }
+    for (std::size_t i = 0; i < module.functions().size(); ++i)
+        lowerFunction(module, module.functions()[i], image.funcs[i],
+                      image.argPool);
     if (span.armed())
         span.detail(module.sourceName + ": " +
                     std::to_string(image.funcs.size()) + " funcs, " +
@@ -349,9 +359,9 @@ emitRecord(Sink *sink, std::uint8_t op, Reg dst, Reg a, Reg b,
 
 } // namespace
 
-BytecodeVM::BytecodeVM(const BcImage &image, InterpOptions options)
-    : image_(&image), opts_(options),
-      mem_(*image.module, options.stackBytes)
+BytecodeVM::BytecodeVM(BcImage image, InterpOptions options)
+    : image_(std::move(image)), opts_(options),
+      mem_(*image_.module, options.stackBytes)
 {
     stack_top_ = mem_.stackBase();
 }
@@ -370,11 +380,11 @@ BytecodeVM::runWith(const std::string &entry, Sink *sink)
 
     RunResult result;
     try {
-        FuncId id = image_->module->findFunction(entry);
+        FuncId id = image_.module->findFunction(entry);
         if (id == kNoFunc)
             sem::trapNoEntry(entry);
         const BcFunction &func =
-            image_->funcs[static_cast<std::size_t>(id)];
+            image_.funcs[static_cast<std::size_t>(id)];
         if (func.paramCount != 0)
             sem::trapEntryTakesArgs(entry);
         try {
@@ -402,7 +412,7 @@ std::uint64_t
 BytecodeVM::execute(std::uint32_t entryIdx, Sink *sink)
 {
     (void)sink; // unused in the untraced instantiation
-    const BcImage &img = *image_;
+    const BcImage &img = image_;
     const BcArgMove *const pool = img.argPool.data();
 
     std::vector<VmFrame> frames;

@@ -1,7 +1,7 @@
 /**
  * @file
- * The bytecode execution backend: a flat, pre-resolved encoding of a
- * Module plus a threaded-dispatch VM that executes it.
+ * The bytecode executor: a flat, pre-resolved encoding of a Module
+ * plus a threaded-dispatch VM that executes it.
  *
  * The IR-walk interpreter (sim/interp.hh) re-derives everything per
  * executed instruction: block bounds, operand presence, immediate
@@ -31,17 +31,17 @@
  * RunResult bookkeeping.  tests/bytecode_test.cc holds the
  * differential suite that enforces the contract.
  *
- * Programs the encoding cannot represent (a register file larger
- * than 16-bit indices) fail lowering with std::nullopt; the backend
- * seam (sim/exec.hh) then falls back to the interpreter, so the VM
- * never needs a slow path.
+ * Lowering rejects what the encoding cannot represent (a register
+ * file larger than 16-bit indices, an operand outside its frame)
+ * with E0502, so the VM never needs a slow path.  An allocated
+ * frame is the register layout's size, which the CLI caps at 8,194
+ * registers, so every program `ssim` compiles lowers.
  */
 
 #ifndef SUPERSYM_SIM_BYTECODE_HH
 #define SUPERSYM_SIM_BYTECODE_HH
 
 #include <cstdint>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -163,7 +163,7 @@ struct BcFunction
     std::string name;
     std::vector<BcInstr> code;
     /** Register-file slots per activation (interpreter-identical:
-     *  max(numVirtRegs, layout.total())). */
+     *  Function::registerFileSize()). */
     std::uint32_t nregs = 0;
     std::int64_t frameBytes = 0;
     /** Frame-pointer slot, kNone16 when absent or out of range. */
@@ -189,18 +189,17 @@ struct BcImage
 };
 
 /**
- * Lower a module to bytecode.  Returns std::nullopt — after logging
- * on the "bytecode" debug channel — when the image cannot represent
- * the program (any function whose register file exceeds 16-bit
- * indices); the caller falls back to the interpreter.  Records a
- * "bytecode_lower" compile span.
+ * Lower a module to bytecode.  Throws DiagException E0502, naming
+ * the function, when the image cannot represent it (a register file
+ * larger than 16-bit indices, or an operand outside its frame).
+ * Records a "bytecode_lower" compile span.
  */
-std::optional<BcImage> lowerModule(const Module &module);
+BcImage lowerModule(const Module &module);
 
 /**
  * Executes a BcImage with the Interpreter's exact observable
- * contract (see file comment).  One VM owns one Memory, like one
- * Interpreter; run() resets all execution state, so a VM is reusable
+ * contract (see file comment).  One VM owns its image and one
+ * Memory; run() resets all execution state, so a VM is reusable
  * across runs including after a trap.
  *
  * The fused entry point (runTimed) is the hot-path variant: every
@@ -214,7 +213,7 @@ std::optional<BcImage> lowerModule(const Module &module);
 class BytecodeVM
 {
   public:
-    explicit BytecodeVM(const BcImage &image, InterpOptions options = {});
+    explicit BytecodeVM(BcImage image, InterpOptions options = {});
 
     /** Generic entry point: virtual per-record emit (or none). */
     RunResult run(const std::string &entry = "main",
@@ -233,7 +232,7 @@ class BytecodeVM
     template <class Sink, bool Traced>
     std::uint64_t execute(std::uint32_t entryIdx, Sink *sink);
 
-    const BcImage *image_;
+    BcImage image_;
     InterpOptions opts_;
     Memory mem_;
 

@@ -53,7 +53,7 @@ bool deadlineArmed();
 /**
  * Throw TrapException(TrapDeadlineExceeded) if the calling thread's
  * deadline has passed; no-op (one thread-local load) when no deadline
- * is armed.  Called from both backends' poll points.
+ * is armed.  Called from the VM's and the interpreter's poll points.
  */
 void pollDeadline();
 

@@ -113,8 +113,7 @@ Interpreter::execFrame(const Function &func,
         sem::trapCallDepthExceeded(func.name);
     ++call_depth_;
 
-    const std::size_t nregs =
-        std::max<std::size_t>(func.numVirtRegs, func.layout.total());
+    const std::size_t nregs = func.registerFileSize();
     const std::size_t base = arena_.size();
     arena_.resize(base + nregs, 0);
 

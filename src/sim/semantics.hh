@@ -8,11 +8,11 @@
  * the value computed for each ALU/FP opcode, the exact trap records
  * raised for workload faults (divide by zero, fuel exhaustion, call
  * depth, stack overflow, bad jumps, missing entry), and the shared
- * watchdog/fault-injection poll both backends run every
+ * watchdog/fault-injection poll both run every
  * cancel::kDeadlinePollInterval dynamic instructions.  A divergence
- * between the two backends is, by construction, a bookkeeping bug,
- * not a semantics bug — the differential suite (tests/bytecode_test)
- * then pins the bookkeeping.
+ * between the VM and the interpreter is, by construction, a
+ * bookkeeping bug, not a semantics bug — the differential suite
+ * (tests/bytecode_test) then pins the bookkeeping.
  *
  * All values are 64-bit bit patterns: integers are two's-complement
  * int64, floats are IEEE double, moved around as std::uint64_t and
@@ -39,10 +39,9 @@ namespace ilp::sem {
 inline constexpr int kMaxCallDepth = 4096;
 
 /**
- * The fault-injection site both functional backends visit from their
- * poll point.  One shared name keeps the seeded draw sequence — and
- * therefore every chaos differential — identical whichever backend
- * executes the workload.
+ * The fault-injection site the VM and the interpreter visit from
+ * their poll point.  One shared name keeps the seeded draw sequence
+ * identical in the VM and in its oracle.
  */
 inline constexpr const char *kFaultSite = "interp";
 
@@ -142,13 +141,13 @@ trapEntryTakesArgs(const std::string &entry)
 // ------------------------------------------------- watchdog cadence
 
 /**
- * The amortized per-instruction poll both backends run *after*
- * bumping their dynamic-instruction counter: one branch per
+ * The amortized per-instruction poll the VM and the interpreter run
+ * *after* bumping their dynamic-instruction counter: one branch per
  * instruction, and every cancel::kDeadlinePollInterval instructions
  * the cooperative cell deadline plus the shared fault-injection
  * site.  Synthetic calling-convention moves bump the counter without
  * polling (they are bookkeeping, not fetched instructions) — both
- * backends agree on that, which keeps the poll *points*, and so the
+ * agree on that, which keeps the poll *points*, and so the
  * E0410 trap instants and fault draws, identical.
  */
 inline void

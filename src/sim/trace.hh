@@ -2,8 +2,9 @@
  * @file
  * Dynamic instruction records and trace sinks.
  *
- * An execution backend (sim/exec.hh) runs a module and streams one
- * DynInstr per executed instruction into a TraceSink.  Sinks include
+ * The executor (sim/exec.hh) and its oracle, the interpreter, run a
+ * module and stream one DynInstr per executed instruction into a
+ * TraceSink.  Sinks include
  * the timing engine (sim/issue.hh), the class-frequency profiler, the
  * cache model, and an in-memory buffer.
  */

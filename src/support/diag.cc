@@ -42,6 +42,7 @@ errCodeId(ErrCode code)
       case ErrCode::TrapDeadlineExceeded: return "E0410";
 
       case ErrCode::OptTempRegsExhausted: return "E0501";
+      case ErrCode::BytecodeLoweringFailed: return "E0502";
 
       case ErrCode::IoError: return "E0901";
       case ErrCode::JsonParseError: return "E0902";
@@ -104,6 +105,8 @@ errCodeName(ErrCode code)
 
       case ErrCode::OptTempRegsExhausted:
         return "opt-temp-regs-exhausted";
+      case ErrCode::BytecodeLoweringFailed:
+        return "bytecode-lowering-failed";
 
       case ErrCode::IoError: return "io-error";
       case ErrCode::JsonParseError: return "json-parse-error";

@@ -94,6 +94,7 @@ enum class ErrCode
 
     // Compile-environment limits (E05xx).
     OptTempRegsExhausted,
+    BytecodeLoweringFailed,
 
     // Generic (E09xx).
     IoError,

@@ -1,11 +1,12 @@
 /**
- * Differential oracle for the bytecode execution backend: the
- * IR-walk interpreter and the threaded-dispatch VM must produce
- * identical observable artifacts — full-width DynInstr streams,
+ * Differential oracle for the bytecode executor: the threaded-
+ * dispatch VM must produce the same observable artifacts as its
+ * oracle, the IR-walk interpreter — full-width DynInstr streams,
  * checksums, trap records, deadline-poll instants, fault-injection
  * draws, and RunOutcome stats trees — across the whole benchmark
- * suite, at every sweep job count, and on the trap paths.
- * docs/bytecode.md documents the contract this file enforces.
+ * suite, at every sweep job count, on the trap paths, and on frames
+ * past the 16-bit virtual register range.  docs/bytecode.md
+ * documents the contract this file enforces.
  */
 
 #include <gtest/gtest.h>
@@ -13,9 +14,11 @@
 #include "core/machine/models.hh"
 #include "core/study/driver.hh"
 #include "core/study/experiment.hh"
+#include "ir/builder.hh"
 #include "sim/bytecode.hh"
 #include "sim/cancel.hh"
 #include "sim/exec.hh"
+#include "sim/interp.hh"
 #include "support/diag.hh"
 #include "support/faultinject.hh"
 #include "tests/helpers.hh"
@@ -31,7 +34,7 @@ compileDefault(const std::string &name, const MachineConfig &machine)
     return compileWorkload(w.source, machine, o);
 }
 
-/** What one backend reports about one functional execution (its
+/** What one execution reports about one functional run (its
  *  dynamic stream goes to the sink the caller passes). */
 struct BackendRun
 {
@@ -40,22 +43,32 @@ struct BackendRun
     bool hasFp = false;
 };
 
+/** Run main() on `exec` (the VM or the interpreter). */
+template <class Exec>
 BackendRun
-runBackend(const Module &module, ExecBackend backend, TraceSink *sink,
-           InterpOptions options = {})
+runOn(Exec &exec, const Module &module, TraceSink *sink)
 {
     BackendRun out;
-    std::unique_ptr<Executor> exec =
-        makeExecutor(module, backend, options);
-    // The suite's modules must all lower: a silent fallback here
-    // would turn the differential test into interp-vs-interp.
-    EXPECT_EQ(exec->backend(), backend);
-    out.result = exec->run("main", sink);
+    out.result = exec.run("main", sink);
     if (!out.result.trapped() && module.findGlobal("result_fp")) {
-        out.fpBits = exec->memory().readGlobal(module, "result_fp");
+        out.fpBits = exec.memory().readGlobal(module, "result_fp");
         out.hasFp = true;
     }
     return out;
+}
+
+BackendRun
+runInterp(const Module &module, TraceSink *sink,
+          InterpOptions options = {})
+{
+    Interpreter interp(module, options);
+    return runOn(interp, module, sink);
+}
+
+BackendRun
+runVm(const Module &module, TraceSink *sink, InterpOptions options = {})
+{
+    return runOn(*makeExecutor(module, options), module, sink);
 }
 
 /** Checks a stream against a buffered reference as it is produced,
@@ -95,8 +108,9 @@ class StreamComparator final : public TraceSink
     std::size_t first_ = 0;
 };
 
-/** Both backends on one module: the interpreter's stream buffered as
- *  the reference, the VM's compared against it record by record. */
+/** The VM and its oracle on one module: the interpreter's stream
+ *  buffered as the reference, the VM's compared against it record
+ *  by record. */
 struct DifferentialRun
 {
     BackendRun interp;
@@ -108,11 +122,9 @@ runBoth(const Module &module, InterpOptions options = {})
 {
     TraceBuffer reference;
     DifferentialRun d;
-    d.interp =
-        runBackend(module, ExecBackend::Interp, &reference, options);
+    d.interp = runInterp(module, &reference, options);
     StreamComparator compare(reference.trace());
-    d.bytecode =
-        runBackend(module, ExecBackend::Bytecode, &compare, options);
+    d.bytecode = runVm(module, &compare, options);
     compare.expectIdentical();
     return d;
 }
@@ -154,31 +166,75 @@ TEST_P(BackendDifferentialTest, TraceChecksumAndMixIdentical)
 
 TEST_P(BackendDifferentialTest, SinkDoesNotChangeTheCounts)
 {
-    // Calling-convention moves are bookkeeping the backends count
-    // whether or not anything observes the stream, so a sink-less run
-    // reports exactly what a traced run does.
+    // Calling-convention moves are bookkeeping the VM and the
+    // interpreter count whether or not anything observes the stream,
+    // so a sink-less run reports exactly what a traced run does.
     Module m = compileDefault(GetParam(), idealSuperscalar(4));
-    for (ExecBackend backend :
-         {ExecBackend::Interp, ExecBackend::Bytecode}) {
+    auto expectSinkFree = [](const char *who, auto run) {
         ClassProfileSink profile;
-        const RunResult traced =
-            runBackend(m, backend, &profile).result;
-        const RunResult plain = runBackend(m, backend, nullptr).result;
-        EXPECT_EQ(plain.instructions, traced.instructions)
-            << execBackendName(backend);
-        EXPECT_EQ(plain.classCounts, traced.classCounts)
-            << execBackendName(backend);
-        EXPECT_EQ(traced.instructions, profile.total())
-            << execBackendName(backend);
-    }
+        const RunResult traced = run(&profile);
+        const RunResult plain = run(nullptr);
+        EXPECT_EQ(plain.instructions, traced.instructions) << who;
+        EXPECT_EQ(plain.classCounts, traced.classCounts) << who;
+        EXPECT_EQ(traced.instructions, profile.total()) << who;
+    };
+    expectSinkFree("interp", [&](TraceSink *sink) {
+        return runInterp(m, sink).result;
+    });
+    expectSinkFree("bytecode", [&](TraceSink *sink) {
+        return runVm(m, sink).result;
+    });
+}
+
+/** runOnMachine's collectStats path with the interpreter executing:
+ *  the same engine, cache model and stats layout. */
+RunOutcome
+runOnMachineInterp(const Module &module, const MachineConfig &machine,
+                   const RunTelemetryOptions &telemetry,
+                   const CompileTelemetry *compile)
+{
+    IssueEngine engine(machine);
+    if (telemetry.collectProfile)
+        engine.enableProfile(module.pcCount());
+    CacheSink dcache(telemetry.cache);
+    TeeSink tee;
+    tee.addSink(&engine);
+    tee.addSink(&dcache);
+    Interpreter interp(module);
+    const RunResult r = interp.run("main", &tee);
+
+    RunOutcome out;
+    out.checksum = static_cast<std::int64_t>(r.returnValue);
+    out.instructions = r.instructions;
+    out.cycles = engine.baseCycles();
+    if (telemetry.collectProfile)
+        out.pcCounters = engine.profileCounters();
+    stats::Registry registry;
+    stats::Group &run = registry.group("run", "headline numbers");
+    run.counter("instructions", "dynamic instructions")
+        .inc(out.instructions);
+    run.scalar("base_cycles", "elapsed base cycles").set(out.cycles);
+    run.scalar("ipc", "instructions per base cycle").set(out.ipc());
+    run.scalar("checksum", "main()'s return value")
+        .set(static_cast<double>(out.checksum));
+    engine.exportStats(registry.group("issue", "in-order issue engine"));
+    dcache.exportStats(registry.group("cache", "data-cache model"));
+    exportClassMix(registry.group("mix", "dynamic instruction mix"),
+                   r.classCounts);
+    if (compile)
+        compile->exportStats(
+            registry.group("compile", "compile pipeline"));
+    out.stats = registry.snapshot();
+    return out;
 }
 
 TEST_P(BackendDifferentialTest, StatsTreeIdentical)
 {
     // The full RunOutcome stats tree — issue engine, cache model,
-    // class mix, compile telemetry — through the default pipeline
-    // under each backend.  Json equality is structural and ordered,
-    // so this is as strong as comparing the serialized bytes.
+    // class mix, compile telemetry — from runOnMachine on the VM and
+    // from the same pipeline on the interpreter.  Json equality is
+    // structural and ordered, so this is as strong as comparing the
+    // serialized bytes.
     const Workload &w = workloadByName(GetParam());
     CompileOptions o = defaultCompileOptions(w);
     CompileTelemetry compile;
@@ -188,11 +244,9 @@ TEST_P(BackendDifferentialTest, StatsTreeIdentical)
     t.collectStats = true;
     t.collectProfile = true;
 
-    setDefaultExecBackend(ExecBackend::Interp);
-    RunOutcome a = runOnMachine(m, idealSuperscalar(4), t, &compile);
-    setDefaultExecBackend(ExecBackend::Bytecode);
+    RunOutcome a = runOnMachineInterp(m, idealSuperscalar(4), t,
+                                      &compile);
     RunOutcome b = runOnMachine(m, idealSuperscalar(4), t, &compile);
-    setDefaultExecBackend(std::nullopt);
 
     EXPECT_EQ(a.checksum, b.checksum);
     EXPECT_EQ(a.instructions, b.instructions);
@@ -220,27 +274,36 @@ INSTANTIATE_TEST_SUITE_P(AllWorkloads, BackendDifferentialTest,
 TEST(BackendSweepTest, SweepCellsIdenticalAtJobs128)
 {
     // The sweep path (compile cache, worker pool) at jobs 1/2/8:
-    // every cell's speedup must be bit-identical across backends —
-    // the engine consumes the same stream, so the cycle counts are
-    // exact doubles, not approximations.
+    // every cell's speedup must be bit-identical to the interpreter
+    // streaming into the same engine — the engine consumes the same
+    // stream, so the cycle counts are exact doubles, not
+    // approximations.
+    auto interpCycles = [](const Workload &w,
+                           const MachineConfig &machine) {
+        const Module m = compileWorkload(w.source, machine,
+                                         defaultCompileOptions(w));
+        IssueEngine engine(machine);
+        Interpreter interp(m);
+        EXPECT_FALSE(interp.run("main", &engine).trapped()) << w.name;
+        return engine.baseCycles();
+    };
+    auto machineOf = [](std::size_t i) {
+        return idealSuperscalar(static_cast<int>(i % 4) + 1);
+    };
+    std::vector<double> oracle;
+    for (std::size_t i = 0; i < 8; ++i) {
+        const Workload &w = allWorkloads()[i];
+        oracle.push_back(interpCycles(w, baseMachine()) /
+                         interpCycles(w, machineOf(i)));
+    }
     for (int jobs : {1, 2, 8}) {
-        std::vector<double> perBackend[2];
-        int bi = 0;
-        for (ExecBackend backend :
-             {ExecBackend::Interp, ExecBackend::Bytecode}) {
-            setDefaultExecBackend(backend);
-            Study study(jobs);
-            perBackend[bi++] = study.runner().map<double>(
-                8, [&](std::size_t i) {
-                    return study.speedup(
-                        allWorkloads()[i],
-                        idealSuperscalar(static_cast<int>(i % 4) +
-                                         1));
-                });
-        }
-        setDefaultExecBackend(std::nullopt);
+        Study study(jobs);
+        const std::vector<double> cells =
+            study.runner().map<double>(8, [&](std::size_t i) {
+                return study.speedup(allWorkloads()[i], machineOf(i));
+            });
         for (std::size_t i = 0; i < 8; ++i)
-            EXPECT_EQ(perBackend[0][i], perBackend[1][i])
+            EXPECT_EQ(cells[i], oracle[i])
                 << allWorkloads()[i].name << " at jobs " << jobs;
     }
 }
@@ -314,11 +377,9 @@ TEST(BackendTrapTest, CallDepthExceeded)
 TEST(BackendTrapTest, MissingEntryFunction)
 {
     Module m = compileRaw("func main() : int { return 1; }");
-    std::unique_ptr<Executor> a =
-        makeExecutor(m, ExecBackend::Interp);
-    std::unique_ptr<Executor> b =
-        makeExecutor(m, ExecBackend::Bytecode);
-    RunResult ra = a->run("nope");
+    Interpreter a(m);
+    std::unique_ptr<Executor> b = makeExecutor(m);
+    RunResult ra = a.run("nope");
     RunResult rb = b->run("nope");
     ASSERT_TRUE(ra.trapped());
     EXPECT_EQ(ra.trap.code, ErrCode::TrapNoEntry);
@@ -328,9 +389,9 @@ TEST(BackendTrapTest, MissingEntryFunction)
 TEST(BackendDeadlineTest, PollsAtTheSameInstant)
 {
     // An already-expired deadline fires at the first poll point; the
-    // two backends must poll on the same instruction-count cadence
-    // (cancel::kDeadlinePollInterval), so the trap records agree on
-    // the instruction at which the deadline was noticed.
+    // VM and the interpreter must poll on the same instruction-count
+    // cadence (cancel::kDeadlinePollInterval), so the trap records
+    // agree on the instruction at which the deadline was noticed.
     Module m = compileRaw(R"(
         func main() : int {
             var int i;
@@ -341,14 +402,12 @@ TEST(BackendDeadlineTest, PollsAtTheSameInstant)
     RunResult ra, rb;
     {
         cancel::ScopedCellDeadline deadline(1e-9);
-        std::unique_ptr<Executor> e =
-            makeExecutor(m, ExecBackend::Interp);
-        ra = e->run();
+        Interpreter e(m);
+        ra = e.run();
     }
     {
         cancel::ScopedCellDeadline deadline(1e-9);
-        std::unique_ptr<Executor> e =
-            makeExecutor(m, ExecBackend::Bytecode);
+        std::unique_ptr<Executor> e = makeExecutor(m);
         rb = e->run();
     }
     ASSERT_TRUE(ra.trapped());
@@ -362,9 +421,9 @@ TEST(BackendFaultTest, InjectionDrawsAlign)
 {
     // Seeded fault injection draws at the shared "interp" site once
     // per poll interval.  An injected E0409 is a DiagException the
-    // *sweep* layer contains, so here it escapes run() — both
-    // backends must escape identically: same message, same single
-    // injection per run.  (That the poll instants line up in
+    // *sweep* layer contains, so here it escapes run() — the VM and
+    // the interpreter must escape identically: same message, same
+    // single injection per run.  (That the poll instants line up in
     // instruction count is proven by BackendDeadlineTest.)
     Module m = compileRaw(R"(
         func main() : int {
@@ -375,21 +434,20 @@ TEST(BackendFaultTest, InjectionDrawsAlign)
         })");
     std::string messages[2];
     std::uint64_t injected[2] = {0, 0};
-    int bi = 0;
-    for (ExecBackend backend :
-         {ExecBackend::Interp, ExecBackend::Bytecode}) {
+    auto runFaulty = [&](auto &exec, int slot) {
         fault::reset();
         ASSERT_TRUE(fault::configure("interp:trap:0.02:1234"));
         const std::uint64_t before = fault::injectedCount();
-        std::unique_ptr<Executor> e = makeExecutor(m, backend);
         try {
-            (void)e->run();
+            (void)exec.run();
         } catch (const DiagException &diag) {
-            messages[bi] = diag.what();
+            messages[slot] = diag.what();
         }
-        injected[bi] = fault::injectedCount() - before;
-        ++bi;
-    }
+        injected[slot] = fault::injectedCount() - before;
+    };
+    Interpreter interp(m);
+    runFaulty(interp, 0);
+    runFaulty(*makeExecutor(m), 1);
     fault::reset();
     ASSERT_FALSE(messages[0].empty())
         << "rate 0.02 over ~2441 polls should have fired";
@@ -399,26 +457,7 @@ TEST(BackendFaultTest, InjectionDrawsAlign)
 }
 
 // ------------------------------------------------------------------
-// Seam plumbing.
-
-TEST(BackendSeamTest, ParseAndName)
-{
-    EXPECT_EQ(parseExecBackend("interp"), ExecBackend::Interp);
-    EXPECT_EQ(parseExecBackend("bytecode"), ExecBackend::Bytecode);
-    EXPECT_EQ(parseExecBackend("jit"), std::nullopt);
-    EXPECT_STREQ(execBackendName(ExecBackend::Interp), "interp");
-    EXPECT_STREQ(execBackendName(ExecBackend::Bytecode), "bytecode");
-}
-
-TEST(BackendSeamTest, OverrideWinsOverDefault)
-{
-    setDefaultExecBackend(ExecBackend::Interp);
-    EXPECT_EQ(defaultExecBackend(), ExecBackend::Interp);
-    Module m = compileRaw("func main() : int { return 42; }");
-    std::unique_ptr<Executor> exec = makeExecutor(m);
-    EXPECT_EQ(exec->backend(), ExecBackend::Interp);
-    setDefaultExecBackend(std::nullopt);
-}
+// The executor itself.
 
 TEST(BackendSeamTest, ExecutorReusableAfterTrap)
 {
@@ -427,8 +466,7 @@ TEST(BackendSeamTest, ExecutorReusableAfterTrap)
     Module m = compileRaw(R"(
         var int zero;
         func main() : int { return 7 / zero; })");
-    std::unique_ptr<Executor> exec =
-        makeExecutor(m, ExecBackend::Bytecode);
+    std::unique_ptr<Executor> exec = makeExecutor(m);
     RunResult first = exec->run();
     ASSERT_TRUE(first.trapped());
     RunResult second = exec->run();
@@ -440,10 +478,74 @@ TEST(BackendSeamTest, ExecutorReusableAfterTrap)
 TEST(BackendSeamTest, LoweredImageShapeIsSane)
 {
     Module m = compileDefault("whet", idealSuperscalar(4));
-    std::optional<BcImage> image = lowerModule(m);
-    ASSERT_TRUE(image.has_value());
-    EXPECT_GT(image->codeBytes(), 0u);
-    EXPECT_EQ(image->funcs.size(), m.functions().size());
+    const BcImage image = lowerModule(m);
+    EXPECT_GT(image.codeBytes(), 0u);
+    EXPECT_EQ(image.funcs.size(), m.functions().size());
+}
+
+// ------------------------------------------------------------------
+// Frame sizes: an allocated frame is the register layout, however
+// many virtual registers the frontend used.
+
+/** `statements` copies of one accumulating statement, straight-line:
+ *  each costs the frontend a handful of fresh virtual registers. */
+std::string
+straightLineSource(int statements)
+{
+    std::string src = R"(
+        var int a[16];
+        func main() : int {
+            var int i;
+            var int k;
+            var int s;
+            for (i = 0; i < 16; i = i + 1) { a[i] = i * 3 + 1; }
+            i = 5;
+            k = 7;
+            s = 0;
+)";
+    for (int n = 0; n < statements; ++n)
+        src += "s = s + a[i % 16] * k;\n";
+    src += "return s; }\n";
+    return src;
+}
+
+TEST(BackendLargeFrameTest, PastSixteenBitVirtualRegistersRunsOnTheVm)
+{
+    Module m = compileToIr(straightLineSource(11000));
+    ASSERT_GT(m.function(m.findFunction("main")).numVirtRegs, 65535u);
+    OptimizeOptions oo;
+    oo.level = OptLevel::None;
+    optimizeModule(m, baseMachine(), oo);
+
+    EXPECT_NO_THROW((void)lowerModule(m));
+    const DifferentialRun d = runBoth(m);
+    expectResultsIdentical(d.interp.result, d.bytecode.result);
+    // a[5] * k, accumulated once per statement.
+    EXPECT_EQ(d.bytecode.result.returnValue, 11000u * 16u * 7u);
+}
+
+TEST(BackendLargeFrameTest, UnencodableFrameThrowsE0502)
+{
+    // Only a module built through the library API can carry a frame
+    // past the 16-bit encoding; the executor refuses it by name
+    // instead of running it anywhere else.
+    Module m;
+    Function &f = m.function(m.addFunction("huge"));
+    f.returnsValue = true;
+    IrBuilder b(f);
+    f.numVirtRegs = 70000;
+    const Reg v = b.li(1);
+    b.ret(v);
+    try {
+        (void)makeExecutor(m);
+        ADD_FAILURE() << "a 70,000-register frame lowered";
+    } catch (const DiagException &e) {
+        EXPECT_EQ(e.code(), ErrCode::BytecodeLoweringFailed);
+        EXPECT_NE(std::string(e.what()).find("E0502"),
+                  std::string::npos);
+        EXPECT_NE(std::string(e.what()).find("'huge'"),
+                  std::string::npos);
+    }
 }
 
 } // namespace

@@ -12,7 +12,7 @@
  *    zero slack, and the reported critical edges actually carry the
  *    critical path;
  *  - the graph build is deterministic: the same structure hash at any
- *    job count and on either execution backend.
+ *    job count and from the interpreter's stream.
  */
 
 #include <gtest/gtest.h>
@@ -20,7 +20,7 @@
 #include "core/machine/models.hh"
 #include "core/study/experiment.hh"
 #include "sim/depgraph.hh"
-#include "sim/exec.hh"
+#include "sim/interp.hh"
 #include "tests/helpers.hh"
 #include "workloads/workloads.hh"
 
@@ -171,11 +171,12 @@ TEST(DepGraphPropertyTest, BuildIsDeterministicAcrossJobsAndBackends)
     }
     // Same hash when the interpreter produces the stream.
     {
-        setDefaultExecBackend(ExecBackend::Interp);
-        Study study(1);
-        const DepGraph graph =
-            study.dependenceGraph(w, machine, options);
-        setDefaultExecBackend(std::nullopt);
+        const Module module =
+            compileWorkload(w.source, machine, options);
+        DepGraph::Builder builder;
+        Interpreter interp(module);
+        ASSERT_FALSE(interp.run("main", &builder).trapped());
+        const DepGraph graph = builder.take();
         EXPECT_EQ(graph.structureHash(), reference);
         EXPECT_EQ(graph.size(), nodes);
     }

@@ -34,9 +34,12 @@ TEST(DiagTest, ErrCodeIdsAreStable)
     EXPECT_STREQ(errCodeId(ErrCode::SemaUndefined), "E0302");
     EXPECT_STREQ(errCodeId(ErrCode::TrapDivideByZero), "E0401");
     EXPECT_STREQ(errCodeId(ErrCode::OptTempRegsExhausted), "E0501");
+    EXPECT_STREQ(errCodeId(ErrCode::BytecodeLoweringFailed), "E0502");
     EXPECT_STREQ(errCodeId(ErrCode::Internal), "E0999");
     EXPECT_STREQ(errCodeName(ErrCode::TrapFuelExhausted),
                  "trap-fuel-exhausted");
+    EXPECT_STREQ(errCodeName(ErrCode::BytecodeLoweringFailed),
+                 "bytecode-lowering-failed");
 }
 
 TEST(DiagEngineTest, CountsOnlyErrors)

@@ -121,8 +121,7 @@ TEST(IssueRefTest, FusedEngineMatchesStepperOnEveryWorkload)
     for (const Workload &w : allWorkloads()) {
         const Module module = compileWorkload(
             w.source, baseMachine(), defaultCompileOptions(w));
-        std::unique_ptr<Executor> exec =
-            makeExecutor(module, ExecBackend::Bytecode);
+        std::unique_ptr<Executor> exec = makeExecutor(module);
         for (const MachineConfig &m : taxonomy()) {
             const std::string what = w.name + " on " + m.name;
             IssueEngine engine(m);

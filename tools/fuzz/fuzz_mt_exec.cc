@@ -1,15 +1,15 @@
 /**
  * @file
- * Differential fuzz target for the execution backends and the issue
- * engine: any MT source that compiles must produce *identical*
- * observable results from the IR-walk interpreter and the bytecode VM
- * — same checksum, same instruction count, same trap record — and
- * identical timing from three paths on each of three machines (unit
- * conflicts, branch fences, superpipelined-superscalar): the
- * interpreter streaming into an IssueEngine through the virtual
- * TraceSink path, the VM's fused runTimed, and the naive minor-cycle
- * stepper (sim/issue_ref.hh).  A divergence is a bug in one of them,
- * surfaced as a fuzzer crash.
+ * Differential fuzz target for the executor and the issue engine:
+ * any MT source that compiles must lower to bytecode and produce
+ * *identical* observable results from the bytecode VM and its
+ * oracle, the IR-walk interpreter — same checksum, same instruction
+ * count, same trap record — and identical timing from three paths
+ * on each of three machines (unit conflicts, branch fences,
+ * superpipelined-superscalar): the interpreter streaming into an
+ * IssueEngine through the virtual TraceSink path, the VM's fused
+ * runTimed, and the naive minor-cycle stepper (sim/issue_ref.hh).  A
+ * divergence is a bug in one of them, surfaced as a fuzzer crash.
  *
  * Built two ways (tools/fuzz/CMakeLists.txt), like the parser target:
  * a libFuzzer binary under -DSS_BUILD_FUZZERS=ON, and always a replay
@@ -25,6 +25,7 @@
 #include "frontend/compile.hh"
 #include "opt/pipeline.hh"
 #include "sim/exec.hh"
+#include "sim/interp.hh"
 #include "sim/issue_ref.hh"
 
 namespace {
@@ -56,7 +57,7 @@ printTiming(const char *who, const T &t)
 
 /** Time the program three ways on `machine`; trap on any mismatch. */
 void
-checkTiming(ilp::Executor &interp, ilp::Executor &vm,
+checkTiming(ilp::Interpreter &interp, ilp::Executor &vm,
             const ilp::MachineConfig &machine)
 {
     ilp::IssueEngine streamed(machine);
@@ -98,15 +99,14 @@ LLVMFuzzerTestOneInput(const std::uint8_t *data, std::size_t size)
         return 0; // machine-limit diagnostics are fine
     }
 
-    // Tight fuel keeps adversarial loops fast; both backends see the
-    // same budget, so fuel traps must also match exactly.
+    // Tight fuel keeps adversarial loops fast; both executions see
+    // the same budget, so fuel traps must also match exactly.  A
+    // compiled program that fails to lower throws E0502: a crash.
     ilp::InterpOptions options;
     options.fuel = 2'000'000;
-    std::unique_ptr<ilp::Executor> interp =
-        ilp::makeExecutor(m, ilp::ExecBackend::Interp, options);
-    std::unique_ptr<ilp::Executor> vm =
-        ilp::makeExecutor(m, ilp::ExecBackend::Bytecode, options);
-    const ilp::RunResult a = interp->run();
+    ilp::Interpreter interp(m, options);
+    std::unique_ptr<ilp::Executor> vm = ilp::makeExecutor(m, options);
+    const ilp::RunResult a = interp.run();
     const ilp::RunResult b = vm->run();
     const bool diverged =
         a.trapped() != b.trapped() ||
@@ -133,6 +133,6 @@ LLVMFuzzerTestOneInput(const std::uint8_t *data, std::size_t size)
     for (const ilp::MachineConfig &machine :
          {ilp::superscalarWithClassConflicts(4, 2, 1), fenced,
           ilp::superpipelinedSuperscalar(4, 2)})
-        checkTiming(*interp, *vm, machine);
+        checkTiming(interp, *vm, machine);
     return 0;
 }
