@@ -17,7 +17,7 @@
 #include "ir/printer.hh"
 #include "ir/verifier.hh"
 #include "opt/pipeline.hh"
-#include "sim/interp.hh"
+#include "sim/exec.hh"
 #include "sim/issue.hh"
 #include "support/table.hh"
 
@@ -99,9 +99,8 @@ main()
     oo.alias = AliasLevel::Arrays;
     optimizeModule(module, target, oo);
 
-    Interpreter interp(module);
     IssueEngine engine(target);
-    RunResult r = interp.run("main", &engine);
+    RunResult r = makeExecutor(module)->runTimed("main", engine);
 
     std::printf("result          : %lld\n",
                 static_cast<long long>(r.returnValue));

@@ -13,7 +13,7 @@
 #include "frontend/compile.hh"
 #include "ir/printer.hh"
 #include "opt/passes.hh"
-#include "sim/interp.hh"
+#include "sim/exec.hh"
 #include "sim/issue.hh"
 
 using namespace ilp;
@@ -87,9 +87,8 @@ main()
     show("after register assignment + scheduling (ideal 4-wide)",
          module);
 
-    Interpreter interp(module);
     IssueEngine engine(target);
-    RunResult r = interp.run("main", &engine);
+    RunResult r = makeExecutor(module)->runTimed("main", engine);
     std::printf("result %lld, %llu instructions, %.0f cycles, "
                 "%.2f instr/cycle\n",
                 static_cast<long long>(r.returnValue),

@@ -588,7 +588,7 @@ printStatsTree(const Json &node, const std::string &prefix)
 }
 
 /** The stats document written by --stats-json: run context plus the
- *  full snapshot. */
+ *  full stats tree. */
 Json
 statsDocument(const Cli &cli, const std::string &program,
               const RunOutcome &out)
@@ -598,7 +598,7 @@ statsDocument(const Cli &cli, const std::string &program,
     doc.set("program", Json(program));
     doc.set("machine", Json(cli.machine.name));
     doc.set("opt_level", Json(optLevelName(cli.options.level)));
-    doc.set("stats", out.stats.root);
+    doc.set("stats", out.stats);
     return doc;
 }
 
@@ -657,7 +657,7 @@ cmdRun(const Cli &cli)
                 base.cycles / out.cycles);
     if (cli.stats) {
         std::printf("\n");
-        printStatsTree(out.stats.root, "");
+        printStatsTree(out.stats, "");
     }
     if (!cli.statsJsonPath.empty())
         writeJsonFile(cli.statsJsonPath,
@@ -1143,7 +1143,7 @@ cmdSuite(const Cli &cli)
         c.out.cycles = cyc->asNumber();
         c.base.cycles = base->asNumber();
         if (stats)
-            c.out.stats.root = *stats;
+            c.out.stats = *stats;
     }
     const std::size_t ran = todo.size();
 
@@ -1164,7 +1164,7 @@ cmdSuite(const Cli &cli)
             value.set("cycles", Json(c.out.cycles));
             value.set("base_cycles", Json(c.base.cycles));
             if (telemetry.collectStats)
-                value.set("stats", c.out.stats.root);
+                value.set("stats", c.out.stats);
             sj.writer.writeCell(keys[i], value);
         }
         return c;
@@ -1217,12 +1217,12 @@ cmdSuite(const Cli &cli)
             .cell(c.value.base.cycles / out.cycles, 2);
         if (cli.stats) {
             std::printf("--- %s ---\n", w.name.c_str());
-            printStatsTree(out.stats.root, "");
+            printStatsTree(out.stats, "");
         }
         if (want_json) {
             Json entry = Json::object();
             entry.set("name", Json(w.name));
-            entry.set("stats", out.stats.root);
+            entry.set("stats", out.stats);
             benchmarks.push(std::move(entry));
         }
     }

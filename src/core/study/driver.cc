@@ -69,6 +69,27 @@ compileWorkload(const std::string &source, const MachineConfig &machine,
     return r.take();
 }
 
+Json
+runStatsTree(const RunOutcome &out, const IssueEngine &engine,
+             const CacheSink &dcache, const ClassCounts &mix,
+             const CompileTelemetry *compile)
+{
+    Json run = Json::object();
+    run.set("instructions", Json(out.instructions));
+    run.set("base_cycles", Json(out.cycles));
+    run.set("ipc", Json(out.ipc()));
+    run.set("checksum", Json(out.checksum));
+
+    Json tree = Json::object();
+    tree.set("run", std::move(run));
+    tree.set("issue", engine.exportStats());
+    tree.set("cache", dcache.exportStats());
+    tree.set("mix", exportClassMix(mix));
+    if (compile)
+        tree.set("compile", compile->exportStats());
+    return tree;
+}
+
 RunOutcome
 runOnMachine(const Module &module, const MachineConfig &machine,
              const RunTelemetryOptions &telemetry,
@@ -86,7 +107,7 @@ runOnMachine(const Module &module, const MachineConfig &machine,
     if (telemetry.collectProfile)
         engine.enableProfile(module.pcCount());
 
-    CacheSink dcache(telemetry.cache);
+    CacheSink dcache{CacheConfig{}};
     RunResult r;
     if (telemetry.collectStats) {
         TeeSink tee;
@@ -124,31 +145,9 @@ runOnMachine(const Module &module, const MachineConfig &machine,
             engine.issuePeriodMinorCycles() *
             static_cast<std::uint64_t>(engine.config().issueWidth);
     }
-    if (telemetry.collectStats) {
-        stats::Registry registry;
-        stats::Group &run = registry.group("run", "headline numbers");
-        run.counter("instructions", "dynamic instructions")
-            .inc(out.instructions);
-        run.scalar("base_cycles", "elapsed base cycles")
-            .set(out.cycles);
-        run.scalar("ipc", "instructions per base cycle")
-            .set(out.ipc());
-        run.scalar("checksum", "main()'s return value")
-            .set(static_cast<double>(out.checksum));
-
-        engine.exportStats(
-            registry.group("issue", "in-order issue engine"));
-        dcache.exportStats(
-            registry.group("cache", "data-cache model"));
-        exportClassMix(
-            registry.group("mix", "dynamic instruction mix"),
-            r.classCounts);
-        if (compile) {
-            compile->exportStats(
-                registry.group("compile", "compile pipeline"));
-        }
-        out.stats = registry.snapshot();
-    }
+    if (telemetry.collectStats)
+        out.stats = runStatsTree(out, engine, dcache, r.classCounts,
+                                 compile);
     return out;
 }
 
@@ -170,12 +169,10 @@ profileWorkload(const Workload &workload, const CompileOptions &options)
 {
     MachineConfig base = MachineConfig{};
     Module module = compileWorkload(workload.source, base, options);
-    std::unique_ptr<Executor> exec = makeExecutor(module);
-    ClassProfileSink profile;
-    RunResult r = exec->run("main", &profile);
+    RunResult r = makeExecutor(module)->run("main");
     if (r.trapped())
         SS_FATAL(r.trap.format());
-    return profile.frequencies();
+    return normalizeCounts(r.classCounts);
 }
 
 } // namespace ilp

@@ -26,7 +26,7 @@
 #include "sim/cache.hh"
 #include "sim/interp.hh"
 #include "sim/issue.hh"
-#include "support/stats.hh"
+#include "support/json.hh"
 #include "workloads/workloads.hh"
 
 namespace ilp {
@@ -68,7 +68,8 @@ Module compileWorkload(const std::string &source,
  *  numbers.  The default collects nothing and costs nothing. */
 struct RunTelemetryOptions
 {
-    /** Build a full StatsSnapshot (issue, cache, mix, compile). */
+    /** Build the full stats tree (run, issue, cache, mix, compile)
+     *  with a default-configured data cache. */
     bool collectStats = false;
     /** Max issue-timeline events captured for --trace-events
      *  (0 disables capture). */
@@ -77,8 +78,6 @@ struct RunTelemetryOptions
      *  profiler).  Off by default; the engine's emit path then pays
      *  only one predictable branch. */
     bool collectProfile = false;
-    /** Data-cache model attached when collecting stats. */
-    CacheConfig cache;
 };
 
 /** Everything a timing run produces. */
@@ -94,8 +93,8 @@ struct RunOutcome
     /** Elapsed time in base cycles on the machine. */
     double cycles = 0.0;
 
-    /** Full stats tree (empty unless collectStats). */
-    stats::StatsSnapshot stats;
+    /** Full stats tree (null unless collectStats). */
+    Json stats;
     /** Issue timeline (empty unless timelineLimit > 0). */
     std::vector<IssueEvent> issueTimeline;
     std::uint64_t timelineDropped = 0;
@@ -121,8 +120,16 @@ struct RunOutcome
     }
 };
 
+/** The stats tree of one run, groups in --stats order: the
+ *  outcome's headline numbers ("run"), the engine's "issue", the data
+ *  cache's "cache", the class "mix" and, when `compile` is given, the
+ *  "compile" telemetry. */
+Json runStatsTree(const RunOutcome &out, const IssueEngine &engine,
+                  const CacheSink &dcache, const ClassCounts &mix,
+                  const CompileTelemetry *compile);
+
 /** Execute an already-compiled module against a machine.  `compile`
- *  telemetry, when given, is exported into the stats snapshot.
+ *  telemetry, when given, becomes the stats tree's "compile" group.
  *  A workload fault surfaces through RunOutcome::trap; an injected
  *  fault at the "execute" site throws (see support/faultinject.hh). */
 RunOutcome runOnMachine(const Module &module,

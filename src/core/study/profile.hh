@@ -10,12 +10,11 @@
  * came from, a machine-readable JSON form, and a diff of two
  * profiles of the same workload on different machines.
  *
- * Everything here is deterministic: a Profile built from a replayed
- * trace is byte-identical to one built from live interpretation, and
- * independent of worker count, because the per-pc counters come from
- * the same in-order engine either way (tests/profile_test.cc holds
- * this as an invariant alongside exact reconciliation with the
- * aggregate StallBreakdown).
+ * Everything here is deterministic: a Profile is byte-identical at
+ * any worker count, because every run times its dynamic stream live
+ * through the same in-order engine (tests/profile_test.cc holds this
+ * as an invariant alongside exact reconciliation with the aggregate
+ * StallBreakdown).
  */
 
 #ifndef SUPERSYM_CORE_STUDY_PROFILE_HH

@@ -297,14 +297,4 @@ CompileCache::size() const
     return entries_.size();
 }
 
-void
-CompileCache::exportStats(stats::Group &g) const
-{
-    g.counter("hits", "lookups served from the cache").inc(hits());
-    g.counter("misses", "lookups that compiled").inc(misses());
-    g.counter("failures", "compilations that failed (evicted)")
-        .inc(failures());
-    g.counter("entries", "distinct compilations held").inc(size());
-}
-
 } // namespace ilp

@@ -246,7 +246,7 @@ class SweepRunner
  * a compilation.  The first requester compiles; concurrent
  * requesters for the same key block on the entry's future instead of
  * recompiling.  Compile telemetry is captured once on the miss and
- * handed to every requester, so stats snapshots do not depend on who
+ * handed to every requester, so stats trees do not depend on who
  * hit the cache.
  */
 class CompileCache
@@ -276,9 +276,6 @@ class CompileCache
     std::uint64_t failures() const { return failures_.load(); }
     /** Distinct compilations held. */
     std::size_t size() const;
-
-    /** Export hit/miss/failure/size counters into a stats group. */
-    void exportStats(stats::Group &g) const;
 
   private:
     struct Compiled

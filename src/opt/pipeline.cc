@@ -67,34 +67,30 @@ CompileTelemetry::phase(const std::string &name)
     return phases.back();
 }
 
-void
-CompileTelemetry::exportStats(stats::Group &g) const
+Json
+CompileTelemetry::exportStats() const
 {
-    g.counter("spills", "virtual registers demoted to memory")
-        .inc(spills);
-    g.scalar("sched_fill_rate",
-             "static issue slots filled / available")
-        .set(sched.fillRate());
-    g.counter("sched_blocks_scheduled", "blocks list-scheduled")
-        .inc(sched.blocksScheduled);
-    g.counter("sched_blocks_skipped", "blocks too small to schedule")
-        .inc(sched.blocksSkipped);
-    g.counter("sched_slots_filled", "instructions placed")
-        .inc(sched.slotsFilled);
-    g.counter("sched_slots_total", "issueWidth * schedule length")
-        .inc(sched.slotsTotal);
+    Json g = Json::object();
+    g.set("spills", Json(spills));
+    g.set("sched_fill_rate", Json(sched.fillRate()));
+    g.set("sched_blocks_scheduled", Json(sched.blocksScheduled));
+    g.set("sched_blocks_skipped", Json(sched.blocksSkipped));
+    g.set("sched_slots_filled", Json(sched.slotsFilled));
+    g.set("sched_slots_total", Json(sched.slotsTotal));
 
-    stats::Group &pg = g.group("phase", "per-phase telemetry");
+    Json pg = Json::object();
     for (const auto &ps : phases) {
-        stats::Group &p = pg.group(ps.name);
-        p.counter("runs").inc(ps.runs);
-        p.counter("instrs_before").inc(ps.instrsBefore);
-        p.counter("instrs_after").inc(ps.instrsAfter);
-        p.counter("blocks_before").inc(ps.blocksBefore);
-        p.counter("blocks_after").inc(ps.blocksAfter);
-        p.scalar("changed", "pass-reported change units")
-            .set(static_cast<double>(ps.changed));
+        Json p = Json::object();
+        p.set("runs", Json(ps.runs));
+        p.set("instrs_before", Json(ps.instrsBefore));
+        p.set("instrs_after", Json(ps.instrsAfter));
+        p.set("blocks_before", Json(ps.blocksBefore));
+        p.set("blocks_after", Json(ps.blocksAfter));
+        p.set("changed", Json(ps.changed));
+        pg.set(ps.name, std::move(p));
     }
+    g.set("phase", std::move(pg));
+    return g;
 }
 
 void

@@ -14,7 +14,7 @@
 #include <vector>
 
 #include "opt/passes.hh"
-#include "support/stats.hh"
+#include "support/json.hh"
 
 namespace ilp {
 
@@ -50,8 +50,8 @@ struct CompileTelemetry
     /** Find-or-append the aggregated record for `name`. */
     PhaseStat &phase(const std::string &name);
 
-    /** Export into a stats group ("compile"). */
-    void exportStats(stats::Group &g) const;
+    /** The stats tree's "compile" object. */
+    Json exportStats() const;
 };
 
 struct OptimizeOptions

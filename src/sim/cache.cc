@@ -78,30 +78,24 @@ Cache::missCycles() const
     return static_cast<double>(misses_) * config_.missPenaltyCycles;
 }
 
-void
-Cache::exportStats(stats::Group &g) const
+Json
+CacheSink::exportStats() const
 {
-    g.counter("accesses", "data references seen").inc(accesses_);
-    g.counter("hits", "references that hit").inc(hits());
-    g.counter("misses", "references that missed").inc(misses_);
-    g.scalar("miss_ratio", "misses / accesses")
-        .set(accesses_ > 0 ? missRatio() : 0.0);
-    g.scalar("miss_cycles",
-             "misses * configured miss penalty (base cycles)")
-        .set(missCycles());
-    SS_DEBUG("cache", accesses_, " accesses, ", misses_,
-             " misses (", config_.sizeBytes, "B, ",
-             config_.associativity, "-way)");
-}
-
-void
-CacheSink::exportStats(stats::Group &g) const
-{
-    cache_.exportStats(g);
-    g.counter("instructions", "instructions over the trace")
-        .inc(instructions_);
-    g.scalar("misses_per_instr", "data-cache misses per instruction")
-        .set(instructions_ > 0 ? missesPerInstr() : 0.0);
+    const CacheConfig &config = cache_.config();
+    SS_DEBUG("cache", cache_.accesses(), " accesses, ", cache_.misses(),
+             " misses (", config.sizeBytes, "B, ", config.associativity,
+             "-way)");
+    Json g = Json::object();
+    g.set("accesses", Json(cache_.accesses()));
+    g.set("hits", Json(cache_.hits()));
+    g.set("misses", Json(cache_.misses()));
+    g.set("miss_ratio",
+          Json(cache_.accesses() > 0 ? cache_.missRatio() : 0.0));
+    g.set("miss_cycles", Json(cache_.missCycles()));
+    g.set("instructions", Json(instructions_));
+    g.set("misses_per_instr",
+          Json(instructions_ > 0 ? missesPerInstr() : 0.0));
+    return g;
 }
 
 double

@@ -18,7 +18,7 @@
 #include <vector>
 
 #include "sim/trace.hh"
-#include "support/stats.hh"
+#include "support/json.hh"
 
 namespace ilp {
 
@@ -52,9 +52,6 @@ class Cache
     double missCycles() const;
 
     const CacheConfig &config() const { return config_; }
-
-    /** Export accesses/hits/misses/ratios into a stats group. */
-    void exportStats(stats::Group &g) const;
 
   private:
     struct Line
@@ -91,8 +88,9 @@ class CacheSink : public TraceSink
     /** Data-cache misses per instruction. */
     double missesPerInstr() const;
 
-    /** Cache stats plus the per-instruction burden. */
-    void exportStats(stats::Group &g) const;
+    /** The stats tree's "cache" object: accesses, hits, misses,
+     *  ratios and the per-instruction burden. */
+    Json exportStats() const;
 
   private:
     Cache cache_;

@@ -69,24 +69,28 @@ Interpreter::run(const std::string &entry, TraceSink *sink)
     return result;
 }
 
-void
-exportClassMix(stats::Group &g, const ClassCounts &counts)
+Json
+exportClassMix(const ClassCounts &counts)
 {
     std::uint64_t total = 0;
     for (std::uint64_t c : counts)
         total += c;
-    g.counter("total", "dynamic instructions").inc(total);
-    stats::Group &cg = g.group("counts", "per-class dynamic counts");
-    stats::Group &fg = g.group("fractions", "per-class fractions");
+    Json cg = Json::object();
+    Json fg = Json::object();
     for (std::size_t c = 0; c < kNumInstrClasses; ++c) {
         if (counts[c] == 0)
             continue;
         std::string name(
             instrClassName(static_cast<InstrClass>(c)));
-        cg.counter(name).inc(counts[c]);
-        fg.scalar(name).set(static_cast<double>(counts[c]) /
-                            static_cast<double>(total));
+        cg.set(name, Json(counts[c]));
+        fg.set(name, Json(static_cast<double>(counts[c]) /
+                          static_cast<double>(total)));
     }
+    Json g = Json::object();
+    g.set("total", Json(total));
+    g.set("counts", std::move(cg));
+    g.set("fractions", std::move(fg));
+    return g;
 }
 
 std::uint64_t

@@ -27,7 +27,7 @@
 #include "sim/memory.hh"
 #include "sim/trace.hh"
 #include "sim/trap.hh"
-#include "support/stats.hh"
+#include "support/json.hh"
 
 namespace ilp {
 
@@ -54,9 +54,9 @@ struct RunResult
     bool trapped() const { return trap.valid(); }
 };
 
-/** Export a dynamic class mix into a stats group (counts plus
- *  fractions), skipping classes that never occur. */
-void exportClassMix(stats::Group &g, const ClassCounts &counts);
+/** A dynamic class mix as the stats tree's "mix" object (total,
+ *  counts, fractions), skipping classes that never occur. */
+Json exportClassMix(const ClassCounts &counts);
 
 class Interpreter
 {

@@ -214,53 +214,72 @@ IssueEngine::recordTimeline(std::size_t limit)
     timeline_.reserve(std::min<std::size_t>(limit, 1 << 16));
 }
 
-void
-IssueEngine::exportStats(stats::Group &g) const
+namespace {
+
+/** A histogram of sample counts per key 0..counts.size()-1, one
+ *  bucket per key: totals, mean, extremes and the non-empty buckets. */
+Json
+histogramJson(const std::vector<std::uint64_t> &counts)
+{
+    std::uint64_t count = 0;
+    double sum = 0.0;
+    std::int64_t min = 0, max = 0;
+    Json buckets = Json::object();
+    for (std::size_t k = 0; k < counts.size(); ++k) {
+        if (counts[k] == 0)
+            continue;
+        if (count == 0)
+            min = static_cast<std::int64_t>(k);
+        max = static_cast<std::int64_t>(k);
+        count += counts[k];
+        sum += static_cast<double>(k) * static_cast<double>(counts[k]);
+        buckets.set(std::to_string(k), Json(counts[k]));
+    }
+    Json j = Json::object();
+    j.set("count", Json(count));
+    j.set("sum", Json(sum));
+    j.set("mean", Json(count ? sum / static_cast<double>(count) : 0.0));
+    j.set("min", Json(min));
+    j.set("max", Json(max));
+    j.set("bucket_width", Json(1));
+    j.set("buckets", std::move(buckets));
+    return j;
+}
+
+} // namespace
+
+Json
+IssueEngine::exportStats() const
 {
     const std::uint64_t period = issuePeriodMinorCycles();
-    g.counter("instructions", "dynamic instructions issued")
-        .inc(instructions());
-    g.counter("minor_cycles", "elapsed minor cycles to last completion")
-        .inc(minorCycles());
-    g.scalar("base_cycles", "elapsed base cycles (minor / m)")
-        .set(baseCycles());
-    g.scalar("ipc", "instructions per base cycle")
-        .set(last_complete_ > 0 ? instrPerBaseCycle() : 0.0);
-    g.counter("issue_period_minor_cycles",
-              "minor cycles from first to last issue")
-        .inc(period);
-    g.counter("issue_slots_total",
-              "issue slots offered during the issue period")
-        .inc(period * width_);
-    g.counter("lost_issue_slots", "slots that issued nothing")
-        .inc(lostIssueSlots());
-    g.counter("completion_tail_minor_cycles",
-              "latency drain after the last issue")
-        .inc(completionTailMinorCycles());
+    Json g = Json::object();
+    g.set("instructions", Json(instructions()));
+    g.set("minor_cycles", Json(minorCycles()));
+    g.set("base_cycles", Json(baseCycles()));
+    g.set("ipc", Json(last_complete_ > 0 ? instrPerBaseCycle() : 0.0));
+    g.set("issue_period_minor_cycles", Json(period));
+    g.set("issue_slots_total", Json(period * width_));
+    g.set("lost_issue_slots", Json(lostIssueSlots()));
+    g.set("completion_tail_minor_cycles",
+          Json(completionTailMinorCycles()));
+    g.set("issued_per_cycle", histogramJson(issueCounts()));
 
-    stats::Group &stall =
-        g.group("stall", "lost issue slots by cause");
+    Json stall = Json::object();
     StallBreakdown bd = stallBreakdown();
     for (std::size_t c = 0; c < kNumStallCauses; ++c)
-        stall.counter(stallCauseName(static_cast<StallCause>(c)))
-            .inc(bd.slots[c]);
+        stall.set(stallCauseName(static_cast<StallCause>(c)),
+                  Json(bd.slots[c]));
+    g.set("stall", std::move(stall));
 
-    stats::Distribution &hist = g.distribution(
-        "issued_per_cycle",
-        "instructions issued per minor cycle of the issue period");
-    std::vector<std::uint64_t> counts = issueCounts();
-    for (std::size_t k = 0; k < counts.size(); ++k)
-        hist.sample(static_cast<std::int64_t>(k), counts[k]);
-
-    stats::Group &cls_g =
-        g.group("class_issued", "dynamic instructions per class");
+    Json cls_g = Json::object();
     for (std::size_t c = 0; c < kNumInstrClasses; ++c) {
         if (class_issued_[c] > 0)
-            cls_g
-                .counter(std::string(
-                    instrClassName(static_cast<InstrClass>(c))))
-                .inc(class_issued_[c]);
+            cls_g.set(std::string(instrClassName(
+                          static_cast<InstrClass>(c))),
+                      Json(class_issued_[c]));
     }
+    g.set("class_issued", std::move(cls_g));
+    return g;
 }
 
 double

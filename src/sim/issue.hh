@@ -42,8 +42,8 @@
 #include "core/machine/machine.hh"
 #include "sim/trace.hh"
 #include "support/inline.hh"
+#include "support/json.hh"
 #include "support/statistics.hh"
-#include "support/stats.hh"
 
 namespace ilp {
 
@@ -230,10 +230,11 @@ class IssueEngine final : public TraceSink
     std::uint64_t timelineDropped() const { return timeline_dropped_; }
 
     /**
-     * Export everything above into a stats group ("issue"): totals,
-     * stall attribution, per-width issue histogram, per-class counts.
+     * Everything above as the stats tree's "issue" object: totals,
+     * the per-width issue histogram, stall attribution, per-class
+     * counts.
      */
-    void exportStats(stats::Group &g) const;
+    Json exportStats() const;
 
     const MachineConfig &config() const { return config_; }
 

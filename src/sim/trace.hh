@@ -4,8 +4,7 @@
  *
  * The executor (sim/exec.hh) and its oracle, the interpreter, run a
  * module and stream one DynInstr per executed instruction into a
- * TraceSink.  Sinks include
- * the timing engine (sim/issue.hh), the class-frequency profiler, the
+ * TraceSink.  Sinks include the timing engine (sim/issue.hh), the
  * cache model, and an in-memory buffer.
  */
 
@@ -108,28 +107,6 @@ class TraceBuffer : public TraceSink
 
   private:
     std::vector<DynInstr> trace_;
-};
-
-/** Counts dynamic instructions per class (Table 2-1 measured mix). */
-class ClassProfileSink : public TraceSink
-{
-  public:
-    ClassProfileSink() { counts_.fill(0); }
-    void emit(const DynInstr &di) override
-    {
-        ++counts_[static_cast<std::size_t>(di.cls())];
-        ++total_;
-    }
-    const ClassCounts &counts() const { return counts_; }
-    std::uint64_t total() const { return total_; }
-    ClassFrequencies frequencies() const
-    {
-        return normalizeCounts(counts_);
-    }
-
-  private:
-    ClassCounts counts_{};
-    std::uint64_t total_ = 0;
 };
 
 } // namespace ilp

@@ -2,12 +2,13 @@
  * @file
  * A minimal JSON document model with a writer and a strict parser.
  *
- * Exists so the observability layer (support/stats.hh, the ssim
- * `--stats-json` / `--trace-events` outputs, and the bench stats
- * trajectory) can emit and *re-validate* structured telemetry without
- * an external dependency.  The parser accepts exactly RFC 8259 JSON
- * (no comments, no trailing commas) and reports malformed input
- * through fatal() so tests can observe failures via FatalError.
+ * Exists so the observability layer (the stats tree, which every
+ * exporter writes directly as a Json object, the ssim `--stats-json` /
+ * `--trace-events` outputs, and the bench trajectory) can emit and
+ * *re-validate* structured telemetry without an external dependency.
+ * The parser accepts exactly RFC 8259 JSON (no comments, no trailing
+ * commas) and reports malformed input through fatal() so tests can
+ * observe failures via FatalError.
  *
  * Numbers are stored as doubles; integral values round-trip exactly up
  * to 2^53, which covers every counter the simulator produces in

@@ -168,15 +168,20 @@ TEST_P(BackendDifferentialTest, SinkDoesNotChangeTheCounts)
 {
     // Calling-convention moves are bookkeeping the VM and the
     // interpreter count whether or not anything observes the stream,
-    // so a sink-less run reports exactly what a traced run does.
+    // so a sink-less run reports exactly what a traced run does, and
+    // its class mix is the per-class histogram of the traced records.
     Module m = compileDefault(GetParam(), idealSuperscalar(4));
     auto expectSinkFree = [](const char *who, auto run) {
-        ClassProfileSink profile;
-        const RunResult traced = run(&profile);
+        TraceBuffer stream;
+        const RunResult traced = run(&stream);
         const RunResult plain = run(nullptr);
+        ClassCounts streamed{};
+        for (const DynInstr &di : stream.trace())
+            ++streamed[static_cast<std::size_t>(di.cls())];
         EXPECT_EQ(plain.instructions, traced.instructions) << who;
         EXPECT_EQ(plain.classCounts, traced.classCounts) << who;
-        EXPECT_EQ(traced.instructions, profile.total()) << who;
+        EXPECT_EQ(traced.instructions, stream.size()) << who;
+        EXPECT_EQ(plain.classCounts, streamed) << who;
     };
     expectSinkFree("interp", [&](TraceSink *sink) {
         return runInterp(m, sink).result;
@@ -187,7 +192,7 @@ TEST_P(BackendDifferentialTest, SinkDoesNotChangeTheCounts)
 }
 
 /** runOnMachine's collectStats path with the interpreter executing:
- *  the same engine, cache model and stats layout. */
+ *  the same engine, cache model and stats tree. */
 RunOutcome
 runOnMachineInterp(const Module &module, const MachineConfig &machine,
                    const RunTelemetryOptions &telemetry,
@@ -196,7 +201,7 @@ runOnMachineInterp(const Module &module, const MachineConfig &machine,
     IssueEngine engine(machine);
     if (telemetry.collectProfile)
         engine.enableProfile(module.pcCount());
-    CacheSink dcache(telemetry.cache);
+    CacheSink dcache{CacheConfig{}};
     TeeSink tee;
     tee.addSink(&engine);
     tee.addSink(&dcache);
@@ -209,22 +214,7 @@ runOnMachineInterp(const Module &module, const MachineConfig &machine,
     out.cycles = engine.baseCycles();
     if (telemetry.collectProfile)
         out.pcCounters = engine.profileCounters();
-    stats::Registry registry;
-    stats::Group &run = registry.group("run", "headline numbers");
-    run.counter("instructions", "dynamic instructions")
-        .inc(out.instructions);
-    run.scalar("base_cycles", "elapsed base cycles").set(out.cycles);
-    run.scalar("ipc", "instructions per base cycle").set(out.ipc());
-    run.scalar("checksum", "main()'s return value")
-        .set(static_cast<double>(out.checksum));
-    engine.exportStats(registry.group("issue", "in-order issue engine"));
-    dcache.exportStats(registry.group("cache", "data-cache model"));
-    exportClassMix(registry.group("mix", "dynamic instruction mix"),
-                   r.classCounts);
-    if (compile)
-        compile->exportStats(
-            registry.group("compile", "compile pipeline"));
-    out.stats = registry.snapshot();
+    out.stats = runStatsTree(out, engine, dcache, r.classCounts, compile);
     return out;
 }
 
@@ -251,10 +241,10 @@ TEST_P(BackendDifferentialTest, StatsTreeIdentical)
     EXPECT_EQ(a.checksum, b.checksum);
     EXPECT_EQ(a.instructions, b.instructions);
     EXPECT_EQ(a.cycles, b.cycles);
-    EXPECT_TRUE(a.stats.root == b.stats.root)
+    EXPECT_TRUE(a.stats == b.stats)
         << "stats trees diverge:\n"
-        << a.stats.root.dump(2) << "\nvs\n"
-        << b.stats.root.dump(2);
+        << a.stats.dump(2) << "\nvs\n"
+        << b.stats.dump(2);
     EXPECT_EQ(a.pcCounters.size(), b.pcCounters.size());
     for (std::size_t i = 0; i < a.pcCounters.size(); ++i) {
         EXPECT_EQ(a.pcCounters[i].issued, b.pcCounters[i].issued)

@@ -107,14 +107,13 @@ TEST(InterpTest, ClassProfileCountsClasses)
         b.ret(d);
     });
     Interpreter interp(m);
-    ClassProfileSink profile;
-    interp.run("main", &profile);
-    const auto &counts = profile.counts();
+    const RunResult r = interp.run("main");
+    const ClassCounts &counts = r.classCounts;
     EXPECT_EQ(counts[static_cast<int>(InstrClass::Move)], 1u);
     EXPECT_EQ(counts[static_cast<int>(InstrClass::IntMul)], 1u);
     EXPECT_EQ(counts[static_cast<int>(InstrClass::IntAdd)], 1u);
     EXPECT_EQ(counts[static_cast<int>(InstrClass::Branch)], 1u);
-    EXPECT_EQ(profile.total(), 4u);
+    EXPECT_EQ(r.instructions, 4u);
 }
 
 TEST(InterpTest, FuelLimitStopsRunaways)

@@ -78,10 +78,8 @@ TEST(StrengthReduceTest, RemovesPerIterationShifts)
         }
         assignRegisters(f, layout);
         Interpreter interp(m);
-        ClassProfileSink profile;
-        interp.run("main", &profile);
-        return profile
-            .counts()[static_cast<int>(InstrClass::Shift)];
+        return interp.run("main")
+            .classCounts[static_cast<int>(InstrClass::Shift)];
     };
     // The address shifts leave the loops entirely.
     EXPECT_LT(dynamic_shifts(true), dynamic_shifts(false) / 4);

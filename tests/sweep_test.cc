@@ -422,9 +422,9 @@ TEST(ParallelSweepTest, RunOutcomesAndMergedStatsIdentical)
         EXPECT_EQ(serial[i].checksum, parallel[i].checksum);
         EXPECT_EQ(serial[i].instructions, parallel[i].instructions);
         EXPECT_EQ(serial[i].cycles, parallel[i].cycles);
-        // The merged stats snapshot has no nondeterministic leaf.
-        EXPECT_EQ(serial[i].stats.root.dump(2),
-                  parallel[i].stats.root.dump(2))
+        // The stats tree has no nondeterministic leaf.
+        EXPECT_EQ(serial[i].stats.dump(2),
+                  parallel[i].stats.dump(2))
             << names[i];
     }
 }

@@ -1,4 +1,4 @@
-/** End-to-end telemetry: RunOutcome stats snapshots, the stall
+/** End-to-end telemetry: RunOutcome stats trees, the stall
  *  attribution invariant on real workloads, compile-phase records,
  *  and the Chrome tracing document of a traced run. */
 
@@ -40,21 +40,31 @@ fullTelemetry()
     return t;
 }
 
+/** The number at a dotted path of a stats tree; `fallback` when
+ *  absent. */
+double
+number(const Json &stats, const std::string &dotted,
+       double fallback = 0.0)
+{
+    const Json *j = stats.at(dotted);
+    return j && j->isNumber() ? j->asNumber() : fallback;
+}
+
 /** The acceptance invariant: per-cause stall slots sum exactly to the
  *  lost issue slots, and lost + issued slots cover the issue period. */
 void
-expectStallAccountingExact(const stats::StatsSnapshot &s)
+expectStallAccountingExact(const Json &s)
 {
-    double lost = s.number("issue.lost_issue_slots", -1);
-    double causes = s.number("issue.stall.raw_latency") +
-                    s.number("issue.stall.unit_conflict") +
-                    s.number("issue.stall.branch_fence") +
-                    s.number("issue.stall.frontend_drain");
+    double lost = number(s, "issue.lost_issue_slots", -1);
+    double causes = number(s, "issue.stall.raw_latency") +
+                    number(s, "issue.stall.unit_conflict") +
+                    number(s, "issue.stall.branch_fence") +
+                    number(s, "issue.stall.frontend_drain");
     EXPECT_GE(lost, 0.0);
     EXPECT_DOUBLE_EQ(causes, lost);
 
-    double total = s.number("issue.issue_slots_total", -1);
-    double instrs = s.number("issue.instructions", -1);
+    double total = number(s, "issue.issue_slots_total", -1);
+    double instrs = number(s, "issue.instructions", -1);
     EXPECT_DOUBLE_EQ(instrs + lost, total);
 }
 
@@ -63,7 +73,7 @@ TEST(TelemetryTest, DefaultRunCollectsNothing)
     Workload w = tinyWorkload();
     RunOutcome out = runWorkload(w, idealSuperscalar(4),
                                  defaultCompileOptions(w));
-    EXPECT_TRUE(out.stats.empty());
+    EXPECT_TRUE(out.stats.isNull());
     EXPECT_TRUE(out.issueTimeline.empty());
 }
 
@@ -77,7 +87,7 @@ TEST(TelemetryTest, StallSlotsSumToLostSlots)
           superpipelinedSuperscalar(2, 2)}) {
         RunOutcome out = runWorkload(w, m, o, fullTelemetry());
         SCOPED_TRACE(m.name);
-        ASSERT_FALSE(out.stats.empty());
+        ASSERT_TRUE(out.stats.isObject());
         expectStallAccountingExact(out.stats);
     }
 }
@@ -101,16 +111,16 @@ TEST(TelemetryTest, SnapshotAgreesWithOutcome)
     RunOutcome out = runWorkload(w, multiTitan(),
                                  defaultCompileOptions(w),
                                  fullTelemetry());
-    EXPECT_DOUBLE_EQ(out.stats.number("run.instructions"),
+    EXPECT_DOUBLE_EQ(number(out.stats, "run.instructions"),
                      static_cast<double>(out.instructions));
-    EXPECT_DOUBLE_EQ(out.stats.number("run.base_cycles"), out.cycles);
-    EXPECT_DOUBLE_EQ(out.stats.number("run.ipc"), out.ipc());
+    EXPECT_DOUBLE_EQ(number(out.stats, "run.base_cycles"), out.cycles);
+    EXPECT_DOUBLE_EQ(number(out.stats, "run.ipc"), out.ipc());
     // Cache accounting is internally consistent.
-    EXPECT_DOUBLE_EQ(out.stats.number("cache.hits") +
-                         out.stats.number("cache.misses"),
-                     out.stats.number("cache.accesses"));
+    EXPECT_DOUBLE_EQ(number(out.stats, "cache.hits") +
+                         number(out.stats, "cache.misses"),
+                     number(out.stats, "cache.accesses"));
     // Dynamic mix covers every executed instruction.
-    EXPECT_DOUBLE_EQ(out.stats.number("mix.total"),
+    EXPECT_DOUBLE_EQ(number(out.stats, "mix.total"),
                      static_cast<double>(out.instructions));
 }
 
@@ -124,8 +134,8 @@ TEST(TelemetryTest, CompilePhasesRecorded)
     EXPECT_NE(out.stats.at("compile.phase.frontend"), nullptr);
     EXPECT_NE(out.stats.at("compile.phase.regalloc"), nullptr);
     EXPECT_NE(out.stats.at("compile.phase.sched"), nullptr);
-    EXPECT_GT(out.stats.number("compile.sched_fill_rate"), 0.0);
-    EXPECT_LE(out.stats.number("compile.sched_fill_rate"), 1.0);
+    EXPECT_GT(number(out.stats, "compile.sched_fill_rate"), 0.0);
+    EXPECT_LE(number(out.stats, "compile.sched_fill_rate"), 1.0);
 }
 
 TEST(TelemetryTest, TimelineRespectsLimit)
@@ -147,7 +157,7 @@ TEST(TelemetryTest, TimelineRespectsLimit)
     t.collectStats = false;
     RunOutcome fused = runWorkload(w, idealSuperscalar(4),
                                    defaultCompileOptions(w), t);
-    EXPECT_TRUE(fused.stats.empty());
+    EXPECT_TRUE(fused.stats.isNull());
     EXPECT_EQ(fused.timelineDropped, tee.timelineDropped);
     ASSERT_EQ(fused.issueTimeline.size(), tee.issueTimeline.size());
     for (std::size_t i = 0; i < tee.issueTimeline.size(); ++i) {

@@ -136,7 +136,7 @@ TEST(TrapTest, TrapWithStatsCollectionStaysContained)
     RunOutcome out = runOnMachine(m, idealSuperscalar(2), telemetry);
     ASSERT_TRUE(out.trapped());
     // The stats tree still materializes for the partial run.
-    EXPECT_FALSE(out.stats.root.isNull());
+    EXPECT_FALSE(out.stats.isNull());
 }
 
 TEST(TrapTest, MissingEntryIsATrap)
