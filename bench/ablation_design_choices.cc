@@ -27,9 +27,11 @@ namespace {
  * overlap — the default configuration appears in three tables, and
  * every row times the base machine under its options — so a run is
  * keyed by its compilation plus the machine that times it, and each
- * distinct run executes once.  Table 4 deliberately times a schedule
- * on a *different* machine: the module compiled for the machine
- * scheduled *for* runs on whatever machine is measured.
+ * distinct run executes once.  Runs compile through one CompileCache,
+ * so rows that differ only in the alias level or the machine share a
+ * prefix.  Table 4 deliberately times a schedule on a *different*
+ * machine: the module compiled for the machine scheduled *for* runs
+ * on whatever machine is measured.
  */
 class SuiteRows
 {
@@ -55,12 +57,13 @@ class SuiteRows
      *  added. */
     std::vector<double> evaluate() const
     {
+        CompileCache cache;
         const std::vector<double> cycles = bench::sweeper().map<double>(
             runs_.size(), [&](std::size_t i) {
                 const Run &r = runs_[i];
-                const Module module = compileWorkload(
-                    r.workload->source, r.sched, r.options);
-                const RunOutcome out = runOnMachine(module, r.timing);
+                const std::shared_ptr<const Module> module =
+                    cache.compile(*r.workload, r.sched, r.options);
+                const RunOutcome out = runOnMachine(*module, r.timing);
                 if (out.trapped())
                     throw TrapException(out.trap);
                 return out.cycles;

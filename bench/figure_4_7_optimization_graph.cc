@@ -90,9 +90,8 @@ main()
     Table live("Live CSE demonstration (A[i] = A[i] + 1 loop):");
     live.setHeader({"configuration", "instructions", "base cycles",
                     "parallelism"});
-    // Through the study: the availableParallelism calls below hit the
-    // same compile keys, so each configuration is executed once and
-    // replayed thereafter.
+    // Through the study: the availableParallelism calls below reuse
+    // these two configurations' compile prefixes.
     RunOutcome r1 = study.timedRun(w, idealSuperscalar(8), o1);
     RunOutcome r2 = study.timedRun(w, idealSuperscalar(8), o2);
     live.row()

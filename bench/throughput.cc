@@ -216,8 +216,9 @@ BENCHMARK(BM_ProfiledLiveRun)->Unit(benchmark::kMillisecond);
 void
 BM_CompileCacheHit(benchmark::State &state)
 {
-    // Steady-state cost of a shared compilation lookup (one compile,
-    // then all hits).
+    // Steady-state cost of a repeat request (one prefix compile,
+    // then all hits).  A hit is not a bare lookup: it copies the
+    // cached prefix and schedules the copy for the machine.
     const Workload &w = wl();
     CompileOptions o = defaultCompileOptions(w);
     CompileCache cache;

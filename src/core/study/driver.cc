@@ -22,17 +22,27 @@ defaultCompileOptions(const Workload &workload)
     return o;
 }
 
-Result<Module>
-compileWorkloadChecked(const std::string &source,
-                       const MachineConfig &machine,
-                       const CompileOptions &options,
-                       CompileTelemetry *telemetry,
-                       const std::string &unit)
+OptimizeOptions
+optimizeOptions(const CompileOptions &options)
+{
+    OptimizeOptions oo;
+    oo.level = options.level;
+    oo.layout = options.layout;
+    oo.alias = options.alias;
+    oo.reassociate = options.unroll.careful;
+    return oo;
+}
+
+Result<AllocatedModule>
+allocateWorkloadChecked(const std::string &source,
+                        const CompileOptions &options,
+                        CompileTelemetry *telemetry,
+                        const std::string &unit)
 {
     Result<Module> compiled =
         compileToIrChecked(source, options.unroll, unit);
     if (!compiled.ok())
-        return compiled;
+        return Result<AllocatedModule>::failure(compiled.takeDiags());
     Module module = compiled.take();
     if (telemetry) {
         PhaseStat &fe = telemetry->phase("frontend");
@@ -42,19 +52,32 @@ compileWorkloadChecked(const std::string &source,
             fe.blocksAfter += func.blocks.size();
         }
     }
-    OptimizeOptions oo;
-    oo.level = options.level;
-    oo.layout = options.layout;
-    oo.alias = options.alias;
-    oo.reassociate = options.unroll.careful;
     try {
-        optimizeModule(module, machine, oo, telemetry);
+        return Result<AllocatedModule>::success(allocateModule(
+            std::move(module), optimizeOptions(options), telemetry));
     } catch (const DiagException &e) {
         // Machine-configuration limits (e.g. a temp register file
         // too small for the workload) surface as diagnostics.
-        return Result<Module>::failure(e.diags());
+        return Result<AllocatedModule>::failure(e.diags());
     }
-    return Result<Module>::success(std::move(module));
+}
+
+Result<Module>
+compileWorkloadChecked(const std::string &source,
+                       const MachineConfig &machine,
+                       const CompileOptions &options,
+                       CompileTelemetry *telemetry,
+                       const std::string &unit)
+{
+    machine.validate();
+    Result<AllocatedModule> prefix =
+        allocateWorkloadChecked(source, options, telemetry, unit);
+    if (!prefix.ok())
+        return Result<Module>::failure(prefix.takeDiags());
+    AllocatedModule &allocated = prefix.value();
+    scheduleModule(allocated.module, allocated.frontendLocs, machine,
+                   optimizeOptions(options), telemetry);
+    return Result<Module>::success(std::move(allocated.module));
 }
 
 Module

@@ -44,11 +44,27 @@ struct CompileOptions
  *  disambiguation, the workload's own default unroll factor. */
 CompileOptions defaultCompileOptions(const Workload &workload);
 
+/** The optimizer's view of a compile configuration. */
+OptimizeOptions optimizeOptions(const CompileOptions &options);
+
+/** The machine-independent prefix of compileWorkloadChecked(): parse,
+ *  unroll, lower and allocateModule().  No machine parameter and not
+ *  options.alias is read, so one prefix serves every machine and
+ *  alias level (schedule a copy with scheduleModule()).  `telemetry`,
+ *  when non-null, records the frontend phase plus every prefix
+ *  phase. */
+Result<AllocatedModule>
+allocateWorkloadChecked(const std::string &source,
+                        const CompileOptions &options,
+                        CompileTelemetry *telemetry = nullptr,
+                        const std::string &unit = "<input>");
+
 /** Compile MT source for a machine (parses, unrolls, optimizes,
  *  allocates, schedules), reporting user errors (syntax, semantic,
- *  machine-limit) as diagnostics instead of exiting.  `telemetry`,
- *  when non-null, records the frontend phase plus every optimizer
- *  phase. */
+ *  machine-limit) as diagnostics instead of exiting: validates the
+ *  machine, then runs allocateWorkloadChecked() and schedules its
+ *  module in place.  `telemetry`, when non-null, records the
+ *  frontend phase plus every optimizer phase. */
 Result<Module> compileWorkloadChecked(const std::string &source,
                                       const MachineConfig &machine,
                                       const CompileOptions &options,

@@ -79,14 +79,14 @@ Study::profiledRun(const Workload &workload,
                    const MachineConfig &machine,
                    const CompileOptions &options)
 {
-    // Resolve the module first (a cache hit when timedRun follows):
-    // the code map must come from the exact module that executes.
+    // One compile: the code map must come from the exact module that
+    // executes.
     std::shared_ptr<const Module> module =
         cache_.compile(workload, machine, options, nullptr);
 
     RunTelemetryOptions telemetry;
     telemetry.collectProfile = true;
-    RunOutcome out = timedRun(workload, machine, options, telemetry);
+    RunOutcome out = runOnMachine(*module, machine, telemetry);
     if (out.trapped())
         throw TrapException(out.trap);
     return prof::buildProfile(workload.name, machine,

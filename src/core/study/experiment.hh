@@ -9,16 +9,17 @@
  *
  * Every point reschedules the workload *for the machine being
  * evaluated* (the paper's system recompiles per machine
- * specification) — but compilations are shared through a
- * CompileCache, so two machines the compiler cannot tell apart reuse
- * one Module, and base-machine reference cycles are memoized per
- * compile configuration.  Every timing run executes the Module live.
+ * specification) — but only the scheduler reads the machine, so the
+ * machine-independent prefix (parse, optimize, allocate) is shared
+ * through a CompileCache and every point schedules its own copy, and
+ * base-machine reference cycles are memoized per compile
+ * configuration.  Every timing run executes its Module live.
  *
  * A Study is safe to use from many threads at once: the compile
  * cache and the base-cycle memo are future-based (one producer per
  * key, everyone else blocks on the result), and each timing
- * evaluation runs in its own executor and IssueEngine over the shared
- * immutable Module.
+ * evaluation runs in its own executor and IssueEngine over a Module
+ * nothing else mutates.
  */
 
 #ifndef SUPERSYM_CORE_STUDY_EXPERIMENT_HH
@@ -77,7 +78,8 @@ class Study
     /**
      * timedRun() with the cycle profiler enabled, assembled into a
      * prof::Profile (per-pc counters mapped back onto the compiled
-     * code).  Deterministic: independent of the study's job count.
+     * code, from the one module compiled and run).  Deterministic:
+     * independent of the study's job count.
      * Throws TrapException when the workload faults — a profile of a
      * partial run would not reconcile.
      */
@@ -99,7 +101,7 @@ class Study
     /** The worker pool (for callers fanning out their own cells). */
     const SweepRunner &runner() const { return runner_; }
 
-    /** Shared compilations (for hit accounting and stats export). */
+    /** Shared compilation prefixes (for hit accounting). */
     CompileCache &compileCache() { return cache_; }
     const CompileCache &compileCache() const { return cache_; }
 

@@ -168,16 +168,40 @@ SweepRunner::run(std::size_t count,
 
 // ------------------------------------------------------- CompileCache
 
+namespace {
+
+/** Workload identity: name plus the size and hash of its source. */
+std::string
+workloadIdentity(const Workload &workload)
+{
+    return workload.name + '#' +
+           std::to_string(workload.source.size()) + '.' +
+           std::to_string(std::hash<std::string>{}(workload.source));
+}
+
+/** Everything allocateWorkloadChecked() reads of the options. */
+std::string
+prefixKey(const Workload &workload, const CompileOptions &options)
+{
+    std::string k = workloadIdentity(workload);
+    k += "|o";
+    k += std::to_string(static_cast<int>(options.level));
+    k += '.';
+    k += std::to_string(options.unroll.factor);
+    k += options.unroll.careful ? 'c' : 'n';
+    k += std::to_string(options.layout.numTemp);
+    k += '.';
+    k += std::to_string(options.layout.numHome);
+    return k;
+}
+
+} // namespace
+
 std::string
 CompileCache::key(const Workload &workload, const MachineConfig &machine,
                   const CompileOptions &options)
 {
-    std::string k = workload.name;
-    k += '#';
-    k += std::to_string(workload.source.size());
-    k += '.';
-    k += std::to_string(std::hash<std::string>{}(workload.source));
-
+    std::string k = workloadIdentity(workload);
     k += "|o";
     k += std::to_string(static_cast<int>(options.level));
     k += '.';
@@ -228,15 +252,16 @@ CompileCache::compile(const Workload &workload,
                       const CompileOptions &options,
                       CompileTelemetry *telemetry)
 {
-    const std::string k = key(workload, machine, options);
+    machine.validate();
+    const std::string k = prefixKey(workload, options);
 
-    std::shared_future<Compiled> future;
-    std::shared_ptr<std::promise<Compiled>> fill;
+    std::shared_future<Prefix> future;
+    std::shared_ptr<std::promise<Prefix>> fill;
     {
         std::lock_guard<std::mutex> lock(mu_);
         auto it = entries_.find(k);
         if (it == entries_.end()) {
-            fill = std::make_shared<std::promise<Compiled>>();
+            fill = std::make_shared<std::promise<Prefix>>();
             future = fill->get_future().share();
             entries_.emplace(k, future);
         } else {
@@ -252,14 +277,13 @@ CompileCache::compile(const Workload &workload,
                 span.detail(workload.name);
             if (fault::enabled())
                 fault::maybeInject("compile");
-            Compiled c;
-            Result<Module> r = compileWorkloadChecked(
-                workload.source, machine, options, &c.telemetry,
-                workload.name);
+            Prefix p;
+            Result<AllocatedModule> r = allocateWorkloadChecked(
+                workload.source, options, &p.telemetry, workload.name);
             if (!r.ok())
                 r.raise(); // DiagException with the full list
-            c.module = std::make_shared<const Module>(r.take());
-            fill->set_value(std::move(c));
+            p.allocated = r.take();
+            fill->set_value(std::move(p));
         } catch (...) {
             // A failed compile must not poison the cache: hand the
             // exception to the waiters already parked on this entry,
@@ -284,10 +308,13 @@ CompileCache::compile(const Workload &workload,
         }
     }
 
-    const Compiled &c = future.get(); // rethrows a failed compile
+    const Prefix &p = future.get(); // rethrows a failed compile
     if (telemetry)
-        *telemetry = c.telemetry;
-    return c.module;
+        *telemetry = p.telemetry;
+    Module module = p.allocated.module;
+    scheduleModule(module, p.allocated.frontendLocs, machine,
+                   optimizeOptions(options), telemetry);
+    return std::make_shared<const Module>(std::move(module));
 }
 
 std::size_t

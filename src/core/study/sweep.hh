@@ -5,10 +5,10 @@
  * The paper's whole method is evaluating one (workload, compile
  * options) pair across many machine specifications (§3–§4).  Every
  * such sweep is embarrassingly parallel — cells share nothing but
- * immutable inputs — and highly cache-friendly: cells that differ
- * only in parameters the compiler cannot see (e.g. operation
- * latencies with identical scheduling behaviour do differ, but two
- * machines differing only in *name*) share a compilation.
+ * immutable inputs — and highly cache-friendly: only the list
+ * scheduler reads the machine, so every cell of one (workload,
+ * compile options) pair shares the machine-independent part of its
+ * compilation.
  *
  * SweepRunner fans cell evaluations out over a fixed pool of
  * std::thread workers pulling indices off an atomic queue; results
@@ -16,12 +16,13 @@
  * write JSON documents after the barrier produce byte-identical
  * output regardless of the job count.
  *
- * CompileCache shares compiled Modules between cells: one compilation
- * per distinct (workload, compile options, scheduling-relevant
- * machine parameters) key, concurrency-safe via per-entry futures so
- * two workers never duplicate a compile.  Modules are immutable after
- * compilation and each cell runs its own executor and IssueEngine
- * (runOnMachine), so sharing them across threads is safe by
+ * CompileCache shares that prefix between cells: one parse, optimize
+ * and allocate per distinct (workload, machine-independent compile
+ * options) key, concurrency-safe via per-entry futures so two workers
+ * never duplicate a prefix.  Each request schedules its own copy of
+ * the prefix for its machine and alias level.  Cached prefixes are
+ * immutable, and each cell runs its own executor and IssueEngine
+ * (runOnMachine) over its own module, so sharing is safe by
  * construction.
  *
  * Job-count resolution (see defaultSweepJobs): explicit argument >
@@ -236,56 +237,63 @@ class SweepRunner
 };
 
 /**
- * A concurrency-safe cache of compiled workloads.
+ * A concurrency-safe cache of compilation prefixes.
  *
- * Keyed by the workload identity (name + source hash), the compile
- * options, and every machine parameter the compiler can observe
- * (issue width, pipeline degree, latency table, functional units,
- * branch-issue policy, register layout) — but *not* the machine's
- * name, so renamed or re-labelled variants of one specification share
- * a compilation.  The first requester compiles; concurrent
- * requesters for the same key block on the entry's future instead of
- * recompiling.  Compile telemetry is captured once on the miss and
- * handed to every requester, so stats trees do not depend on who
- * hit the cache.
+ * An entry is the machine-independent prefix of a compilation
+ * (allocateWorkloadChecked: parse, unroll, optimize, allocate), keyed
+ * by the workload identity (name + source hash), opt level, unroll
+ * factor, careful flag and temp/home register layout.  compile()
+ * copies the entry's module and schedules the copy for the requested
+ * machine and alias level, so cells that differ only in the machine
+ * or the alias level share one prefix.  The first requester of a
+ * prefix compiles it; concurrent requesters block on the entry's
+ * future instead of recompiling.  The prefix's telemetry is captured
+ * once on the miss and handed, with the requester's own scheduling
+ * phase, to every requester, so stats trees do not depend on who hit
+ * the cache.
  */
 class CompileCache
 {
   public:
     /**
-     * Compiled module for (workload, machine, options), compiling on
-     * first use.  `telemetry`, when non-null, receives the telemetry
-     * recorded by the (single) compilation of this key.
+     * Compiled module for (workload, machine, options): the cached
+     * prefix, compiled on first use, copied and scheduled for
+     * `machine`.  Every call returns a module of its own.
+     * `telemetry`, when non-null, receives the prefix's telemetry
+     * plus this scheduling's.
      */
     std::shared_ptr<const Module>
     compile(const Workload &workload, const MachineConfig &machine,
             const CompileOptions &options,
             CompileTelemetry *telemetry = nullptr);
 
-    /** The cache key; exposed for tests and diagnostics. */
+    /** The identity of a whole compilation: the prefix key's fields
+     *  plus the alias level and every machine parameter the scheduler
+     *  can observe, but not the machine's name.  Keys sweep journals
+     *  and deduplicated runs; exposed for tests and diagnostics. */
     static std::string key(const Workload &workload,
                            const MachineConfig &machine,
                            const CompileOptions &options);
 
-    /** Lookups served from an existing entry. */
+    /** Lookups served from an existing prefix. */
     std::uint64_t hits() const { return hits_.load(); }
-    /** Lookups that had to compile. */
+    /** Lookups that had to compile a prefix. */
     std::uint64_t misses() const { return misses_.load(); }
-    /** Compilations that failed.  Failed entries are evicted (never
-     *  cached), so a later request for the same key retries. */
+    /** Prefix compilations that failed.  Failed entries are evicted
+     *  (never cached), so a later request for the same key retries. */
     std::uint64_t failures() const { return failures_.load(); }
-    /** Distinct compilations held. */
+    /** Distinct prefixes held. */
     std::size_t size() const;
 
   private:
-    struct Compiled
+    struct Prefix
     {
-        std::shared_ptr<const Module> module;
+        AllocatedModule allocated;
         CompileTelemetry telemetry;
     };
 
     mutable std::mutex mu_;
-    std::map<std::string, std::shared_future<Compiled>> entries_;
+    std::map<std::string, std::shared_future<Prefix>> entries_;
     std::atomic<std::uint64_t> hits_{0};
     std::atomic<std::uint64_t> misses_{0};
     std::atomic<std::uint64_t> failures_{0};

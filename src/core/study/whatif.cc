@@ -17,21 +17,31 @@ namespace ilp {
 
 // -------------------------------------------- Study::dependenceGraph
 
+namespace {
+
+/** The dependence graph streamed out of a live run of `module`. */
+DepGraph
+dependenceGraphOf(const Module &module)
+{
+    if (fault::enabled())
+        fault::maybeInject("depgraph");
+    DepGraph::Builder builder;
+    std::unique_ptr<Executor> exec = makeExecutor(module);
+    RunResult r = exec->run("main", &builder);
+    if (r.trapped())
+        throw TrapException(r.trap);
+    return builder.take();
+}
+
+} // namespace
+
 DepGraph
 Study::dependenceGraph(const Workload &workload,
                        const MachineConfig &machine,
                        const CompileOptions &options)
 {
-    std::shared_ptr<const Module> module =
-        cache_.compile(workload, machine, options, nullptr);
-    if (fault::enabled())
-        fault::maybeInject("depgraph");
-    DepGraph::Builder builder;
-    std::unique_ptr<Executor> exec = makeExecutor(*module);
-    RunResult r = exec->run("main", &builder);
-    if (r.trapped())
-        throw TrapException(r.trap);
-    return builder.take();
+    return dependenceGraphOf(
+        *cache_.compile(workload, machine, options, nullptr));
 }
 
 namespace whatif {
@@ -43,11 +53,12 @@ analyze(Study &study, const Workload &workload,
         const MachineConfig &machine, const CompileOptions &options,
         std::size_t topEdges)
 {
+    // One compile: the code map must come from the module the graph
+    // was traced from.
     std::shared_ptr<const Module> module =
         study.compileCache().compile(workload, machine, options,
                                      nullptr);
-    const DepGraph graph =
-        study.dependenceGraph(workload, machine, options);
+    const DepGraph graph = dependenceGraphOf(*module);
 
     Report r;
     r.workload = workload.name;

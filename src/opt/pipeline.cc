@@ -93,17 +93,16 @@ CompileTelemetry::exportStats() const
     return g;
 }
 
-void
-optimizeModule(Module &module, const MachineConfig &machine,
-               const OptimizeOptions &options,
+AllocatedModule
+allocateModule(Module module, const OptimizeOptions &options,
                CompileTelemetry *telemetry)
 {
-    machine.validate();
     // Optimized code may drop or duplicate source locations, but must
     // never invent ones absent from the frontend's output.
-    const std::vector<SrcLoc> allowed_locs = collectSourceLocs(module);
+    AllocatedModule out;
+    out.frontendLocs = collectSourceLocs(module);
     for (auto &func : module.functions()) {
-        SS_ASSERT(!func.allocated, "optimizeModule: module already "
+        SS_ASSERT(!func.allocated, "allocateModule: module already "
                                    "allocated");
 
         if (options.level >= OptLevel::Local) {
@@ -155,8 +154,19 @@ optimizeModule(Module &module, const MachineConfig &machine,
                     static_cast<std::uint64_t>(spilled);
             return spilled;
         });
+    }
+    out.module = std::move(module);
+    return out;
+}
 
-        if (options.level >= OptLevel::Sched) {
+void
+scheduleModule(Module &module, const std::vector<SrcLoc> &frontendLocs,
+               const MachineConfig &machine,
+               const OptimizeOptions &options,
+               CompileTelemetry *telemetry)
+{
+    if (options.level >= OptLevel::Sched) {
+        for (auto &func : module.functions()) {
             runPhase(telemetry, "sched", func, [&] {
                 scheduleFunction(module, func, machine, options.alias,
                                  telemetry ? &telemetry->sched
@@ -166,8 +176,21 @@ optimizeModule(Module &module, const MachineConfig &machine,
         }
     }
     verifyOrDie(module);
-    verifySourceLocsOrDie(module, allowed_locs);
+    verifySourceLocsOrDie(module, frontendLocs);
     module.assignPcs();
+}
+
+void
+optimizeModule(Module &module, const MachineConfig &machine,
+               const OptimizeOptions &options,
+               CompileTelemetry *telemetry)
+{
+    machine.validate();
+    AllocatedModule prefix =
+        allocateModule(std::move(module), options, telemetry);
+    scheduleModule(prefix.module, prefix.frontendLocs, machine, options,
+                   telemetry);
+    module = std::move(prefix.module);
 }
 
 } // namespace ilp

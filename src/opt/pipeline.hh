@@ -1,10 +1,17 @@
 /**
  * @file
- * The whole optimizer as one call: applies the cumulative Figure 4-8
- * levels, assigns registers, and schedules for a target machine —
- * optionally recording per-phase telemetry (IR deltas, spills, static
- * schedule fill rate) for the stats tree.  Host time is the flight
- * recorder's job (support/trace.hh): every phase is a span.
+ * The whole optimizer: applies the cumulative Figure 4-8 levels,
+ * assigns registers, and schedules for a target machine — optionally
+ * recording per-phase telemetry (IR deltas, spills, static schedule
+ * fill rate) for the stats tree.  Host time is the flight recorder's
+ * job (support/trace.hh): every phase is a span.
+ *
+ * Only the list scheduler reads the machine, so the pipeline is two
+ * steps: a machine-independent prefix (allocateModule: every phase up
+ * to and including register assignment) and a per-machine suffix
+ * (scheduleModule).  optimizeModule() is their composition; a caller
+ * that targets many machines runs the prefix once and schedules a
+ * copy of it per machine.
  */
 
 #ifndef SUPERSYM_OPT_PIPELINE_HH
@@ -69,9 +76,49 @@ struct OptimizeOptions
 };
 
 /**
+ * A module after the machine-independent prefix, with the snapshot of
+ * the frontend's source locations that the suffix verifies the
+ * finished module against.  Copyable: one prefix serves any number of
+ * machines.
+ */
+struct AllocatedModule
+{
+    Module module;
+    /** collectSourceLocs() of the frontend's output. */
+    std::vector<SrcLoc> frontendLocs;
+};
+
+/**
+ * The machine-independent prefix: local cleanup, LICM, reassociation,
+ * home promotion, strength reduction and register assignment over
+ * every function of the frontend's `module`, as options.level,
+ * options.reassociate and options.layout select (options.alias is
+ * not read).  `telemetry`, when non-null, accumulates per-phase IR
+ * deltas and spills.
+ */
+AllocatedModule allocateModule(Module module,
+                               const OptimizeOptions &options,
+                               CompileTelemetry *telemetry = nullptr);
+
+/**
+ * The per-machine suffix: at OptLevel >= Sched, list-schedule every
+ * function of `module` (an allocateModule() result, or a copy of one)
+ * for `machine` under options.alias; then verify the IR and its
+ * source locations against `frontendLocs` and assign pcs.  `machine`
+ * must be valid (MachineConfig::validate).  `telemetry`, when
+ * non-null, accumulates the `sched` phase and fill-rate statistics.
+ */
+void scheduleModule(Module &module,
+                    const std::vector<SrcLoc> &frontendLocs,
+                    const MachineConfig &machine,
+                    const OptimizeOptions &options,
+                    CompileTelemetry *telemetry = nullptr);
+
+/**
  * Optimize, allocate, and (at OptLevel >= Sched) schedule every
- * function of `module` for `machine`.  After this the module is
- * physical-register code, ready for tracing/timing.  `telemetry`,
+ * function of `module` for `machine`: validates the machine, then
+ * runs allocateModule() and scheduleModule().  After this the module
+ * is physical-register code, ready for tracing/timing.  `telemetry`,
  * when non-null, accumulates per-phase IR deltas.
  */
 void optimizeModule(Module &module, const MachineConfig &machine,

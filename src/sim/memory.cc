@@ -1,5 +1,9 @@
 #include "sim/memory.hh"
 
+#include <new>
+
+#include <sys/mman.h>
+
 #include "sim/trap.hh"
 #include "support/logging.hh"
 
@@ -18,7 +22,13 @@ Memory::Memory(const Module &module, std::int64_t stack_bytes)
     stack_base_ = (global_end + kStackGuard + kWordBytes - 1) &
                   ~(kWordBytes - 1);
     std::int64_t total = stack_base_ + stack_bytes;
-    words_.assign(static_cast<std::size_t>(total / kWordBytes), 0);
+    size_ = static_cast<std::size_t>(total / kWordBytes);
+    const std::size_t bytes = size_ * sizeof(std::uint64_t);
+    void *image = ::mmap(nullptr, bytes, PROT_READ | PROT_WRITE,
+                         MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+    if (image == MAP_FAILED)
+        throw std::bad_alloc();
+    words_ = {static_cast<std::uint64_t *>(image), Unmap{bytes}};
 
     for (const auto &g : module.globals()) {
         for (std::size_t i = 0; i < g.init.size(); ++i)
@@ -28,13 +38,17 @@ Memory::Memory(const Module &module, std::int64_t stack_bytes)
 }
 
 void
+Memory::Unmap::operator()(std::uint64_t *words) const
+{
+    ::munmap(words, bytes);
+}
+
+void
 Memory::check(std::int64_t addr) const
 {
     // Workload faults; the faulting function name is attributed by
     // the interpreter frame the exception unwinds through.
-    if (addr < kGlobalBase ||
-        addr + kWordBytes >
-            static_cast<std::int64_t>(words_.size()) * kWordBytes)
+    if (addr < kGlobalBase || addr + kWordBytes > limit())
         throw TrapException(
             Trap{ErrCode::TrapOutOfBoundsMemory, "",
                  "memory access out of range: address " +

@@ -8,13 +8,18 @@
  * word-aligned; out-of-range or misaligned accesses are reported as
  * fatal() — they indicate a broken workload program, not a simulator
  * bug.
+ *
+ * The image is one anonymous mapping, which the kernel zero-fills a
+ * page at a time on first touch: the pages of the globals and stack
+ * a run never touches are never resident.
  */
 
 #ifndef SUPERSYM_SIM_MEMORY_HH
 #define SUPERSYM_SIM_MEMORY_HH
 
+#include <cstddef>
 #include <cstdint>
-#include <vector>
+#include <memory>
 
 #include "ir/module.hh"
 
@@ -38,7 +43,7 @@ class Memory
     /** One-past-the-end byte address of the memory. */
     std::int64_t limit() const
     {
-        return static_cast<std::int64_t>(words_.size()) * kWordBytes;
+        return static_cast<std::int64_t>(size_) * kWordBytes;
     }
 
     /** Read word `index` of global `name` (tests/checksums). */
@@ -49,7 +54,16 @@ class Memory
   private:
     void check(std::int64_t addr) const;
 
-    std::vector<std::uint64_t> words_;
+    /** Unmaps the image. */
+    struct Unmap
+    {
+        std::size_t bytes;
+        void operator()(std::uint64_t *words) const;
+    };
+
+    std::unique_ptr<std::uint64_t[], Unmap> words_;
+    /** Words in the image. */
+    std::size_t size_ = 0;
     std::int64_t stack_base_ = 0;
 };
 

@@ -7,10 +7,12 @@
  * Json::tryParse.
  */
 
+#include <algorithm>
 #include <atomic>
 #include <cmath>
 #include <cstdlib>
 #include <limits>
+#include <random>
 #include <stdexcept>
 
 #include <gtest/gtest.h>
@@ -18,6 +20,7 @@
 #include "core/machine/models.hh"
 #include "core/study/experiment.hh"
 #include "core/study/sweep.hh"
+#include "ir/printer.hh"
 #include "sim/trap.hh"
 #include "support/table.hh"
 #include "tests/helpers.hh"
@@ -92,17 +95,17 @@ TEST(CompileCacheTest, HitAccountingUnderConcurrency)
     CompileCache cache;
 
     SweepRunner runner(8);
-    std::vector<std::shared_ptr<const Module>> modules =
-        runner.map<std::shared_ptr<const Module>>(
-            8, [&](std::size_t) {
-                return cache.compile(w, idealSuperscalar(4), o);
-            });
+    std::vector<std::string> printed = runner.map<std::string>(
+        8, [&](std::size_t) {
+            return toString(*cache.compile(w, idealSuperscalar(4), o));
+        });
 
     EXPECT_EQ(cache.misses(), 1u);
     EXPECT_EQ(cache.hits(), 7u);
     EXPECT_EQ(cache.size(), 1u);
-    for (const auto &m : modules)
-        EXPECT_EQ(m.get(), modules[0].get()); // one shared Module
+    // Every requester schedules its own copy of the one prefix.
+    for (const std::string &m : printed)
+        EXPECT_EQ(m, printed[0]);
 }
 
 TEST(CompileCacheTest, MachineNameDoesNotSplitTheCache)
@@ -121,22 +124,110 @@ TEST(CompileCacheTest, MachineNameDoesNotSplitTheCache)
     EXPECT_EQ(cache.hits(), 1u);
 }
 
-TEST(CompileCacheTest, SchedulingParametersSplitTheCache)
+TEST(CompileCacheTest, MachinesShareOnePrefix)
 {
+    // Only the scheduler reads the machine: four scheduling targets
+    // share one prefix, yet each module is scheduled for its own.
     const Workload &w = workloadByName("whet");
     CompileOptions o = defaultCompileOptions(w);
     CompileCache cache;
-    cache.compile(w, idealSuperscalar(2), o);
+    const auto ss2 = cache.compile(w, idealSuperscalar(2), o);
     cache.compile(w, idealSuperscalar(4), o);   // width differs
     cache.compile(w, superpipelined(4), o);     // degree differs
-    cache.compile(w, cray1(), o);               // latencies differ
-    EXPECT_EQ(cache.misses(), 4u);
-    EXPECT_EQ(cache.hits(), 0u);
+    const auto cray = cache.compile(w, cray1(), o); // latencies differ
+    EXPECT_EQ(cache.misses(), 1u);
+    EXPECT_EQ(cache.hits(), 3u);
+    EXPECT_EQ(cache.size(), 1u);
+    EXPECT_NE(toString(*ss2), toString(*cray));
 
-    CompileOptions o2 = o;
-    o2.unroll.factor = 2;                       // options differ
-    cache.compile(w, idealSuperscalar(2), o2);
+    // The alias level is the scheduler's too.
+    CompileOptions alias = o;
+    alias.alias = AliasLevel::Conservative;
+    cache.compile(w, idealSuperscalar(2), alias);
+    EXPECT_EQ(cache.misses(), 1u);
+
+    // Options the prefix reads still miss.
+    CompileOptions unrolled = o;
+    unrolled.unroll.factor = 2;
+    cache.compile(w, idealSuperscalar(2), unrolled);
+    CompileOptions careful = o;
+    careful.unroll.careful = true;
+    cache.compile(w, idealSuperscalar(2), careful);
+    CompileOptions temps = o;
+    temps.layout.numTemp = 6;
+    cache.compile(w, idealSuperscalar(2), temps);
+    CompileOptions level = o;
+    level.level = OptLevel::Local;
+    cache.compile(w, idealSuperscalar(2), level);
     EXPECT_EQ(cache.misses(), 5u);
+    EXPECT_EQ(cache.size(), 5u);
+}
+
+TEST(CompileCacheTest, MatchesCompileWorkloadChecked)
+{
+    // The differential: a module from the cache (a shared prefix,
+    // copied and scheduled per request, requested in shuffled order
+    // on four workers) prints and reports telemetry exactly as a
+    // fresh compileWorkloadChecked of the same cell.
+    const std::vector<MachineConfig> machines{
+        baseMachine(), idealSuperscalar(8), multiTitan(), cray1(),
+        superscalarWithClassConflicts(4)};
+    std::vector<std::pair<const Workload *, CompileOptions>> configs;
+    for (const Workload &w : allWorkloads()) {
+        const CompileOptions o = defaultCompileOptions(w);
+        CompileOptions none = o;
+        none.level = OptLevel::None;
+        CompileOptions sched = o;
+        sched.level = OptLevel::Sched;
+        CompileOptions careful = o;
+        careful.unroll.factor = 4;
+        careful.unroll.careful = true;
+        careful.alias = AliasLevel::Heroic;
+        CompileOptions temps = o;
+        temps.layout.numTemp = 6;
+        for (const CompileOptions &c : {o, none, sched, careful, temps})
+            configs.emplace_back(&w, c);
+    }
+    const std::size_t cells = configs.size() * machines.size();
+    std::vector<std::size_t> order(cells);
+    for (std::size_t i = 0; i < cells; ++i)
+        order[i] = i;
+    std::shuffle(order.begin(), order.end(), std::mt19937(20));
+
+    struct Printed
+    {
+        std::string module;
+        std::string telemetry;
+    };
+    auto print = [](const Module &m, const CompileTelemetry &t) {
+        return Printed{toString(m), t.exportStats().dump()};
+    };
+    CompileCache cache;
+    SweepRunner runner(4);
+    std::vector<Printed> cached(cells), fresh(cells);
+    runner.run(cells, [&](std::size_t k) {
+        const std::size_t i = order[k];
+        const auto &[w, o] = configs[i / machines.size()];
+        const MachineConfig &m = machines[i % machines.size()];
+        CompileTelemetry t;
+        cached[i] = print(*cache.compile(*w, m, o, &t), t);
+        CompileTelemetry u;
+        Result<Module> r =
+            compileWorkloadChecked(w->source, m, o, &u, w->name);
+        ASSERT_TRUE(r.ok()) << r.formatErrors();
+        fresh[i] = print(r.value(), u);
+    });
+    EXPECT_EQ(cache.misses(), configs.size());
+    EXPECT_EQ(cache.hits(), cells - configs.size());
+    for (std::size_t i = 0; i < cells; ++i) {
+        const auto &[w, o] = configs[i / machines.size()];
+        const std::string cell = w->name + " on " +
+                                 machines[i % machines.size()].name +
+                                 " config " +
+                                 std::to_string(i / machines.size());
+        EXPECT_EQ(cached[i].module, fresh[i].module) << cell;
+        EXPECT_EQ(cached[i].telemetry, fresh[i].telemetry) << cell;
+    }
 }
 
 TEST(CompileCacheTest, HitReturnsTheMissTelemetry)
