@@ -24,30 +24,31 @@ namespace {
 
 /**
  * Every table row, as one flat grid of distinct timed runs.  The rows
- * overlap — the default configuration appears in three tables, and
- * every row times the base machine under its options — so a run is
- * keyed by its compilation plus the machine that times it, and each
- * distinct run executes once.  Runs compile through one CompileCache,
- * so rows that differ only in the alias level or the machine share a
- * prefix.  Table 4 deliberately times a schedule on a *different*
- * machine: the module compiled for the machine scheduled *for* runs
- * on whatever machine is measured.
+ * overlap — the default configuration appears in three tables — so a
+ * run is keyed by its compilation plus the machine that times it, and
+ * each distinct run executes once.  Runs compile through one
+ * CompileCache, so rows that differ only in the alias level or the
+ * machine share a prefix.  Table 4 deliberately times a schedule on a
+ * *different* machine: the module compiled for the machine scheduled
+ * *for* runs on whatever machine is measured.  No run times the base
+ * machine: every schedule of one prefix executes the same
+ * instructions, which is what the stall-free base machine's cycles
+ * count, so a run's speedup is its instructions over its cycles.
  */
 class SuiteRows
 {
   public:
     /** Add a row: the suite compiled for `sched` under (alias, temps)
-     *  and timed on `timing`, over the base machine. */
+     *  and timed on `timing`. */
     void add(const MachineConfig &timing, const MachineConfig &sched,
              AliasLevel alias, std::uint32_t temps)
     {
-        std::vector<std::pair<std::size_t, std::size_t>> row;
+        std::vector<std::size_t> row;
         for (const Workload &w : allWorkloads()) {
             CompileOptions o = defaultCompileOptions(w);
             o.alias = alias;
             o.layout.numTemp = temps;
-            row.emplace_back(run(w, sched, timing, o),
-                             run(w, baseMachine(), baseMachine(), o));
+            row.push_back(run(w, sched, timing, o));
         }
         rows_.push_back(std::move(row));
     }
@@ -58,7 +59,7 @@ class SuiteRows
     std::vector<double> evaluate() const
     {
         CompileCache cache;
-        const std::vector<double> cycles = bench::sweeper().map<double>(
+        const std::vector<double> speedups = bench::sweeper().map<double>(
             runs_.size(), [&](std::size_t i) {
                 const Run &r = runs_[i];
                 const std::shared_ptr<const Module> module =
@@ -66,14 +67,14 @@ class SuiteRows
                 const RunOutcome out = runOnMachine(*module, r.timing);
                 if (out.trapped())
                     throw TrapException(out.trap);
-                return out.cycles;
+                return out.ipc();
             });
         std::vector<double> means;
         for (const auto &row : rows_) {
-            std::vector<double> speedups;
-            for (const auto &[measured, base] : row)
-                speedups.push_back(cycles[base] / cycles[measured]);
-            means.push_back(harmonicMean(speedups));
+            std::vector<double> suite;
+            for (std::size_t run : row)
+                suite.push_back(speedups[run]);
+            means.push_back(harmonicMean(suite));
         }
         return means;
     }
@@ -100,7 +101,7 @@ class SuiteRows
 
     std::vector<Run> runs_;
     std::map<std::string, std::size_t> index_;
-    std::vector<std::vector<std::pair<std::size_t, std::size_t>>> rows_;
+    std::vector<std::vector<std::size_t>> rows_;
 };
 
 struct AliasRow

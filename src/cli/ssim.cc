@@ -612,12 +612,8 @@ cmdRun(const Cli &cli)
     if (traced)
         trace::Recorder::instance().start();
 
-    // Checked compiles: a malformed program reports every diagnostic
+    // A checked compile: a malformed program reports every diagnostic
     // (file:line:col, stable code) and exits 1 — no fatal() abort.
-    Result<Module> base_mod = compileWorkloadChecked(
-        w.source, baseMachine(), cli.options, nullptr, cli.file);
-    if (!base_mod.ok())
-        return fail(base_mod.formatErrors());
     CompileTelemetry compile;
     CompileTelemetry *record =
         telemetry.collectStats ? &compile : nullptr;
@@ -628,19 +624,14 @@ cmdRun(const Cli &cli)
 
     // An injected fault (SSIM_FAULT) throws out of a run; report it
     // like any other simulation error instead of aborting.
-    RunOutcome base, out;
+    RunOutcome out;
     try {
-        base = runOnMachine(base_mod.value(), baseMachine());
-        if (!base.trapped())
-            out = runOnMachine(mod.value(), cli.machine, telemetry,
-                               record);
+        out = runOnMachine(mod.value(), cli.machine, telemetry, record);
     } catch (...) {
         return fail(currentCellError().message);
     }
     const trace::Recording recording =
         traced ? trace::Recorder::instance().stop() : trace::Recording{};
-    if (base.trapped())
-        return fail(base.trap.format());
     if (out.trapped())
         return fail(out.trap.format());
     std::printf("program      : %s\n", cli.file.c_str());
@@ -652,9 +643,11 @@ cmdRun(const Cli &cli)
     std::printf("instructions : %llu\n",
                 static_cast<unsigned long long>(out.instructions));
     std::printf("base cycles  : %.1f\n", out.cycles);
+    // The base machine never stalls and every schedule executes the
+    // same instructions, so the speedup over it is the IPC.
     std::printf("instr/cycle  : %.3f\n", out.ipc());
     std::printf("speedup      : %.3f over the base machine\n",
-                base.cycles / out.cycles);
+                out.ipc());
     if (cli.stats) {
         std::printf("\n");
         printStatsTree(out.stats, "");
@@ -1075,16 +1068,13 @@ cmdSuite(const Cli &cli)
     const bool want_json = !cli.statsJsonPath.empty();
     RunTelemetryOptions telemetry = cli.telemetry(/*sweep=*/true);
 
-    // One cell per benchmark (base run + machine run); table rows,
+    // One cell (one run on the machine) per benchmark; table rows,
     // stats dumps, and the JSON document are assembled serially from
     // the index-ordered results after the barrier, so the output is
     // byte-identical at any --jobs.  Runs go through the study so
-    // compiles are shared across cells.
-    struct SuiteCell
-    {
-        RunOutcome base;
-        RunOutcome out;
-    };
+    // compiles are shared across cells.  The speedup column is each
+    // run's instructions over its cycles: the base machine's cycles
+    // equal the instruction count, so no cell times it.
     const auto &suite = allWorkloads();
     Study study(cli.jobs);
 
@@ -1118,7 +1108,7 @@ cmdSuite(const Cli &cli)
     if (!sj.setup(cli, identity, &jerr))
         return fail(jerr);
 
-    std::vector<CellOutcome<SuiteCell>> cells(suite.size());
+    std::vector<CellOutcome<RunOutcome>> cells(suite.size());
     std::vector<std::size_t> todo;
     for (std::size_t i = 0; i < suite.size(); ++i) {
         auto it = sj.resumed.find(keys[i]);
@@ -1129,51 +1119,45 @@ cmdSuite(const Cli &cli)
         const Json &v = it->second;
         const Json *instr = v.find("instructions");
         const Json *cyc = v.find("cycles");
-        const Json *base = v.find("base_cycles");
         const Json *stats = v.find("stats");
         if (!instr || !instr->isNumber() || !cyc ||
-            !cyc->isNumber() || !base || !base->isNumber() ||
-            (telemetry.collectStats && !stats)) {
+            !cyc->isNumber() || (telemetry.collectStats && !stats)) {
             todo.push_back(i); // malformed record: re-run the cell
             continue;
         }
-        SuiteCell &c = cells[i].value;
-        c.out.instructions =
-            static_cast<std::uint64_t>(instr->asNumber());
-        c.out.cycles = cyc->asNumber();
-        c.base.cycles = base->asNumber();
+        RunOutcome &out = cells[i].value;
+        out.instructions = static_cast<std::uint64_t>(instr->asNumber());
+        out.cycles = cyc->asNumber();
         if (stats)
-            c.out.stats = *stats;
+            out.stats = *stats;
     }
     const std::size_t ran = todo.size();
 
     auto cell = [&](std::size_t j) {
         const std::size_t i = todo[j];
-        const Workload &w = suite[i];
-        SuiteCell c;
-        c.base = study.timedRun(w, baseMachine(), cellOptions(i));
-        c.out = study.timedRun(w, cli.machine, cellOptions(i),
-                               telemetry);
-        if (c.base.trapped())
-            throw TrapException(c.base.trap);
-        if (c.out.trapped())
-            throw TrapException(c.out.trap);
+        RunOutcome out =
+            study.timedRun(suite[i], cli.machine, cellOptions(i),
+                           telemetry);
+        if (out.trapped())
+            throw TrapException(out.trap);
         if (sj.writer.isOpen()) {
+            // The record keeps its base_cycles field, the base
+            // machine's cycles, which are the instruction count.
             Json value = Json::object();
-            value.set("instructions", Json(c.out.instructions));
-            value.set("cycles", Json(c.out.cycles));
-            value.set("base_cycles", Json(c.base.cycles));
+            value.set("instructions", Json(out.instructions));
+            value.set("cycles", Json(out.cycles));
+            value.set("base_cycles", Json(out.instructions));
             if (telemetry.collectStats)
-                value.set("stats", c.out.stats);
+                value.set("stats", out.stats);
             sj.writer.writeCell(keys[i], value);
         }
-        return c;
+        return out;
     };
 
     SweepObservability obs(cli, study, todo.size());
-    HardenedSweep<SuiteCell> hs;
+    HardenedSweep<RunOutcome> hs;
     try {
-        hs = study.runner().mapHardened<SuiteCell>(
+        hs = study.runner().mapHardened<RunOutcome>(
             todo.size(), cli.cellPolicy(), cell);
     } catch (...) {
         return fail(currentCellError().message);
@@ -1186,7 +1170,7 @@ cmdSuite(const Cli &cli)
     int status = 0;
     for (std::size_t i = 0; i < suite.size(); ++i) {
         const Workload &w = suite[i];
-        const CellOutcome<SuiteCell> &c = cells[i];
+        const CellOutcome<RunOutcome> &c = cells[i];
         if (!c.ok()) {
             t.row()
                 .cell(w.name)
@@ -1208,13 +1192,13 @@ cmdSuite(const Cli &cli)
             }
             continue;
         }
-        const RunOutcome &out = c.value.out;
+        const RunOutcome &out = c.value;
         t.row()
             .cell(w.name)
             .cell(static_cast<long long>(out.instructions))
             .cell(out.cycles, 0)
             .cell(out.ipc(), 2)
-            .cell(c.value.base.cycles / out.cycles, 2);
+            .cell(out.ipc(), 2);
         if (cli.stats) {
             std::printf("--- %s ---\n", w.name.c_str());
             printStatsTree(out.stats, "");

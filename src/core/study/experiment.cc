@@ -17,50 +17,6 @@ Study::fingerprint(const Workload &workload,
            std::to_string(options.layout.numHome);
 }
 
-double
-Study::baseCycles(const Workload &workload,
-                  const CompileOptions &options)
-{
-    const std::string key = fingerprint(workload, options);
-
-    // One producer per key: the first caller inserts a future and
-    // runs the base machine; concurrent callers block on the result
-    // instead of re-running it.
-    std::shared_future<double> future;
-    std::shared_ptr<std::promise<double>> fill;
-    {
-        std::lock_guard<std::mutex> lock(base_mu_);
-        auto it = base_cycles_.find(key);
-        if (it == base_cycles_.end()) {
-            fill = std::make_shared<std::promise<double>>();
-            future = fill->get_future().share();
-            base_cycles_.emplace(key, future);
-        } else {
-            future = it->second;
-        }
-    }
-    if (fill) {
-        try {
-            RunOutcome out =
-                timedRun(workload, baseMachine(), options);
-            if (out.trapped())
-                throw TrapException(out.trap);
-            fill->set_value(out.cycles);
-        } catch (...) {
-            // Mirror the caches: evict the failed entry before
-            // handing the exception to parked waiters, so a
-            // transient fault (injected, memory pressure) is not
-            // memoized forever — retried cells recompute.
-            {
-                std::lock_guard<std::mutex> lock(base_mu_);
-                base_cycles_.erase(key);
-            }
-            fill->set_exception(std::current_exception());
-        }
-    }
-    return future.get();
-}
-
 RunOutcome
 Study::timedRun(const Workload &workload, const MachineConfig &machine,
                 const CompileOptions &options,
@@ -97,13 +53,12 @@ double
 Study::speedup(const Workload &workload, const MachineConfig &machine,
                const CompileOptions &options)
 {
-    double base = baseCycles(workload, options);
     RunOutcome out = timedRun(workload, machine, options);
     if (out.trapped())
         // Re-raise the trap so keep-going sweep cells record a
         // structured CellError instead of a bogus speedup.
         throw TrapException(out.trap);
-    return base / out.cycles;
+    return out.ipc();
 }
 
 double

@@ -11,23 +11,26 @@
  * evaluated* (the paper's system recompiles per machine
  * specification) — but only the scheduler reads the machine, so the
  * machine-independent prefix (parse, optimize, allocate) is shared
- * through a CompileCache and every point schedules its own copy, and
- * base-machine reference cycles are memoized per compile
- * configuration.  Every timing run executes its Module live.
+ * through a CompileCache and every point schedules its own copy.
+ * Every timing run executes its Module live.
+ *
+ * No cell times the base machine.  §2.1's base machine never stalls,
+ * so its cycles equal the dynamic instruction count, and the
+ * scheduler only reorders instructions within a block, so every
+ * schedule of one prefix executes the same count: a speedup over the
+ * base machine is the measured run's instructions over its cycles
+ * (tests/study_test.cc checks both facts for every option set the
+ * artifacts use).
  *
  * A Study is safe to use from many threads at once: the compile
- * cache and the base-cycle memo are future-based (one producer per
- * key, everyone else blocks on the result), and each timing
- * evaluation runs in its own executor and IssueEngine over a Module
- * nothing else mutates.
+ * cache is future-based (one producer per key, everyone else blocks
+ * on the result), and each timing evaluation runs in its own executor
+ * and IssueEngine over a Module nothing else mutates.
  */
 
 #ifndef SUPERSYM_CORE_STUDY_EXPERIMENT_HH
 #define SUPERSYM_CORE_STUDY_EXPERIMENT_HH
 
-#include <future>
-#include <map>
-#include <mutex>
 #include <string>
 
 #include "core/study/profile.hh"
@@ -44,17 +47,11 @@ class Study
     explicit Study(int jobs = 0) : runner_(jobs) {}
 
     /**
-     * Base-machine elapsed cycles for a workload under a compile
-     * configuration (memoized).  With unit latencies this equals the
-     * dynamic instruction count — §2.1's stall-free base machine.
-     */
-    double baseCycles(const Workload &workload,
-                      const CompileOptions &options);
-
-    /**
      * Speedup of `machine` over the base machine (§4's "relative
-     * performance"), compiling/scheduling the workload for each
-     * machine respectively.
+     * performance"), from one run of the workload scheduled for
+     * `machine`: its instructions over its cycles, which is the base
+     * machine's cycles over its cycles (see the file comment).
+     * Throws TrapException when the run traps.
      */
     double speedup(const Workload &workload,
                    const MachineConfig &machine,
@@ -115,16 +112,14 @@ class Study
                              const MachineConfig &machine,
                              const CompileOptions &options);
 
-    /** Stable identity of a (workload, compile options) pair: keys
-     *  the base-cycles memo and fingerprints sweep journals. */
+    /** Stable identity of a (workload, compile options) pair:
+     *  fingerprints sweep journals. */
     static std::string fingerprint(const Workload &workload,
                                    const CompileOptions &options);
 
   private:
     SweepRunner runner_;
     CompileCache cache_;
-    std::mutex base_mu_;
-    std::map<std::string, std::shared_future<double>> base_cycles_;
 };
 
 } // namespace ilp

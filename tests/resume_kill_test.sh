@@ -11,6 +11,10 @@
 #    split exactly,
 #  - a second resume skips every cell and still reproduces the
 #    output byte-for-byte.
+# Then kills an 8-workload `ssim suite` sweep the same way, checks
+# that each journaled cell records its instructions, cycles and
+# base_cycles (the base machine's cycles, equal to the instructions),
+# and resumes it at 4 jobs to the uninterrupted output.
 #
 # usage: resume_kill_test.sh /path/to/ssim /path/to/program.mt
 set -eu
@@ -75,5 +79,26 @@ rc=0
 [ "$rc" -eq 1 ] || fail "identity mismatch should exit 1, got $rc"
 grep -q "refusing to resume" "$TMP/mismatch.out" \
     || fail "identity mismatch should name the refusal"
+
+# ssim suite: kill before the 4th workload, resume on 4 workers.
+"$SSIM" suite --machine ss4 --jobs 1 > "$TMP/suite_clean.out" \
+    || fail "clean suite run failed"
+rc=0
+SSIM_FAULT='cell:exit:1:3' "$SSIM" suite --machine ss4 --jobs 1 \
+    --journal "$TMP/suite.jsonl" > "$TMP/suite_killed.out" 2>&1 \
+    || rc=$?
+[ "$rc" -eq 137 ] || fail "expected suite kill exit 137, got $rc"
+lines=$(wc -l < "$TMP/suite.jsonl")
+[ "$lines" -eq 4 ] \
+    || fail "expected 4 suite journal lines (header + 3 cells), got $lines"
+records=$(awk -F '"instructions":|,"cycles":|,"base_cycles":|}' \
+    '/"kind":"cell"/ && $2 > 0 && $4 == $2 { n++ } END { print n + 0 }' \
+    "$TMP/suite.jsonl")
+[ "$records" -eq 3 ] \
+    || fail "$records suite cells with base_cycles == instructions, not 3"
+"$SSIM" suite --machine ss4 --jobs 4 --resume "$TMP/suite.jsonl" \
+    > "$TMP/suite_resumed.out" || fail "suite resume failed"
+cmp -s "$TMP/suite_resumed.out" "$TMP/suite_clean.out" \
+    || fail "resumed suite stdout differs from the clean run"
 
 echo "resume_kill_test: ok"

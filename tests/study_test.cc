@@ -1,9 +1,15 @@
 /** Tests for the experiment harness and its paper-level invariants. */
 
+#include <set>
+#include <string>
+#include <utility>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "core/study/experiment.hh"
 #include "core/machine/models.hh"
+#include "sim/exec.hh"
 #include "tests/helpers.hh"
 
 namespace ilp {
@@ -12,13 +18,115 @@ namespace {
 TEST(StudyTest, BaseMachineCyclesEqualInstructionCount)
 {
     // §2.1: the base machine never stalls under unit latencies.
-    Study study;
     const Workload &w = workloadByName("yacc");
     CompileOptions o = defaultCompileOptions(w);
     RunOutcome out = runWorkload(w, baseMachine(), o);
     EXPECT_DOUBLE_EQ(out.cycles,
                      static_cast<double>(out.instructions));
-    EXPECT_DOUBLE_EQ(study.baseCycles(w, o), out.cycles);
+}
+
+/** Every (workload, options) pair a paper artifact or the ablation
+ *  times, once each. */
+std::vector<std::pair<const Workload *, CompileOptions>>
+artifactOptionSets()
+{
+    std::vector<std::pair<const Workload *, CompileOptions>> sets;
+    std::set<std::string> seen;
+    auto add = [&](const Workload &w, const CompileOptions &o) {
+        if (seen.insert(Study::fingerprint(w, o)).second)
+            sets.emplace_back(&w, o);
+    };
+    // The defaults, Figure 4-8's levels, the ablation's alias levels
+    // and temp supplies.
+    for (const Workload &w : allWorkloads()) {
+        const CompileOptions o = defaultCompileOptions(w);
+        add(w, o);
+        for (int level = 0; level <= 4; ++level) {
+            CompileOptions l = o;
+            l.level = static_cast<OptLevel>(level);
+            add(w, l);
+        }
+        for (AliasLevel alias :
+             {AliasLevel::Conservative, AliasLevel::Arrays,
+              AliasLevel::Symbols, AliasLevel::Careful}) {
+            CompileOptions a = o;
+            a.alias = alias;
+            add(w, a);
+        }
+        for (std::uint32_t temps : {6u, 8u, 12u, 24u, 40u}) {
+            CompileOptions t = o;
+            t.layout.numTemp = temps;
+            add(w, t);
+        }
+    }
+    // Figure 4-6: naive and careful unrolling with 40 temps.
+    for (const char *name : {"linpack", "livermore"}) {
+        const Workload &w = workloadByName(name);
+        for (int factor : {1, 2, 4, 6, 8, 10}) {
+            for (bool careful : {false, true}) {
+                CompileOptions u = defaultCompileOptions(w);
+                u.unroll.factor = factor;
+                u.unroll.careful = careful;
+                u.alias =
+                    careful ? AliasLevel::Heroic : AliasLevel::Arrays;
+                u.layout.numTemp = 40;
+                add(w, u);
+            }
+        }
+    }
+    return sets;
+}
+
+TEST(StudyTest, SpeedupIsInstructionsOverCycles)
+{
+    // Why no artifact times the base machine: (a) its cycles equal
+    // the instruction count, and (b) every schedule of one prefix
+    // executes the same instructions, so the base machine's cycles
+    // over a run's cycles are that run's instructions over its
+    // cycles.  Only (a) needs a timed run; (b) counts instructions
+    // with an untimed run of each schedule.
+    MachineConfig fenced = idealSuperscalar(8);
+    fenced.issueAcrossBranches = false;
+    fenced.name += "+fence";
+    const std::vector<MachineConfig> machines{
+        baseMachine(), idealSuperscalar(8), fenced, multiTitan(),
+        cray1(), superscalarWithClassConflicts(4, 2, 1)};
+    const auto sets = artifactOptionSets();
+    const std::size_t n = sets.size();
+
+    // Machine-major, so the first cells compile distinct prefixes in
+    // parallel and the later ones hit them.
+    CompileCache cache;
+    SweepRunner runner(4);
+    const std::vector<RunOutcome> runs = runner.map<RunOutcome>(
+        n * machines.size(), [&](std::size_t i) {
+            const auto &[w, o] = sets[i % n];
+            const MachineConfig &m = machines[i / n];
+            const std::shared_ptr<const Module> module =
+                cache.compile(*w, m, o);
+            if (i < n)
+                return runOnMachine(*module, m);
+            const RunResult r = makeExecutor(*module)->run("main");
+            RunOutcome out;
+            out.instructions = r.instructions;
+            out.trap = r.trap;
+            return out;
+        });
+
+    for (std::size_t s = 0; s < n; ++s) {
+        const std::string cell =
+            Study::fingerprint(*sets[s].first, sets[s].second);
+        const RunOutcome &base = runs[s];
+        ASSERT_FALSE(base.trapped()) << cell;
+        EXPECT_EQ(base.cycles, static_cast<double>(base.instructions))
+            << cell;
+        for (std::size_t m = 1; m < machines.size(); ++m) {
+            const RunOutcome &out = runs[m * n + s];
+            ASSERT_FALSE(out.trapped()) << cell;
+            EXPECT_EQ(out.instructions, base.instructions)
+                << cell << " scheduled for " << machines[m].name;
+        }
+    }
 }
 
 TEST(StudyTest, SpeedupOfBaseIsOne)
@@ -71,16 +179,6 @@ TEST(StudyTest, AvailableParallelismInPaperRange)
     EXPECT_GT(linpack, 2.0);
     EXPECT_LT(linpack, 4.5);
     EXPECT_GT(linpack, yacc); // "a factor of two difference" ordering
-}
-
-TEST(StudyTest, BaseCyclesMemoized)
-{
-    Study study;
-    const Workload &w = workloadByName("grr");
-    CompileOptions o = defaultCompileOptions(w);
-    double a = study.baseCycles(w, o);
-    double b = study.baseCycles(w, o);
-    EXPECT_DOUBLE_EQ(a, b);
 }
 
 TEST(StudyTest, TimedRunMatchesRunWorkload)
