@@ -327,31 +327,6 @@ BENCHMARK(BM_ParallelSweepTraced)
     ->Unit(benchmark::kMillisecond);
 
 void
-BM_WhatIfQuery(benchmark::State &state)
-{
-    // One analytic analyze() over a prebuilt dependence graph, to be
-    // read against BM_LiveRun (the exact timing run of the same
-    // workload and machine).
-    const Workload &w = wl();
-    const CompileOptions o = defaultCompileOptions(w);
-    const MachineConfig machine = idealSuperscalar(4);
-    Study study(1);
-    const DepGraph graph = study.dependenceGraph(w, machine, o);
-    std::uint64_t nodes = 0;
-    const auto t0 = BenchClock::now();
-    for (auto _ : state) {
-        AnalyticResult a = graph.analyze(machine);
-        nodes += a.instructions;
-        benchmark::DoNotOptimize(a.minorCycles);
-    }
-    const double wall = secondsSince(t0);
-    recordRateSample(
-        "BM_WhatIfQuery", "instr_per_s",
-        wall > 0.0 ? static_cast<double>(nodes) / wall : 0.0, state);
-}
-BENCHMARK(BM_WhatIfQuery)->Unit(benchmark::kMillisecond);
-
-void
 BM_ListScheduler(benchmark::State &state)
 {
     const Workload &w = workloadByName("linpack");

@@ -125,16 +125,26 @@ SSIM_JOBS=2 "$BUILD_DIR/src/cli/ssim" suite --machine ss4 \
 "$BUILD_DIR/src/cli/ssim" check-json "$STATS_JSON"
 
 echo "== what-if smoke =="
-# The analytic engine must answer whatif queries (valid JSON, a
-# certified verdict on an ideal machine), and the slack listing must
-# render.
+# ssim whatif times the program on the issue engine: on an ideal
+# machine and on the unit-conflict one, its base cycles must be the
+# ones ssim run prints and its JSON must parse.  The slack listing
+# must render.
 WHATIF_JSON="$BUILD_DIR/check_whatif.json"
-"$BUILD_DIR/src/cli/ssim" whatif examples/mt/dotprod.mt \
-    --machine ss4 --stats-json "$WHATIF_JSON" \
-    > "$BUILD_DIR/check_whatif.txt"
-"$BUILD_DIR/src/cli/ssim" check-json "$WHATIF_JSON"
-grep -q 'certified exact' "$BUILD_DIR/check_whatif.txt"
-grep -q 'oracle ilp bound' "$BUILD_DIR/check_whatif.txt"
+WHATIF_TXT="$BUILD_DIR/check_whatif.txt"
+for machine in ss4 conflicts4; do
+    "$BUILD_DIR/src/cli/ssim" whatif examples/mt/dotprod.mt \
+        --machine "$machine" --stats-json "$WHATIF_JSON" > "$WHATIF_TXT"
+    "$BUILD_DIR/src/cli/ssim" check-json "$WHATIF_JSON"
+    grep -q 'oracle ilp bound' "$WHATIF_TXT"
+    whatif_cycles=$(sed -n 's/^base cycles *: //p' "$WHATIF_TXT")
+    run_cycles=$("$BUILD_DIR/src/cli/ssim" run examples/mt/dotprod.mt \
+        --machine "$machine" | sed -n 's/^base cycles *: //p')
+    if [ -z "$run_cycles" ] || [ "$whatif_cycles" != "$run_cycles" ]; then
+        echo "whatif base cycles '$whatif_cycles' differ from run's" \
+            "'$run_cycles' on $machine" >&2
+        exit 1
+    fi
+done
 "$BUILD_DIR/src/cli/ssim" profile examples/mt/dotprod.mt \
     --machine cray1 --slack > "$BUILD_DIR/check_slack.txt"
 grep -q 'would speed up if' "$BUILD_DIR/check_slack.txt"

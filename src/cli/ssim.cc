@@ -8,11 +8,13 @@
  *                                  stall attribution mapped back to
  *                                  MT source lines (docs/profiling.md)
  *   ssim mix FILE.mt [options]     dynamic instruction-class mix
- *   ssim whatif FILE.mt [options]  analytic what-if queries from the
- *                                  dynamic dependence graph: oracle
- *                                  critical path / ILP bound, analytic
- *                                  cycles, top critical dependence
- *                                  edges (docs/whatif.md)
+ *   ssim whatif FILE.mt [options]  the issue engine's cycles (as in
+ *                                  `ssim run`) against lower bounds
+ *                                  from the dynamic dependence graph:
+ *                                  oracle critical path / ILP bound,
+ *                                  issue bandwidth, unit conflicts;
+ *                                  top critical dependence edges
+ *                                  (docs/whatif.md)
  *   ssim dump FILE.mt [options]    print the optimized, scheduled IR
  *   ssim suite [options]           run the built-in 8-benchmark suite
  *   ssim machines                  list predefined machine models
@@ -875,8 +877,9 @@ cmdIlp(const Cli &cli)
 {
     Workload w{cli.file, "user program", readFile(cli.file), 0, false,
                1};
-    // One cell per degree; the study's compile cache shares the base
-    // compile, and its future-based memos keep the sweep race-free.
+    // One cell per degree.  The cells share one compile prefix
+    // through the study's compile cache, the only memo left: its
+    // per-entry future makes concurrent cells wait, not recompile.
     Study study(cli.jobs);
 
     constexpr std::size_t kDegrees = 8;

@@ -103,13 +103,6 @@ ExprDag::parallelism() const
            static_cast<double>(criticalPath());
 }
 
-double
-speedup(double base_cycles, double machine_cycles)
-{
-    SS_ASSERT(machine_cycles > 0.0, "speedup: zero machine cycles");
-    return base_cycles / machine_cycles;
-}
-
 int
 parallelismRequired(int n, int m)
 {

@@ -7,7 +7,9 @@
  *    latencies.  "To the extent that some operation latencies are
  *    greater than one base machine cycle, the remaining amount of
  *    exploitable instruction-level parallelism will be reduced."
- *  - Available parallelism / speedup: base cycles over machine cycles.
+ *  - Available parallelism / speedup: a run's instructions over its
+ *    cycles (the base machine never stalls, so its cycles are the
+ *    instruction count).
  *  - Expression-DAG parallelism (Figure 4-7): operation count divided
  *    by critical-path length, the vehicle for the "optimization can
  *    add or subtract parallelism" discussion.
@@ -85,12 +87,6 @@ class ExprDag
   private:
     std::vector<std::vector<int>> deps_;
 };
-
-/**
- * Speedup of `machine_cycles` relative to `base_cycles`
- * (both in base cycles; the caller converts minor cycles first).
- */
-double speedup(double base_cycles, double machine_cycles);
 
 /**
  * Instruction-level parallelism actually required to fully utilize a

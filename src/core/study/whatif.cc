@@ -1,8 +1,10 @@
 #include "core/study/whatif.hh"
 
 #include <algorithm>
+#include <array>
 #include <cinttypes>
 #include <cstdio>
+#include <limits>
 #include <sstream>
 
 #include "core/study/experiment.hh"
@@ -46,6 +48,77 @@ Study::dependenceGraph(const Workload &workload,
 
 namespace whatif {
 
+namespace {
+
+/** Resource lower bounds on any in-order issue of `graph`'s stream on
+ *  `machine`. */
+Bounds
+resourceBounds(const DepGraph &graph, const MachineConfig &machine)
+{
+    Bounds b;
+    const std::vector<DepNode> &nodes = graph.nodes();
+    if (nodes.empty())
+        return b;
+
+    // Minor-cycle latency per class, resolved once.
+    std::array<std::uint64_t, kNumInstrClasses> lat{};
+    for (std::size_t c = 0; c < kNumInstrClasses; ++c)
+        lat[c] = static_cast<std::uint64_t>(
+            machine.latencyMinor(static_cast<InstrClass>(c)));
+
+    // Issue-bandwidth bound: the last record issues no earlier than
+    // cycle floor((N-1)/width) and still pays its own latency.
+    b.issueMinor =
+        (static_cast<std::uint64_t>(nodes.size()) - 1) /
+            static_cast<std::uint64_t>(machine.issueWidth) +
+        lat[static_cast<std::size_t>(nodes.back().cls)];
+    if (machine.units.empty())
+        return b;
+
+    // Per-unit throughput bound: some copy of unit u handles at least
+    // ceil(C_u / multiplicity) operations, spaced issueLatency apart,
+    // and the last one still pays the cheapest served latency.
+    std::array<std::uint64_t, kNumInstrClasses> clsCount{};
+    for (const DepNode &n : nodes)
+        ++clsCount[static_cast<std::size_t>(n.cls)];
+    for (const FuncUnit &u : machine.units) {
+        std::uint64_t served = 0;
+        std::uint64_t minLat = std::numeric_limits<std::uint64_t>::max();
+        for (InstrClass c : u.classes) {
+            const std::size_t ci = static_cast<std::size_t>(c);
+            if (clsCount[ci] == 0)
+                continue;
+            served += clsCount[ci];
+            minLat = std::min(minLat, lat[ci]);
+        }
+        if (served == 0)
+            continue;
+        const std::uint64_t mult =
+            static_cast<std::uint64_t>(u.multiplicity);
+        const std::uint64_t perCopy = (served + mult - 1) / mult;
+        b.unitMinor = std::max(
+            b.unitMinor,
+            (perCopy - 1) * static_cast<std::uint64_t>(u.issueLatency) +
+                minLat);
+    }
+    return b;
+}
+
+/** The oracle ILP bound: instructions over the critical path in base
+ *  cycles (0 when the path is empty). */
+double
+oracleIlp(std::uint64_t instructions, int pipelineDegree,
+          std::uint64_t criticalPathMinor)
+{
+    return criticalPathMinor > 0
+               ? static_cast<double>(instructions) *
+                     static_cast<double>(pipelineDegree) /
+                     static_cast<double>(criticalPathMinor)
+               : 0.0;
+}
+
+} // namespace
+
 // ------------------------------------------------------------ report
 
 Report
@@ -53,8 +126,8 @@ analyze(Study &study, const Workload &workload,
         const MachineConfig &machine, const CompileOptions &options,
         std::size_t topEdges)
 {
-    // One compile: the code map must come from the module the graph
-    // was traced from.
+    // One compile: the graph, the timed run and the code map all come
+    // from the same module.
     std::shared_ptr<const Module> module =
         study.compileCache().compile(workload, machine, options,
                                      nullptr);
@@ -64,9 +137,9 @@ analyze(Study &study, const Workload &workload,
     r.workload = workload.name;
     r.machineName = machine.name;
     r.machineHash = machine.specHash();
-    r.issueWidth = machine.issueWidth;
     r.pipelineDegree = machine.pipelineDegree;
-    r.analytic = graph.analyze(machine);
+    r.run = runOnMachine(*module, machine);
+    r.bounds = resourceBounds(graph, machine);
     r.slack = graph.slack(machine, topEdges);
     r.structureHash = graph.structureHash();
     r.graphNodes = graph.size();
@@ -104,6 +177,9 @@ render(const Report &r)
         std::snprintf(b, sizeof b, "%.*f", prec, v);
         return std::string(b);
     };
+    auto baseCycles = [&](std::uint64_t minor) {
+        return num(static_cast<double>(minor) / m, 1) + " base cycles";
+    };
 
     out << "what-if: " << r.workload << " on " << r.machineName
         << "\n";
@@ -113,27 +189,17 @@ render(const Report &r)
                       r.graphNodes, r.structureHash);
         line("dependence graph", b);
     }
-    line("instructions",
-         std::to_string(r.analytic.instructions));
-    line("analytic cycles",
-         num(r.analytic.baseCycles, 1) + " base (" +
-             (r.analytic.certified ? "certified exact"
-                                   : "lower bound") +
-             ")");
-    line("analytic ipc", num(r.analytic.ipc, 3));
-    line("oracle critical path",
-         num(static_cast<double>(r.analytic.criticalPathMinor) / m,
-             1) +
-             " base cycles");
-    line("oracle ilp bound", num(r.analytic.oracleIlp, 3));
-    line("issue-bandwidth bound",
-         num(static_cast<double>(r.analytic.issueBoundMinor) / m, 1) +
-             " base cycles");
-    if (r.analytic.unitBoundMinor > 0)
-        line("unit-conflict bound",
-             num(static_cast<double>(r.analytic.unitBoundMinor) / m,
-                 1) +
-                 " base cycles");
+    line("instructions", std::to_string(r.run.instructions));
+    line("base cycles", num(r.run.cycles, 1));
+    line("instr/cycle", num(r.run.ipc(), 3));
+    line("oracle critical path", baseCycles(r.slack.criticalPathMinor));
+    line("oracle ilp bound",
+         num(oracleIlp(r.run.instructions, r.pipelineDegree,
+                       r.slack.criticalPathMinor),
+             3));
+    line("issue-bandwidth bound", baseCycles(r.bounds.issueMinor));
+    if (r.bounds.unitMinor > 0)
+        line("unit-conflict bound", baseCycles(r.bounds.unitMinor));
 
     if (!r.edges.empty()) {
         out << "\ncritical-path dependence edges (top "
@@ -168,19 +234,21 @@ toJson(const Report &r)
     meta.set("machine", r.machineName);
     meta.set("machine_hash", std::to_string(r.machineHash));
 
-    Json analytic = Json::object();
-    analytic.set("minor_cycles",
-                 static_cast<double>(r.analytic.minorCycles));
-    analytic.set("base_cycles", r.analytic.baseCycles);
-    analytic.set("ipc", r.analytic.ipc);
-    analytic.set("certified", r.analytic.certified);
-    analytic.set("critical_path_minor",
-                 static_cast<double>(r.analytic.criticalPathMinor));
-    analytic.set("oracle_ilp", r.analytic.oracleIlp);
-    analytic.set("issue_bound_minor",
-                 static_cast<double>(r.analytic.issueBoundMinor));
-    analytic.set("unit_bound_minor",
-                 static_cast<double>(r.analytic.unitBoundMinor));
+    Json run = Json::object();
+    run.set("instructions", Json(r.run.instructions));
+    run.set("base_cycles", Json(r.run.cycles));
+    run.set("ipc", Json(r.run.ipc()));
+
+    Json bounds = Json::object();
+    bounds.set("critical_path_minor",
+               static_cast<double>(r.slack.criticalPathMinor));
+    bounds.set("oracle_ilp",
+               oracleIlp(r.run.instructions, r.pipelineDegree,
+                         r.slack.criticalPathMinor));
+    bounds.set("issue_bound_minor",
+               static_cast<double>(r.bounds.issueMinor));
+    bounds.set("unit_bound_minor",
+               static_cast<double>(r.bounds.unitMinor));
 
     Json edges = Json::array();
     for (const EdgeRow &e : r.edges) {
@@ -208,13 +276,12 @@ toJson(const Report &r)
     graph.set("structure_hash", std::to_string(r.structureHash));
 
     Json doc = Json::object();
-    doc.set("schema", Json(std::string("whatif-v1")));
+    doc.set("schema", Json(std::string("whatif-v2")));
     doc.set("meta", std::move(meta));
     doc.set("workload", Json(r.workload));
     doc.set("machine", Json(r.machineName));
-    doc.set("instructions",
-            static_cast<double>(r.analytic.instructions));
-    doc.set("analytic", std::move(analytic));
+    doc.set("run", std::move(run));
+    doc.set("bounds", std::move(bounds));
     doc.set("critical_edges", std::move(edges));
     doc.set("graph", std::move(graph));
     return doc;
@@ -283,12 +350,9 @@ renderSlackListing(const prof::Profile &profile,
                   profile.workload.c_str(),
                   profile.machineName.c_str(),
                   static_cast<double>(slack.criticalPathMinor) / m,
-                  slack.criticalPathMinor > 0
-                      ? static_cast<double>(profile.instructions) *
-                            m /
-                            static_cast<double>(
-                                slack.criticalPathMinor)
-                      : 0.0,
+                  oracleIlp(profile.instructions,
+                            profile.pipelineDegree,
+                            slack.criticalPathMinor),
                   static_cast<unsigned long long>(
                       profile.instructions));
     out << buf;

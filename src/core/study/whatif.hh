@@ -1,14 +1,16 @@
 /**
  * @file
- * The "what-if" layer: dependence-graph analytics wired into the
- * study harness.
+ * The "what-if" layer: the dependence graph of one execution wired
+ * into the study harness, next to the issue engine's timing of it.
  *
  * Two consumers build one DepGraph per query from a live execution
  * (Study::dependenceGraph):
  *
- *  - `ssim whatif` — single-config questions: oracle critical path
- *    and ILP bound, analytic cycles for a machine, top critical-path
- *    dependence edges attributed back to MT source lines.
+ *  - `ssim whatif` — one workload on one machine: the issue engine's
+ *    cycles (the numbers `ssim run` prints) against the oracle
+ *    critical path and ILP bound and the issue-bandwidth and
+ *    unit-conflict bounds, plus the top critical-path dependence
+ *    edges attributed back to MT source lines.
  *  - `ssim profile --slack` — per-line slack / "would speed up if"
  *    attribution interleaved with the profiler's code map.
  */
@@ -19,6 +21,7 @@
 #include <string>
 #include <vector>
 
+#include "core/study/driver.hh"
 #include "core/study/profile.hh"
 #include "sim/depgraph.hh"
 #include "support/json.hh"
@@ -41,30 +44,43 @@ struct EdgeRow
     std::string toText;
 };
 
+/** Resource lower bounds on the machine's cycles, in minor cycles. */
+struct Bounds
+{
+    /** Issue bandwidth: floor((N-1)/width) + the last instruction's
+     *  latency. */
+    std::uint64_t issueMinor = 0;
+    /** The strongest per-functional-unit throughput bound (0 when the
+     *  machine has no units). */
+    std::uint64_t unitMinor = 0;
+};
+
 /** Everything `ssim whatif` reports for one workload + machine. */
 struct Report
 {
     std::string workload;
     std::string machineName;
     std::uint64_t machineHash = 0;
-    int issueWidth = 1;
     int pipelineDegree = 1;
 
-    /** Analytic timing + bounds for the machine. */
-    AnalyticResult analytic;
-    /** Slack analysis under the machine's latency table. */
+    /** The issue engine's run of the traced module (runOnMachine, as
+     *  in `ssim run`). */
+    RunOutcome run;
+    Bounds bounds;
+    /** Slack analysis under the machine's latency table; its
+     *  criticalPathMinor is the oracle critical path. */
     SlackReport slack;
     /** slack.topEdges with source attribution. */
     std::vector<EdgeRow> edges;
 
-    /** Graph fingerprint (deterministic across jobs and backends). */
+    /** Graph fingerprint (DepGraph::structureHash). */
     std::uint64_t structureHash = 0;
     std::uint64_t graphNodes = 0;
 };
 
 /**
- * Build the dependence graph for `workload` compiled for
- * `machine` and answer the what-if queries.  Throws TrapException
+ * Compile `workload` for `machine` once, trace its dependence graph
+ * and time the same module on the issue engine.  Throws TrapException
  * when the workload faults (a graph of a partial run would bound
  * nothing), DiagException on compile errors.
  */
@@ -75,7 +91,7 @@ Report analyze(Study &study, const Workload &workload,
 /** Human-readable report (ssim whatif's stdout). */
 std::string render(const Report &r);
 
-/** Machine-readable form (schema: whatif-v1). */
+/** Machine-readable form (schema: whatif-v2). */
 Json toJson(const Report &r);
 
 /**

@@ -1,7 +1,6 @@
 #include "sim/depgraph.hh"
 
 #include <algorithm>
-#include <cstring>
 
 #include "support/logging.hh"
 
@@ -19,8 +18,6 @@ DepGraph::Builder::emit(const DynInstr &di)
     DepNode node;
     node.cls = di.cls();
     node.pc = di.pc;
-    node.isFence = node.cls == InstrClass::Branch ||
-                   node.cls == InstrClass::Jump;
 
     // True register dependences: the last writer in program order.
     // Mirrors IssueEngine::regReady — a source never written reads
@@ -68,13 +65,14 @@ std::uint64_t
 DepGraph::structureHash() const
 {
     // FNV-1a over the semantic fields only (padding excluded so the
-    // digest is a property of the graph, not the allocator).
+    // digest is a property of the graph, not the allocator), one
+    // 64-bit word per field rather than one byte: each step is still
+    // a bijection of the running hash, so tables that differ in one
+    // field always hash apart.
     std::uint64_t h = 0xcbf29ce484222325ull;
     auto mix = [&h](std::uint64_t v) {
-        for (int i = 0; i < 8; ++i) {
-            h ^= (v >> (i * 8)) & 0xff;
-            h *= 0x100000001b3ull;
-        }
+        h ^= v;
+        h *= 0x100000001b3ull;
     };
     mix(nodes_.size());
     for (const DepNode &n : nodes_) {
@@ -82,141 +80,9 @@ DepGraph::structureHash() const
             mix(p);
         mix(n.memPred);
         mix(n.pc);
-        mix(static_cast<std::uint64_t>(n.cls) << 1 |
-            (n.isFence ? 1 : 0));
+        mix(static_cast<std::uint64_t>(n.cls));
     }
     return h;
-}
-
-// ---------------------------------------------------------- analyze
-
-AnalyticResult
-DepGraph::analyze(const MachineConfig &config) const
-{
-    AnalyticResult r;
-    r.instructions = nodes_.size();
-    r.certified = config.units.empty();
-    if (nodes_.empty())
-        return r;
-
-    const std::uint64_t width =
-        static_cast<std::uint64_t>(config.issueWidth);
-    const bool fencing = !config.issueAcrossBranches;
-
-    // Minor-cycle latency per class, resolved once.
-    std::array<std::uint64_t, kNumInstrClasses> lat{};
-    for (std::size_t c = 0; c < kNumInstrClasses; ++c)
-        lat[c] = static_cast<std::uint64_t>(
-            config.latencyMinor(static_cast<InstrClass>(c)));
-
-    // Completion times of the greedy in-order schedule (reused below
-    // for the oracle pass).
-    std::vector<std::uint64_t> comp(nodes_.size());
-
-    // Greedy in-order walk — the IssueEngine's issue rule with the
-    // functional-unit constraint dropped.  Identical state machine
-    // (cur_cycle / cur_count / fence), so for unit-less configs the
-    // result is the engine's, cycle for cycle.
-    std::uint64_t cur_cycle = 0, fence = 0, last_complete = 0;
-    std::uint64_t cur_count = 0;
-    for (std::size_t i = 0; i < nodes_.size(); ++i) {
-        const DepNode &n = nodes_[i];
-        std::uint64_t t_data = 0;
-        for (NodeIdx p : n.regPred) {
-            if (p != kNoNode)
-                t_data = std::max(t_data, comp[p]);
-        }
-        if (n.memPred != kNoNode)
-            t_data = std::max(t_data, comp[n.memPred]);
-
-        std::uint64_t t =
-            std::max(std::max(cur_cycle, fence), t_data);
-        if (t > cur_cycle) {
-            cur_cycle = t;
-            cur_count = 0;
-        } else if (cur_count >= width) {
-            t = ++cur_cycle;
-            cur_count = 0;
-        }
-        ++cur_count;
-
-        const std::uint64_t done =
-            t + lat[static_cast<std::size_t>(n.cls)];
-        comp[i] = done;
-        last_complete = std::max(last_complete, done);
-        if (fencing && n.isFence)
-            fence = t + 1;
-    }
-
-    // Issue-bandwidth bound: the last record issues no earlier than
-    // cycle floor((N-1)/width) and still pays its own latency.
-    r.issueBoundMinor =
-        (static_cast<std::uint64_t>(nodes_.size()) - 1) / width +
-        lat[static_cast<std::size_t>(nodes_.back().cls)];
-
-    // Per-unit throughput bound: some copy of unit u handles at least
-    // ceil(C_u / multiplicity) operations, spaced issueLatency apart,
-    // and the last one still pays the cheapest served latency.
-    if (!config.units.empty()) {
-        std::array<std::uint64_t, kNumInstrClasses> clsCount{};
-        for (const DepNode &n : nodes_)
-            ++clsCount[static_cast<std::size_t>(n.cls)];
-        for (const FuncUnit &u : config.units) {
-            std::uint64_t served = 0;
-            std::uint64_t minLat =
-                std::numeric_limits<std::uint64_t>::max();
-            for (InstrClass c : u.classes) {
-                const std::size_t ci = static_cast<std::size_t>(c);
-                if (clsCount[ci] == 0)
-                    continue;
-                served += clsCount[ci];
-                minLat = std::min(minLat, lat[ci]);
-            }
-            if (served == 0)
-                continue;
-            const std::uint64_t mult =
-                static_cast<std::uint64_t>(u.multiplicity);
-            const std::uint64_t perCopy =
-                (served + mult - 1) / mult;
-            r.unitBoundMinor = std::max(
-                r.unitBoundMinor,
-                (perCopy - 1) *
-                        static_cast<std::uint64_t>(u.issueLatency) +
-                    minLat);
-        }
-    }
-
-    r.minorCycles = std::max(last_complete, r.unitBoundMinor);
-    r.baseCycles =
-        static_cast<double>(r.minorCycles) /
-        static_cast<double>(config.pipelineDegree);
-    r.ipc = r.minorCycles > 0
-                ? static_cast<double>(r.instructions) / r.baseCycles
-                : 0.0;
-
-    // Oracle: true dependences only — no issue order, no width, no
-    // fences.  The longest dataflow chain any machine must respect.
-    std::uint64_t oracle_cp = 0;
-    for (std::size_t i = 0; i < nodes_.size(); ++i) {
-        const DepNode &n = nodes_[i];
-        std::uint64_t e = 0;
-        for (NodeIdx p : n.regPred) {
-            if (p != kNoNode)
-                e = std::max(e, comp[p]);
-        }
-        if (n.memPred != kNoNode)
-            e = std::max(e, comp[n.memPred]);
-        comp[i] = e + lat[static_cast<std::size_t>(n.cls)];
-        oracle_cp = std::max(oracle_cp, comp[i]);
-    }
-    r.criticalPathMinor = oracle_cp;
-    r.oracleIlp =
-        oracle_cp > 0
-            ? static_cast<double>(r.instructions) *
-                  static_cast<double>(config.pipelineDegree) /
-                  static_cast<double>(oracle_cp)
-            : 0.0;
-    return r;
 }
 
 // ------------------------------------------------------------ slack

@@ -1,11 +1,9 @@
 /**
  * @file
- * The dynamic dependence graph: analytic "what-if" timing over one
- * execution, without re-simulation.
+ * The dynamic dependence graph of one execution, and the slack
+ * analysis over it.
  *
- * Timing a dynamic stream on a machine walks the full issue engine,
- * even though the *dependences* in the stream never change.  DepGraph
- * factors that walk: one build pass over the stream resolves every
+ * One build pass over the dynamic stream resolves every
  * timing-relevant dependence into a fixed topology —
  *
  *  - true register dependences (last writer in program order; the
@@ -13,31 +11,23 @@
  *    interlock, they only redirect who the last writer is),
  *  - memory dependences through actual word addresses (loads and
  *    stores wait for the completion of the latest earlier store to
- *    the same word — exactly the engine's store_ready_ rule),
- *  - branch fences (a Branch/Jump node fences every later node when
- *    the machine does not issue across branches).
+ *    the same word — exactly the engine's store_ready_ rule).
  *
- * After the build, per-config questions are cheap array walks over
+ * The graph times no machine: cycles come from the issue engine
+ * (sim/issue.hh).  Its query, slack(config), is an array walk over
  * the node table (no hash lookups, no DynInstr unpacking, no virtual
- * sink dispatch):
- *
- *  - analyze(config): greedy in-order issue under (issueWidth,
- *    pipelineDegree, latency table, branch policy).  For machines
- *    without functional-unit class conflicts this reproduces the
- *    IssueEngine *exactly* (certified — asserted by differential
- *    tests across all benchmarks); with units it is a true lower
- *    bound, tightened by per-unit throughput bounds.
- *  - oracle critical path: the longest true-dependence chain,
- *    ignoring issue order and width — the paper's oracle ILP bound.
- *  - slack(config): earliest/latest issue times over the
- *    true-dependence DAG, per-node slack (>= 0; critical nodes have
- *    zero), aggregated per static instruction for "would speed up
- *    if" attribution, plus the hottest critical edges grouped by
- *    (producer pc, consumer pc).
+ * sink dispatch): earliest/latest issue times over the
+ * true-dependence DAG under the config's latencies.  The forward
+ * pass's length is the oracle critical path — the longest
+ * true-dependence chain, ignoring issue order and width, behind the
+ * paper's oracle ILP bound.  Per-node slack (>= 0; critical nodes
+ * have zero) is aggregated per static instruction for "would speed
+ * up if" attribution, plus the hottest critical edges grouped by
+ * (producer pc, consumer pc).
  *
  * Latencies scale linearly with the pipeline degree (latencyMinor =
  * latencyBase * m), so oracle results in base cycles are independent
- * of m — the graph answers a whole (n, m) grid from one build.
+ * of m.
  */
 
 #ifndef SUPERSYM_SIM_DEPGRAPH_HH
@@ -46,7 +36,6 @@
 #include <array>
 #include <cstdint>
 #include <limits>
-#include <string>
 #include <unordered_map>
 #include <vector>
 
@@ -77,45 +66,9 @@ struct DepNode
     /** Static instruction id (kNoPc when never assigned). */
     Pc pc = kNoPc;
     InstrClass cls = InstrClass::IntAdd;
-    /** Branch/Jump — fences later nodes on single-block-issue
-     *  machines. */
-    bool isFence = false;
 };
 
 static_assert(sizeof(DepNode) == 28, "DepNode layout drifted");
-
-/** Per-machine-config analytic timing answers (see analyze()). */
-struct AnalyticResult
-{
-    /** Greedy in-order schedule length in minor cycles (equals the
-     *  IssueEngine's minorCycles() when `certified`). */
-    std::uint64_t minorCycles = 0;
-    /** minorCycles / m, the engine's reporting unit. */
-    double baseCycles = 0.0;
-    /** Dynamic instructions (graph nodes). */
-    std::uint64_t instructions = 0;
-    /** instructions / baseCycles (0 when the clock never advanced). */
-    double ipc = 0.0;
-
-    /** True when the analytic schedule provably equals the
-     *  cycle-accurate engine: the config has no functional-unit
-     *  class conflicts (everything else — width, degree, latencies,
-     *  memory, fences — is modeled exactly). */
-    bool certified = false;
-
-    /** Oracle critical path (true dependences only, infinite width,
-     *  any order) in minor cycles, and the oracle ILP bound
-     *  instructions / (criticalPathMinor / m). */
-    std::uint64_t criticalPathMinor = 0;
-    double oracleIlp = 0.0;
-
-    /** Issue-bandwidth lower bound in minor cycles:
-     *  floor((N-1)/width) + the last node's latency. */
-    std::uint64_t issueBoundMinor = 0;
-    /** Strongest per-functional-unit throughput lower bound in minor
-     *  cycles (0 when the config has no units). */
-    std::uint64_t unitBoundMinor = 0;
-};
 
 /** Per-static-instruction slack rollup (see SlackReport). */
 struct PcSlack
@@ -184,16 +137,10 @@ class DepGraph
      *  over attributed nodes (0 when none carry a pc). */
     Pc pcCount() const { return pc_count_; }
 
-    /** FNV-1a digest over the full node table — build determinism
-     *  fingerprint (identical across job counts and backends). */
+    /** Word-wise FNV-1a digest over the full node table — build
+     *  determinism fingerprint (identical at any job count and
+     *  whether the VM or the interpreter produced the stream). */
     std::uint64_t structureHash() const;
-
-    /**
-     * Analytic timing of the recorded execution on `config`: greedy
-     * in-order issue over the graph plus the oracle / bandwidth /
-     * unit bounds.  O(nodes) with array-only inner loop.
-     */
-    AnalyticResult analyze(const MachineConfig &config) const;
 
     /**
      * Slack analysis under `config`'s latency table (forward +

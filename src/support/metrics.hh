@@ -5,7 +5,7 @@
  * recorder spans and every count in the stats tree.  Only the
  * perfbench driver still compiles a read of two long-gone trace-cache
  * counters, so nothing else includes this header; it is deleted once
- * that driver drops the read (ROADMAP item 3).
+ * that driver drops the read (ROADMAP item 4).
  */
 
 #ifndef SUPERSYM_SUPPORT_METRICS_HH

@@ -1,13 +1,13 @@
 /**
- * The dependence-graph what-if engine, differentially validated
- * against the cycle-accurate issue engine.
+ * The dependence graph and the what-if report built on it, checked
+ * against the issue engine.
  *
- * The load-bearing claims, each checked across the whole benchmark
- * suite and a sample of the machine taxonomy:
+ * The load-bearing claims:
  *
- *  - the analytic schedule is a true lower bound on the engine's
- *    cycles for every machine, and *equals* them (certified) whenever
- *    the machine has no functional-unit class conflicts;
+ *  - `ssim whatif` reports the engine's own run (instructions and
+ *    cycles equal Study::timedRun's), and the oracle critical path,
+ *    the issue-bandwidth bound and the unit-conflict bound each sit
+ *    at or under its cycles;
  *  - slack is non-negative everywhere, critical instructions have
  *    zero slack, and the reported critical edges actually carry the
  *    critical path;
@@ -19,6 +19,7 @@
 
 #include "core/machine/models.hh"
 #include "core/study/experiment.hh"
+#include "core/study/whatif.hh"
 #include "sim/depgraph.hh"
 #include "sim/interp.hh"
 #include "tests/helpers.hh"
@@ -27,78 +28,38 @@
 namespace ilp {
 namespace {
 
-/** The taxonomy sample: every certified shape (no functional units)
- *  plus the class-conflict machines the analytic engine only
- *  bounds. */
-std::vector<MachineConfig>
-machineSample()
+TEST(WhatIfTest, ReportsTheEngineRunUnderItsBounds)
 {
-    return {
-        baseMachine(),
-        idealSuperscalar(1),
-        idealSuperscalar(4),
-        superpipelined(3),
-        superpipelinedSuperscalar(2, 2),
-        underpipelinedHalfIssue(),
-        multiTitan(),
-        cray1(),
-        superscalarWithClassConflicts(4),
-        superscalarWithClassConflicts(2, 2, 2),
-    };
-}
-
-TEST(DepGraphDifferentialTest, AnalyticBoundsTheEngineOnTheSuite)
-{
-    Study study(4);
-    for (const Workload &w : allWorkloads()) {
-        const CompileOptions options = defaultCompileOptions(w);
-        for (const MachineConfig &machine : machineSample()) {
-            const DepGraph graph =
-                study.dependenceGraph(w, machine, options);
-            ASSERT_FALSE(graph.empty())
-                << w.name << " on " << machine.name;
-            const AnalyticResult a = graph.analyze(machine);
-            const RunOutcome out =
-                study.timedRun(w, machine, options);
-            ASSERT_FALSE(out.trapped()) << w.name;
-
-            EXPECT_EQ(a.instructions, out.instructions)
-                << w.name << " on " << machine.name;
-            // True lower bound, always (base cycles are minor cycles
-            // over the same integer degree, so <= is exact).
-            EXPECT_LE(a.baseCycles, out.cycles)
-                << w.name << " on " << machine.name;
-            // Oracle and bandwidth bounds sit below the schedule.
-            EXPECT_LE(a.criticalPathMinor, a.minorCycles);
-            EXPECT_LE(a.issueBoundMinor, a.minorCycles);
-            EXPECT_LE(a.unitBoundMinor, a.minorCycles);
-
-            EXPECT_EQ(a.certified, machine.units.empty());
-            if (a.certified) {
-                // No class conflicts: the analytic walk replicates
-                // the issue engine cycle for cycle.
-                EXPECT_EQ(a.baseCycles, out.cycles)
-                    << w.name << " on " << machine.name;
-            }
-        }
-    }
-}
-
-TEST(DepGraphDifferentialTest, UnitLatencySingleIssueIsExact)
-{
-    // The degenerate corner the paper's base machine defines: unit
-    // latencies, one instruction per cycle, no conflicts — analytic
-    // cycles must equal both the engine and the instruction count.
+    // `ssim whatif` times the module it traced on the issue engine,
+    // so its numbers are Study::timedRun's on every machine, and each
+    // lower bound it prints sits at or under them.
     Study study(2);
-    for (const Workload &w : allWorkloads()) {
+    for (const char *name : {"yacc", "linpack", "whet"}) {
+        const Workload &w = workloadByName(name);
         const CompileOptions options = defaultCompileOptions(w);
-        const MachineConfig base = baseMachine();
-        const DepGraph graph = study.dependenceGraph(w, base, options);
-        const AnalyticResult a = graph.analyze(base);
-        const RunOutcome out = study.timedRun(w, base, options);
-        EXPECT_TRUE(a.certified);
-        EXPECT_EQ(a.baseCycles, out.cycles) << w.name;
-        EXPECT_EQ(a.instructions, out.instructions) << w.name;
+        for (const MachineConfig &machine :
+             {idealSuperscalar(4), cray1(),
+              superscalarWithClassConflicts(4)}) {
+            const whatif::Report r =
+                whatif::analyze(study, w, machine, options, 4);
+            const RunOutcome out = study.timedRun(w, machine, options);
+            ASSERT_FALSE(out.trapped()) << w.name;
+            const std::string where = w.name + " on " + machine.name;
+
+            EXPECT_EQ(r.run.instructions, out.instructions) << where;
+            EXPECT_EQ(r.run.cycles, out.cycles) << where;
+            EXPECT_EQ(r.graphNodes, out.instructions) << where;
+
+            // Compared in base cycles: minor cycles over the same
+            // integer degree, so <= is exact.
+            const double m = machine.pipelineDegree;
+            EXPECT_LE(r.slack.criticalPathMinor / m, out.cycles)
+                << where;
+            EXPECT_LE(r.bounds.issueMinor / m, out.cycles) << where;
+            EXPECT_LE(r.bounds.unitMinor / m, out.cycles) << where;
+            EXPECT_EQ(r.bounds.unitMinor > 0, !machine.units.empty())
+                << where;
+        }
     }
 }
 

@@ -119,9 +119,8 @@ TEST(ExprDagTest, BadDependencyPanics)
     setLoggingThrows(false);
 }
 
-TEST(MetricsTest, SpeedupAndUtilization)
+TEST(MetricsTest, ParallelismRequiredIsNTimesM)
 {
-    EXPECT_DOUBLE_EQ(speedup(100.0, 50.0), 2.0);
     // Figure 4-3: parallelism to fully utilize (n,m) is n*m.
     EXPECT_EQ(parallelismRequired(1, 1), 1);
     EXPECT_EQ(parallelismRequired(2, 2), 4);
