@@ -24,7 +24,7 @@ main()
     // table is filled from the index-ordered results, so output is
     // byte-identical at any SSIM_JOBS.  Cells run degree-major, as in
     // Figure 4-1, so concurrent workers start on different workloads
-    // instead of all waiting on one workload's compile and base run.
+    // instead of all waiting on one workload's compile.
     const std::size_t n = suite.size();
     std::vector<double> speedup = bench::sweeper().map<double>(
         n * kMaxDegree, [&](std::size_t i) {

@@ -3,7 +3,9 @@
  * ssim — the command-line front door to the toolchain.
  *
  *   ssim run FILE.mt [options]     compile, simulate, report
- *   ssim ilp FILE.mt [options]     degree sweep (available parallelism)
+ *   ssim ilp FILE.mt [options]     degree sweep (available parallelism):
+ *                                  instr/cycle on the ideal superscalar
+ *                                  machines of degree 1-8
  *   ssim profile FILE.mt [options] cycle profiler: per-instruction
  *                                  stall attribution mapped back to
  *                                  MT source lines (docs/profiling.md)
@@ -17,6 +19,8 @@
  *                                  (docs/whatif.md)
  *   ssim dump FILE.mt [options]    print the optimized, scheduled IR
  *   ssim suite [options]           run the built-in 8-benchmark suite
+ *                                  on --machine (ilp and suite time
+ *                                  their cells through one sweep)
  *   ssim machines                  list predefined machine models
  *   ssim check-json FILE           validate a JSON file (exit status)
  *   ssim bench-check FILE [opts]   regression sentinel over a bench-v2
@@ -63,7 +67,9 @@
  *                      backoff before quarantining
  *   --journal FILE     checkpoint every completed cell to an
  *                      append-only JSONL journal (CRC-framed lines;
- *                      a fresh sweep truncates FILE)
+ *                      a fresh sweep truncates FILE).  Both commands
+ *                      write one record shape: instructions, cycles,
+ *                      base_cycles (and suite's stats tree)
  *   --resume FILE      resume from a journal: verify the sweep
  *                      identity header, skip every journaled cell,
  *                      run only what is missing, and keep appending
@@ -83,8 +89,6 @@
  *                      thread; `run` adds the simulated issue timeline
  *                      of its measured run as a second process
  *   --trace-limit N    run: cap recorded issue events (default 100000)
- *   --progress         ilp/suite: live sweep progress on stderr
- *                      (cells/s, ETA, cache hit rates, utilization)
  *
  * Profiling (profile; --profile* also on run; docs/profiling.md):
  *   --profile          run: print the annotated listing after the
@@ -120,22 +124,22 @@
  *   2  usage error (bad flags, unknown machine, bad option value)
  */
 
+#include <algorithm>
 #include <cerrno>
 #include <climits>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <map>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
 
-#include <memory>
-
 #include "core/machine/models.hh"
 #include "core/study/experiment.hh"
 #include "core/study/journal.hh"
-#include "core/study/progress.hh"
 #include "core/study/sweep.hh"
 #include "core/study/telemetry.hh"
 #include "ir/printer.hh"
@@ -177,7 +181,7 @@ usage()
         "         --cell-timeout SECONDS --cell-retries N\n"
         "         --journal FILE --resume FILE\n"
         "         --stats --stats-json FILE --trace-events FILE\n"
-        "         --trace-limit N --progress\n"
+        "         --trace-limit N\n"
         "         --profile --profile-json FILE --profile-top N\n"
         "         --diff MACHINE_A MACHINE_B\n"
         "exit status: 0 ok, 1 compile/sim error, 2 usage error\n");
@@ -345,8 +349,6 @@ struct Cli
     std::string statsJsonPath;
     std::string traceEventsPath;
     std::size_t traceLimit = 100000;
-    /** Live sweep progress on stderr. */
-    bool progress = false;
     /** Sweep workers for ilp/suite; 0 = SSIM_JOBS, then all cores. */
     int jobs = 0;
     /** Fault-isolated sweeps: report failing cells, run the rest. */
@@ -516,8 +518,6 @@ parseArgs(int argc, char **argv)
             cli.statsJsonPath = next();
         else if (arg == "--trace-events")
             cli.traceEventsPath = next();
-        else if (arg == "--progress")
-            cli.progress = true;
         else if (arg == "--trace-limit")
             cli.traceLimit = static_cast<std::size_t>(parseIntOption(
                 "--trace-limit", next(), 0, LONG_MAX));
@@ -604,15 +604,43 @@ statsDocument(const Cli &cli, const std::string &program,
     return doc;
 }
 
+/**
+ * The --trace-events flight-recorder session of `run`, `ilp` or
+ * `suite`: recording starts on construction, and write() stops it and
+ * writes the Chrome tracing document (`timeline` adds a run's issue
+ * timeline).  A command that fails before write() writes no trace,
+ * like its other output files.
+ */
+class TraceSession
+{
+  public:
+    explicit TraceSession(const Cli &cli) : cli_(cli)
+    {
+        if (!cli_.traceEventsPath.empty())
+            trace::Recorder::instance().start();
+    }
+
+    void
+    write(const RunOutcome *timeline = nullptr) const
+    {
+        if (!cli_.traceEventsPath.empty())
+            writeJsonFile(cli_.traceEventsPath,
+                          buildSweepTraceEvents(
+                              trace::Recorder::instance().stop(),
+                              cli_.machine, timeline));
+    }
+
+  private:
+    const Cli &cli_;
+};
+
 int
 cmdRun(const Cli &cli)
 {
     Workload w{cli.file, "user program", readFile(cli.file), 0, false,
                1};
     RunTelemetryOptions telemetry = cli.telemetry();
-    const bool traced = !cli.traceEventsPath.empty();
-    if (traced)
-        trace::Recorder::instance().start();
+    TraceSession traced(cli);
 
     // A checked compile: a malformed program reports every diagnostic
     // (file:line:col, stable code) and exits 1 — no fatal() abort.
@@ -632,8 +660,6 @@ cmdRun(const Cli &cli)
     } catch (...) {
         return fail(currentCellError().message);
     }
-    const trace::Recording recording =
-        traced ? trace::Recorder::instance().stop() : trace::Recording{};
     if (out.trapped())
         return fail(out.trap.format());
     std::printf("program      : %s\n", cli.file.c_str());
@@ -657,9 +683,7 @@ cmdRun(const Cli &cli)
     if (!cli.statsJsonPath.empty())
         writeJsonFile(cli.statsJsonPath,
                       statsDocument(cli, cli.file, out));
-    if (traced)
-        writeJsonFile(cli.traceEventsPath,
-                      buildSweepTraceEvents(recording, cli.machine, &out));
+    traced.write(&out);
     if (cli.wantProfile()) {
         prof::Profile p = prof::buildProfile(
             cli.file, cli.machine,
@@ -733,143 +757,208 @@ cmdProfile(const Cli &cli)
 }
 
 /**
- * Sweep-level observability shared by `ilp` and `suite`: a flight-
- * recorder session behind --trace-events and a live ProgressReporter
- * behind --progress.  Construct before the sweep; call finish() after
- * the barrier (all workers joined).  An aborted sweep (non-keep-going
- * failure) skips finish() and writes nothing, matching the other
- * output files.
+ * Open the sweep journal named by --journal or --resume (a no-op when
+ * neither is given).  A fresh --journal truncates; --resume loads the
+ * journaled cell records into `resumed` and verifies the
+ * sweep-identity header matches `identity` byte-for-byte — a
+ * mismatched journal is an error, never a silently poisoned resume.
+ * @return false with `error` filled on identity mismatch or I/O
+ * failure.
  */
-class SweepObservability
+bool
+openJournal(const Cli &cli, const Json &identity, journal::Writer &writer,
+            std::map<std::string, Json> &resumed, std::string *error)
 {
-  public:
-    SweepObservability(const Cli &cli, const Study &study,
-                       std::size_t totalCells)
-        : cli_(cli)
-    {
-        if (!cli_.traceEventsPath.empty())
-            trace::Recorder::instance().start();
-        if (cli_.progress) {
-            ProgressReporter::Config pc;
-            pc.totalCells = totalCells;
-            pc.jobs = study.runner().jobs();
-            pc.compileCache = &study.compileCache();
-            progress_ = std::make_unique<ProgressReporter>(pc);
-        }
-    }
-
-    void
-    finish()
-    {
-        if (progress_) {
-            progress_->finish();
-            progress_.reset();
-        }
-        if (!cli_.traceEventsPath.empty()) {
-            writeJsonFile(
-                cli_.traceEventsPath,
-                buildSweepTraceEvents(trace::Recorder::instance().stop(),
-                                      cli_.machine));
-        }
-    }
-
-  private:
-    const Cli &cli_;
-    std::unique_ptr<ProgressReporter> progress_;
-};
-
-/**
- * The crash-safe checkpoint state of one ilp/suite sweep: an
- * append-only journal writer plus whatever a --resume recovered.
- * Cells found in the journal are "skipped" (their values replay from
- * disk); the rest run and append as they complete.
- */
-struct SweepJournal
-{
-    journal::Writer writer;
-    /** Journaled cell values recovered by --resume, by cell key. */
-    std::map<std::string, Json> resumed;
-    /** Journal lines dropped for CRC/parse failure on load. */
-    std::size_t corrupt = 0;
-    bool resuming = false;
-
-    /**
-     * Open the journal named by --journal/--resume (no-op when
-     * neither is given).  A fresh --journal truncates; --resume
-     * loads existing cells first and verifies the sweep-identity
-     * header matches `identity` byte-for-byte — a mismatched journal
-     * is an error, never a silently poisoned resume.  @return false
-     * with `error` filled on identity mismatch or I/O failure.
-     */
-    bool
-    setup(const Cli &cli, const Json &identity, std::string *error)
-    {
-        const std::string &path =
-            cli.resumePath.empty() ? cli.journalPath : cli.resumePath;
-        if (path.empty())
-            return true;
-        bool need_header = true;
-        if (!cli.resumePath.empty()) {
-            resuming = true;
-            journal::LoadResult lr = journal::load(path);
-            // A missing journal is a legal resume (first run of a
-            // retry loop): everything runs, the journal is created.
-            if (lr.ok) {
-                if (!lr.identity.isNull() &&
-                    lr.identity.dump() != identity.dump()) {
-                    *error = "journal '" + path +
-                             "' was written by a different sweep "
-                             "(command, program, options, or machine "
-                             "changed); refusing to resume";
-                    return false;
-                }
-                need_header = lr.identity.isNull();
-                resumed = std::move(lr.cells);
-                corrupt = lr.corrupt;
-                if (corrupt > 0)
-                    SS_WARN("journal '", path, "': dropped ", corrupt,
-                            " corrupt record(s); those cells re-run");
-            }
-        } else {
-            // A fresh --journal replaces any stale file so the
-            // header that follows is the file's single identity.
-            std::remove(path.c_str());
-        }
-        if (!writer.open(path, error))
-            return false;
-        if (need_header)
-            writer.writeHeader(identity);
+    const std::string &path =
+        cli.resumePath.empty() ? cli.journalPath : cli.resumePath;
+    if (path.empty())
         return true;
+    bool need_header = true;
+    if (!cli.resumePath.empty()) {
+        journal::LoadResult lr = journal::load(path);
+        // A missing journal is a legal resume (first run of a retry
+        // loop): everything runs, the journal is created.
+        if (lr.ok) {
+            if (!lr.identity.isNull() &&
+                lr.identity.dump() != identity.dump()) {
+                *error = "journal '" + path +
+                         "' was written by a different sweep (command, "
+                         "program, options, or machine changed); "
+                         "refusing to resume";
+                return false;
+            }
+            need_header = lr.identity.isNull();
+            resumed = std::move(lr.cells);
+            if (lr.corrupt > 0)
+                SS_WARN("journal '", path, "': dropped ", lr.corrupt,
+                        " corrupt record(s); those cells re-run");
+        }
+    } else {
+        // A fresh --journal replaces any stale file so the header
+        // that follows is the file's single identity.
+        std::remove(path.c_str());
     }
-};
-
-/** Survivability accounting for the sweep's stats-json meta block:
- *  cell totals plus (when resuming) the skipped/replayed split. */
-template <typename T>
-Json
-sweepCellsMeta(const std::vector<CellOutcome<T>> &cells,
-               const HardeningTotals &totals)
-{
-    std::uint64_t failed = 0;
-    for (const CellOutcome<T> &c : cells)
-        if (!c.ok())
-            ++failed;
-    Json m = Json::object();
-    m.set("total", Json(static_cast<std::uint64_t>(cells.size())));
-    m.set("failed", Json(failed));
-    m.set("retries", Json(totals.retries));
-    m.set("timeouts", Json(totals.timeouts));
-    m.set("quarantined", Json(totals.quarantined));
-    return m;
+    if (!writer.open(path, error))
+        return false;
+    if (need_header)
+        writer.writeHeader(identity);
+    return true;
 }
 
-Json
-sweepResumeMeta(std::size_t skipped, std::size_t replayed)
+/** One cell of an `ilp` or `suite` sweep: a workload compiled with
+ *  `options` and timed on `machine`. */
+struct SweepCell
 {
-    Json r = Json::object();
-    r.set("skipped", Json(static_cast<std::uint64_t>(skipped)));
-    r.set("replayed", Json(static_cast<std::uint64_t>(replayed)));
-    return r;
+    const Workload &workload;
+    MachineConfig machine;
+    CompileOptions options;
+};
+
+/** A finished sweep: the cell outcomes in cell order, and the
+ *  --stats-json `meta` block (provenance, `cells` totals, and the
+ *  `resume` split when resuming). */
+struct Sweep
+{
+    std::vector<CellOutcome<RunOutcome>> cells;
+    Json meta;
+};
+
+/** A failed cell's table entry: its error code. */
+std::string
+errorCell(const CellError &error)
+{
+    return "error[" + std::string(errCodeId(error.code)) + "]";
+}
+
+/** A failed cell's --stats-json entry: its code and full message. */
+Json
+errorJson(const CellError &error)
+{
+    Json err = Json::object();
+    err.set("code", Json(std::string(errCodeId(error.code))));
+    err.set("message", Json(error.message));
+    return err;
+}
+
+/**
+ * The one sweep behind `ilp` and `suite`: time each (workload,
+ * machine, options) cell, the loop of §3–4.  A cell's key is its
+ * compile key plus its machine's spec hash, a pure function of the
+ * sweep spec, so a resumed process derives the same keys and matches
+ * them against the journal headed by `identity`.  Journaled cells
+ * replay; a missing or malformed record (an older ilp journal's
+ * speedup-only record among them) re-runs its cell.  The rest run
+ * through Study::timedRun under the hardened runner: transient
+ * failures retry and permanent ones are quarantined.  Under
+ * --keep-going a failing cell is recorded in place while the others
+ * still run; without it, the first quarantined cell ends the sweep.
+ * Outcomes land in cell order after the barrier, so whatever is
+ * rendered from them is byte-identical at any --jobs.
+ * @return nullopt, with the reason on stderr, when the journal cannot
+ * be opened or a cell fails without --keep-going.
+ */
+std::optional<Sweep>
+runSweep(const Cli &cli, const Json &identity,
+         const std::vector<SweepCell> &cells,
+         const RunTelemetryOptions &telemetry)
+{
+    std::vector<std::string> keys;
+    for (const SweepCell &c : cells)
+        keys.push_back(CompileCache::key(c.workload, c.machine,
+                                         c.options) +
+                       "|mh" + std::to_string(c.machine.specHash()));
+    journal::Writer writer;
+    std::map<std::string, Json> resumed;
+    std::string error;
+    if (!openJournal(cli, identity, writer, resumed, &error)) {
+        fail(error);
+        return std::nullopt;
+    }
+
+    Sweep sweep;
+    sweep.cells.resize(cells.size());
+    std::vector<std::size_t> todo;
+    for (std::size_t i = 0; i < cells.size(); ++i) {
+        auto it = resumed.find(keys[i]);
+        const Json *instr = nullptr, *cyc = nullptr, *stats = nullptr;
+        if (it != resumed.end()) {
+            instr = it->second.find("instructions");
+            cyc = it->second.find("cycles");
+            stats = it->second.find("stats");
+        }
+        if (!instr || !instr->isNumber() || !cyc || !cyc->isNumber() ||
+            (telemetry.collectStats && !stats)) {
+            todo.push_back(i);
+            continue;
+        }
+        RunOutcome &out = sweep.cells[i].value;
+        out.instructions = static_cast<std::uint64_t>(instr->asNumber());
+        out.cycles = cyc->asNumber();
+        if (stats)
+            out.stats = *stats;
+    }
+
+    // The cells share compile prefixes through the study's compile
+    // cache: its per-entry future makes concurrent cells wait, not
+    // recompile.
+    Study study(cli.jobs);
+    auto run = [&](std::size_t j) {
+        const std::size_t i = todo[j];
+        const SweepCell &c = cells[i];
+        RunOutcome out =
+            study.timedRun(c.workload, c.machine, c.options, telemetry);
+        if (out.trapped())
+            throw TrapException(out.trap);
+        // Checkpoint at the success point, on the worker thread: a
+        // kill after this line costs nothing on resume.  base_cycles
+        // is the base machine's cycles, which are the instruction
+        // count.
+        if (writer.isOpen()) {
+            Json value = Json::object();
+            value.set("instructions", Json(out.instructions));
+            value.set("cycles", Json(out.cycles));
+            value.set("base_cycles", Json(out.instructions));
+            if (telemetry.collectStats)
+                value.set("stats", out.stats);
+            writer.writeCell(keys[i], value);
+        }
+        return out;
+    };
+
+    TraceSession traced(cli);
+    HardenedSweep<RunOutcome> hs;
+    try {
+        hs = study.runner().mapHardened<RunOutcome>(
+            todo.size(), cli.cellPolicy(), run);
+    } catch (...) {
+        fail(currentCellError().message);
+        return std::nullopt;
+    }
+    for (std::size_t j = 0; j < todo.size(); ++j)
+        sweep.cells[todo[j]] = std::move(hs.cells[j]);
+    traced.write();
+    writer.close();
+
+    std::uint64_t failed = 0;
+    for (const CellOutcome<RunOutcome> &c : sweep.cells)
+        failed += c.ok() ? 0 : 1;
+    Json totals = Json::object();
+    totals.set("total", Json(static_cast<std::uint64_t>(cells.size())));
+    totals.set("failed", Json(failed));
+    totals.set("retries", Json(hs.totals.retries));
+    totals.set("timeouts", Json(hs.totals.timeouts));
+    totals.set("quarantined", Json(hs.totals.quarantined));
+    sweep.meta = documentMeta(cli.machine);
+    sweep.meta.set("cells", std::move(totals));
+    if (!cli.resumePath.empty()) {
+        Json resume = Json::object();
+        resume.set("skipped", Json(static_cast<std::uint64_t>(
+                                  cells.size() - todo.size())));
+        resume.set("replayed",
+                   Json(static_cast<std::uint64_t>(todo.size())));
+        sweep.meta.set("resume", std::move(resume));
+    }
+    return sweep;
 }
 
 int
@@ -877,21 +966,13 @@ cmdIlp(const Cli &cli)
 {
     Workload w{cli.file, "user program", readFile(cli.file), 0, false,
                1};
-    // One cell per degree.  The cells share one compile prefix
-    // through the study's compile cache, the only memo left: its
-    // per-entry future makes concurrent cells wait, not recompile.
-    Study study(cli.jobs);
-
-    constexpr std::size_t kDegrees = 8;
-    // Stable cell keys (compile key + machine-spec hash): pure
-    // functions of the sweep spec, so a resumed process derives the
-    // same keys and matches them against the journal.
-    std::vector<std::string> keys(kDegrees);
-    for (std::size_t i = 0; i < kDegrees; ++i) {
-        const MachineConfig m = idealSuperscalar(static_cast<int>(i) + 1);
-        keys[i] = CompileCache::key(w, m, cli.options) + "|mh" +
-                  std::to_string(m.specHash());
-    }
+    // One cell per degree of the ideal superscalar machine.  Each
+    // prints its run's instructions over its cycles, the speedup over
+    // the base machine.
+    constexpr int kDegrees = 8;
+    std::vector<SweepCell> cells;
+    for (int d = 1; d <= kDegrees; ++d)
+        cells.push_back({w, idealSuperscalar(d), cli.options});
     Json identity = Json::object();
     identity.set("command", Json("ilp"));
     identity.set("program", Json(cli.file));
@@ -901,106 +982,38 @@ cmdIlp(const Cli &cli)
     identity.set("fingerprint",
                  Json(Study::fingerprint(w, cli.options)));
     identity.set("cells", Json(static_cast<std::uint64_t>(kDegrees)));
-    SweepJournal sj;
-    std::string jerr;
-    if (!sj.setup(cli, identity, &jerr))
-        return fail(jerr);
-
-    std::vector<CellOutcome<double>> cells(kDegrees);
-    std::vector<std::size_t> todo;
-    for (std::size_t i = 0; i < kDegrees; ++i) {
-        auto it = sj.resumed.find(keys[i]);
-        const Json *v = it != sj.resumed.end()
-                            ? it->second.find("speedup")
-                            : nullptr;
-        if (v && v->isNumber())
-            cells[i].value = v->asNumber();
-        else
-            todo.push_back(i);
-    }
-    const std::size_t ran = todo.size();
-
-    auto cell = [&](std::size_t j) {
-        const std::size_t i = todo[j];
-        const double speedup = study.speedup(
-            w, idealSuperscalar(static_cast<int>(i) + 1), cli.options);
-        // Checkpoint at the success point, on the worker thread: a
-        // kill after this line costs nothing on resume.
-        if (sj.writer.isOpen()) {
-            Json value = Json::object();
-            value.set("speedup", Json(speedup));
-            sj.writer.writeCell(keys[i], value);
-        }
-        return speedup;
-    };
-
-    SweepObservability obs(cli, study, todo.size());
-    // Transient failures retry and permanent ones are quarantined.
-    // Under --keep-going a failing degree is recorded as a structured
-    // CellError while the other degrees still run; without it, the
-    // first quarantined cell rethrows here.
-    HardenedSweep<double> hs;
-    try {
-        hs = study.runner().mapHardened<double>(todo.size(),
-                                                cli.cellPolicy(), cell);
-    } catch (...) {
-        return fail(currentCellError().message);
-    }
-    for (std::size_t j = 0; j < todo.size(); ++j)
-        cells[todo[j]] = hs.cells[j];
-    obs.finish();
-    sj.writer.close();
+    std::optional<Sweep> sweep = runSweep(cli, identity, cells, {});
+    if (!sweep)
+        return 1;
 
     Table t("Available parallelism (ideal superscalar sweep):");
     t.setHeader({"degree", "speedup"});
-    for (int d = 1; d <= 8; ++d) {
-        const CellOutcome<double> &c =
-            cells[static_cast<std::size_t>(d - 1)];
+    Json degrees = Json::array();
+    int status = 0;
+    for (int d = 1; d <= kDegrees; ++d) {
+        const CellOutcome<RunOutcome> &c =
+            sweep->cells[static_cast<std::size_t>(d - 1)];
         t.row().cell(static_cast<long long>(d));
-        if (c.ok())
-            t.cell(c.value, 3);
-        else
-            t.cell("error[" + std::string(errCodeId(c.error.code)) +
-                   "]");
+        Json entry = Json::object();
+        entry.set("degree", d);
+        if (c.ok()) {
+            t.cell(c.value.ipc(), 3);
+            entry.set("speedup", c.value.ipc());
+        } else {
+            t.cell(errorCell(c.error));
+            entry.set("error", errorJson(c.error));
+            status = fail("degree " + std::to_string(d) + ": " +
+                          c.error.message);
+        }
+        degrees.push(std::move(entry));
     }
     t.print();
-
     if (!cli.statsJsonPath.empty()) {
-        Json degrees = Json::array();
-        for (int d = 1; d <= 8; ++d) {
-            const CellOutcome<double> &c =
-                cells[static_cast<std::size_t>(d - 1)];
-            Json entry = Json::object();
-            entry.set("degree", d);
-            if (c.ok()) {
-                entry.set("speedup", c.value);
-            } else {
-                Json err = Json::object();
-                err.set("code",
-                        Json(std::string(errCodeId(c.error.code))));
-                err.set("message", Json(c.error.message));
-                entry.set("error", std::move(err));
-            }
-            degrees.push(std::move(entry));
-        }
         Json doc = Json::object();
-        Json meta = documentMeta(cli.machine);
-        meta.set("cells", sweepCellsMeta(cells, hs.totals));
-        if (sj.resuming)
-            meta.set("resume", sweepResumeMeta(cells.size() - ran, ran));
-        doc.set("meta", std::move(meta));
+        doc.set("meta", std::move(sweep->meta));
         doc.set("program", Json(cli.file));
         doc.set("degrees", std::move(degrees));
         writeJsonFile(cli.statsJsonPath, doc);
-    }
-
-    int status = 0;
-    for (int d = 1; d <= 8; ++d) {
-        const CellOutcome<double> &c =
-            cells[static_cast<std::size_t>(d - 1)];
-        if (!c.ok())
-            status = fail("degree " + std::to_string(d) + ": " +
-                          c.error.message);
     }
     return status;
 }
@@ -1064,38 +1077,22 @@ cmdDump(const Cli &cli)
 int
 cmdSuite(const Cli &cli)
 {
-    Table t("Built-in suite on " + cli.machine.name + ":");
-    t.setHeader({"benchmark", "instructions", "cycles", "instr/cycle",
-                 "speedup"});
-    Json benchmarks = Json::array();
-    const bool want_json = !cli.statsJsonPath.empty();
-    RunTelemetryOptions telemetry = cli.telemetry(/*sweep=*/true);
-
-    // One cell (one run on the machine) per benchmark; table rows,
-    // stats dumps, and the JSON document are assembled serially from
-    // the index-ordered results after the barrier, so the output is
-    // byte-identical at any --jobs.  Runs go through the study so
-    // compiles are shared across cells.  The speedup column is each
+    // One cell (one run on the machine) per benchmark, at no less
+    // than its default unroll factor.  The speedup column is each
     // run's instructions over its cycles: the base machine's cycles
     // equal the instruction count, so no cell times it.
     const auto &suite = allWorkloads();
-    Study study(cli.jobs);
-
-    // Cell keys and journal identity, as in cmdIlp.  The identity
-    // carries the stats flag because journaled cell records only
-    // contain a stats tree when the sweep collected one — resuming
-    // with a different telemetry shape must not mix records.
-    std::vector<std::string> keys(suite.size());
-    auto cellOptions = [&](std::size_t i) {
+    std::vector<SweepCell> cells;
+    for (const Workload &w : suite) {
         CompileOptions o = cli.options;
-        o.unroll.factor =
-            std::max(o.unroll.factor, suite[i].defaultUnroll);
-        return o;
-    };
-    for (std::size_t i = 0; i < suite.size(); ++i)
-        keys[i] = CompileCache::key(suite[i], cli.machine,
-                                    cellOptions(i)) +
-                  "|mh" + std::to_string(cli.machine.specHash());
+        o.unroll.factor = std::max(o.unroll.factor, w.defaultUnroll);
+        cells.push_back({w, cli.machine, o});
+    }
+    // The identity carries the stats flag because journaled cell
+    // records only contain a stats tree when the sweep collected one
+    // — resuming with a different telemetry shape must not mix
+    // records.
+    const RunTelemetryOptions telemetry = cli.telemetry(/*sweep=*/true);
     Json identity = Json::object();
     identity.set("command", Json("suite"));
     identity.set("machine", Json(cli.machine.name));
@@ -1106,122 +1103,44 @@ cmdSuite(const Cli &cli)
     identity.set("stats", Json(telemetry.collectStats));
     identity.set("cells",
                  Json(static_cast<std::uint64_t>(suite.size())));
-    SweepJournal sj;
-    std::string jerr;
-    if (!sj.setup(cli, identity, &jerr))
-        return fail(jerr);
+    std::optional<Sweep> sweep =
+        runSweep(cli, identity, cells, telemetry);
+    if (!sweep)
+        return 1;
 
-    std::vector<CellOutcome<RunOutcome>> cells(suite.size());
-    std::vector<std::size_t> todo;
-    for (std::size_t i = 0; i < suite.size(); ++i) {
-        auto it = sj.resumed.find(keys[i]);
-        if (it == sj.resumed.end()) {
-            todo.push_back(i);
-            continue;
-        }
-        const Json &v = it->second;
-        const Json *instr = v.find("instructions");
-        const Json *cyc = v.find("cycles");
-        const Json *stats = v.find("stats");
-        if (!instr || !instr->isNumber() || !cyc ||
-            !cyc->isNumber() || (telemetry.collectStats && !stats)) {
-            todo.push_back(i); // malformed record: re-run the cell
-            continue;
-        }
-        RunOutcome &out = cells[i].value;
-        out.instructions = static_cast<std::uint64_t>(instr->asNumber());
-        out.cycles = cyc->asNumber();
-        if (stats)
-            out.stats = *stats;
-    }
-    const std::size_t ran = todo.size();
-
-    auto cell = [&](std::size_t j) {
-        const std::size_t i = todo[j];
-        RunOutcome out =
-            study.timedRun(suite[i], cli.machine, cellOptions(i),
-                           telemetry);
-        if (out.trapped())
-            throw TrapException(out.trap);
-        if (sj.writer.isOpen()) {
-            // The record keeps its base_cycles field, the base
-            // machine's cycles, which are the instruction count.
-            Json value = Json::object();
-            value.set("instructions", Json(out.instructions));
-            value.set("cycles", Json(out.cycles));
-            value.set("base_cycles", Json(out.instructions));
-            if (telemetry.collectStats)
-                value.set("stats", out.stats);
-            sj.writer.writeCell(keys[i], value);
-        }
-        return out;
-    };
-
-    SweepObservability obs(cli, study, todo.size());
-    HardenedSweep<RunOutcome> hs;
-    try {
-        hs = study.runner().mapHardened<RunOutcome>(
-            todo.size(), cli.cellPolicy(), cell);
-    } catch (...) {
-        return fail(currentCellError().message);
-    }
-    for (std::size_t j = 0; j < todo.size(); ++j)
-        cells[todo[j]] = std::move(hs.cells[j]);
-    obs.finish();
-    sj.writer.close();
-
+    Table t("Built-in suite on " + cli.machine.name + ":");
+    t.setHeader({"benchmark", "instructions", "cycles", "instr/cycle",
+                 "speedup"});
+    Json benchmarks = Json::array();
     int status = 0;
     for (std::size_t i = 0; i < suite.size(); ++i) {
-        const Workload &w = suite[i];
-        const CellOutcome<RunOutcome> &c = cells[i];
-        if (!c.ok()) {
-            t.row()
-                .cell(w.name)
-                .cell("error[" +
-                      std::string(errCodeId(c.error.code)) + "]")
-                .cell("-")
-                .cell("-")
-                .cell("-");
-            status = fail(w.name + ": " + c.error.message);
-            if (want_json) {
-                Json entry = Json::object();
-                entry.set("name", Json(w.name));
-                Json err = Json::object();
-                err.set("code",
-                        Json(std::string(errCodeId(c.error.code))));
-                err.set("message", Json(c.error.message));
-                entry.set("error", std::move(err));
-                benchmarks.push(std::move(entry));
+        const std::string &name = suite[i].name;
+        const CellOutcome<RunOutcome> &c = sweep->cells[i];
+        t.row().cell(name);
+        Json entry = Json::object();
+        entry.set("name", Json(name));
+        if (c.ok()) {
+            const RunOutcome &out = c.value;
+            t.cell(static_cast<long long>(out.instructions))
+                .cell(out.cycles, 0)
+                .cell(out.ipc(), 2)
+                .cell(out.ipc(), 2);
+            if (cli.stats) {
+                std::printf("--- %s ---\n", name.c_str());
+                printStatsTree(out.stats, "");
             }
-            continue;
-        }
-        const RunOutcome &out = c.value;
-        t.row()
-            .cell(w.name)
-            .cell(static_cast<long long>(out.instructions))
-            .cell(out.cycles, 0)
-            .cell(out.ipc(), 2)
-            .cell(out.ipc(), 2);
-        if (cli.stats) {
-            std::printf("--- %s ---\n", w.name.c_str());
-            printStatsTree(out.stats, "");
-        }
-        if (want_json) {
-            Json entry = Json::object();
-            entry.set("name", Json(w.name));
             entry.set("stats", out.stats);
-            benchmarks.push(std::move(entry));
+        } else {
+            t.cell(errorCell(c.error)).cell("-").cell("-").cell("-");
+            status = fail(name + ": " + c.error.message);
+            entry.set("error", errorJson(c.error));
         }
+        benchmarks.push(std::move(entry));
     }
     t.print();
-    if (want_json) {
+    if (!cli.statsJsonPath.empty()) {
         Json doc = Json::object();
-        Json meta = documentMeta(cli.machine);
-        meta.set("cells", sweepCellsMeta(cells, hs.totals));
-        if (sj.resuming)
-            meta.set("resume",
-                     sweepResumeMeta(cells.size() - ran, ran));
-        doc.set("meta", std::move(meta));
+        doc.set("meta", std::move(sweep->meta));
         doc.set("machine", Json(cli.machine.name));
         doc.set("opt_level", Json(optLevelName(cli.options.level)));
         doc.set("benchmarks", std::move(benchmarks));

@@ -4,7 +4,6 @@
 #include <cstdlib>
 #include <thread>
 
-#include "core/study/progress.hh"
 #include "sim/trap.hh"
 #include "support/logging.hh"
 #include "support/trace.hh"
@@ -13,23 +12,15 @@ namespace ilp {
 
 namespace {
 
-/** One cell evaluation wrapped in its observability: a flight-recorder
- *  span (which a keep-going failure annotates rather than truncates)
- *  and the live progress notification. */
+/** One cell evaluation inside its flight-recorder span, which a
+ *  keep-going failure annotates rather than truncates. */
 void
 runSweepCell(const std::function<void(std::size_t)> &fn, std::size_t i)
 {
-    const auto t0 = std::chrono::steady_clock::now();
-    {
-        trace::ScopedSpan span("cell", "sweep");
-        if (span.armed())
-            span.detail("cell " + std::to_string(i));
-        fn(i);
-    }
-    if (ProgressReporter *progress = ProgressReporter::current())
-        progress->cellFinished(std::chrono::duration<double>(
-                                   std::chrono::steady_clock::now() - t0)
-                                   .count());
+    trace::ScopedSpan span("cell", "sweep");
+    if (span.armed())
+        span.detail("cell " + std::to_string(i));
+    fn(i);
 }
 
 } // namespace
@@ -65,8 +56,6 @@ noteCellFailure(const CellError &error)
         trace::annotateCurrentSpan(
             "error[" + std::string(errCodeId(error.code)) + "]");
     }
-    if (ProgressReporter *progress = ProgressReporter::current())
-        progress->noteFailure();
 }
 
 CellError

@@ -72,10 +72,9 @@ struct CellError
  *  codes and full formatted text; anything else maps to E0999. */
 CellError currentCellError();
 
-/** Record a keep-going cell failure with the observability layer:
- *  stamps the error's E-code onto the enclosing flight-recorder span
- *  (so the worker timeline shows the trapped cell instead of
- *  truncating) and notifies the live progress reporter. */
+/** Record a keep-going cell failure with the flight recorder: stamps
+ *  the error's E-code onto the enclosing span, so the worker timeline
+ *  shows the trapped cell instead of truncating. */
 void noteCellFailure(const CellError &error);
 
 /** Value-or-error result of one sweep cell under keep-going mode. */

@@ -43,7 +43,6 @@
 #include "sim/trace.hh"
 #include "support/inline.hh"
 #include "support/json.hh"
-#include "support/statistics.hh"
 
 namespace ilp {
 

@@ -1,7 +1,5 @@
 #include "support/statistics.hh"
 
-#include <cmath>
-
 #include "support/logging.hh"
 
 namespace ilp {
@@ -16,79 +14,6 @@ harmonicMean(const std::vector<double> &values)
         denom += 1.0 / v;
     }
     return static_cast<double>(values.size()) / denom;
-}
-
-double
-arithmeticMean(const std::vector<double> &values)
-{
-    SS_ASSERT(!values.empty(), "arithmeticMean of empty vector");
-    double sum = 0.0;
-    for (double v : values)
-        sum += v;
-    return sum / static_cast<double>(values.size());
-}
-
-double
-geometricMean(const std::vector<double> &values)
-{
-    SS_ASSERT(!values.empty(), "geometricMean of empty vector");
-    double log_sum = 0.0;
-    for (double v : values) {
-        SS_ASSERT(v > 0.0, "geometricMean requires positive values");
-        log_sum += std::log(v);
-    }
-    return std::exp(log_sum / static_cast<double>(values.size()));
-}
-
-void
-RunningStat::add(double v)
-{
-    if (count_ == 0) {
-        min_ = max_ = v;
-    } else {
-        min_ = std::min(min_, v);
-        max_ = std::max(max_, v);
-    }
-    ++count_;
-    sum_ += v;
-}
-
-double
-RunningStat::mean() const
-{
-    SS_ASSERT(count_ > 0, "mean of empty RunningStat");
-    return sum_ / static_cast<double>(count_);
-}
-
-double
-RunningStat::min() const
-{
-    SS_ASSERT(count_ > 0, "min of empty RunningStat");
-    return min_;
-}
-
-double
-RunningStat::max() const
-{
-    SS_ASSERT(count_ > 0, "max of empty RunningStat");
-    return max_;
-}
-
-void
-Histogram::add(std::int64_t key, std::uint64_t weight)
-{
-    buckets_[key] += weight;
-    total_ += weight;
-}
-
-double
-Histogram::mean() const
-{
-    SS_ASSERT(total_ > 0, "mean of empty Histogram");
-    double acc = 0.0;
-    for (const auto &[k, w] : buckets_)
-        acc += static_cast<double>(k) * static_cast<double>(w);
-    return acc / static_cast<double>(total_);
 }
 
 } // namespace ilp

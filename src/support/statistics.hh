@@ -1,70 +1,19 @@
 /**
  * @file
- * Small statistics helpers used across the study: means (arithmetic,
- * harmonic, geometric) and a streaming scalar/histogram accumulator.
- *
- * The paper reports the harmonic mean of per-benchmark speedups
- * (Section 4.3 plots a "single curve for the harmonic mean of all
- * eight benchmarks"), so harmonicMean() is the headline aggregator.
+ * The suite aggregate.  The paper reports the harmonic mean of
+ * per-benchmark speedups (Section 4.3 plots a "single curve for the
+ * harmonic mean of all eight benchmarks").
  */
 
 #ifndef SUPERSYM_SUPPORT_STATISTICS_HH
 #define SUPERSYM_SUPPORT_STATISTICS_HH
 
-#include <cstdint>
-#include <map>
 #include <vector>
 
 namespace ilp {
 
 /** Harmonic mean of strictly positive values. Panics on empty input. */
 double harmonicMean(const std::vector<double> &values);
-
-/** Arithmetic mean. Panics on empty input. */
-double arithmeticMean(const std::vector<double> &values);
-
-/** Geometric mean of strictly positive values. Panics on empty input. */
-double geometricMean(const std::vector<double> &values);
-
-/**
- * Streaming accumulator for a scalar sample: count, sum, min, max.
- */
-class RunningStat
-{
-  public:
-    void add(double v);
-    std::uint64_t count() const { return count_; }
-    double sum() const { return sum_; }
-    double mean() const;
-    double min() const;
-    double max() const;
-
-  private:
-    std::uint64_t count_ = 0;
-    double sum_ = 0.0;
-    double min_ = 0.0;
-    double max_ = 0.0;
-};
-
-/**
- * Integer-keyed histogram (e.g. instructions issued per cycle).
- */
-class Histogram
-{
-  public:
-    void add(std::int64_t key, std::uint64_t weight = 1);
-    std::uint64_t total() const { return total_; }
-    /** Weighted mean of the keys. */
-    double mean() const;
-    const std::map<std::int64_t, std::uint64_t> &buckets() const
-    {
-        return buckets_;
-    }
-
-  private:
-    std::map<std::int64_t, std::uint64_t> buckets_;
-    std::uint64_t total_ = 0;
-};
 
 } // namespace ilp
 

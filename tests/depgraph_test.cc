@@ -7,7 +7,8 @@
  *  - `ssim whatif` reports the engine's own run (instructions and
  *    cycles equal Study::timedRun's), and the oracle critical path,
  *    the issue-bandwidth bound and the unit-conflict bound each sit
- *    at or under its cycles;
+ *    at or under its cycles; the unit-conflict bound is the busiest
+ *    unit's share of the graph's nodes, split over its copies;
  *  - slack is non-negative everywhere, critical instructions have
  *    zero slack, and the reported critical edges actually carry the
  *    critical path;
@@ -16,6 +17,10 @@
  */
 
 #include <gtest/gtest.h>
+
+#include <algorithm>
+#include <array>
+#include <cstdint>
 
 #include "core/machine/models.hh"
 #include "core/study/experiment.hh"
@@ -34,12 +39,16 @@ TEST(WhatIfTest, ReportsTheEngineRunUnderItsBounds)
     // so its numbers are Study::timedRun's on every machine, and each
     // lower bound it prints sits at or under them.
     Study study(2);
+    // Two integer ALUs and two memory ports: the unit-conflict bound
+    // splits those units' operations between their copies.
+    MachineConfig doubled = superscalarWithClassConflicts(4, 2, 2);
+    doubled.name += " x2";
     for (const char *name : {"yacc", "linpack", "whet"}) {
         const Workload &w = workloadByName(name);
         const CompileOptions options = defaultCompileOptions(w);
         for (const MachineConfig &machine :
              {idealSuperscalar(4), cray1(),
-              superscalarWithClassConflicts(4)}) {
+              superscalarWithClassConflicts(4), doubled}) {
             const whatif::Report r =
                 whatif::analyze(study, w, machine, options, 4);
             const RunOutcome out = study.timedRun(w, machine, options);
@@ -59,6 +68,42 @@ TEST(WhatIfTest, ReportsTheEngineRunUnderItsBounds)
             EXPECT_LE(r.bounds.unitMinor / m, out.cycles) << where;
             EXPECT_EQ(r.bounds.unitMinor > 0, !machine.units.empty())
                 << where;
+            if (machine.units.empty())
+                continue;
+
+            // Recomputed from the graph's per-class node counts: some
+            // copy of each unit takes ceil(served / multiplicity) of
+            // its operations, issueLatency apart, and the last pays
+            // the cheapest latency the unit serves.
+            const DepGraph graph =
+                study.dependenceGraph(w, machine, options);
+            std::array<std::uint64_t, kNumInstrClasses> count{};
+            for (const DepNode &n : graph.nodes())
+                ++count[static_cast<std::size_t>(n.cls)];
+            std::uint64_t unitMinor = 0;
+            for (const FuncUnit &u : machine.units) {
+                std::uint64_t served = 0;
+                int cheapest = 0;
+                for (InstrClass c : u.classes) {
+                    const std::uint64_t k =
+                        count[static_cast<std::size_t>(c)];
+                    if (k == 0)
+                        continue;
+                    cheapest = served == 0
+                                   ? machine.latencyMinor(c)
+                                   : std::min(cheapest,
+                                              machine.latencyMinor(c));
+                    served += k;
+                }
+                if (served == 0)
+                    continue;
+                const std::uint64_t copies = u.multiplicity;
+                const std::uint64_t perCopy =
+                    (served + copies - 1) / copies;
+                unitMinor = std::max<std::uint64_t>(
+                    unitMinor, (perCopy - 1) * u.issueLatency + cheapest);
+            }
+            EXPECT_EQ(r.bounds.unitMinor, unitMinor) << where;
         }
     }
 }

@@ -2,9 +2,9 @@
  * @file
  * The observability layer end to end: the span flight recorder
  * (nested spans, worker tracks, concurrent recording — run under
- * TSan in CI), the sweep trace-events writer, keep-going degradation
- * (a trapped cell annotates its span instead of truncating the worker
- * timeline), and the live progress reporter.
+ * TSan in CI), the sweep trace-events writer, and keep-going
+ * degradation (a trapped cell annotates its span instead of
+ * truncating the worker timeline).
  */
 
 #include <gtest/gtest.h>
@@ -16,7 +16,6 @@
 
 #include "core/machine/models.hh"
 #include "core/study/experiment.hh"
-#include "core/study/progress.hh"
 #include "core/study/sweep.hh"
 #include "core/study/telemetry.hh"
 #include "support/trace.hh"
@@ -222,119 +221,6 @@ TEST(FlightRecorderTest, KeepGoingCellAnnotatesSpanWithErrorCode)
     }
     EXPECT_EQ(cells, 4u); // the failed cell's span is NOT dropped
     EXPECT_EQ(annotated, 1u);
-}
-
-// ------------------------------------------------------ live progress
-
-TEST(ProgressReporterTest, RenderLineShowsRatesEtaAndFailures)
-{
-    Study study(2);
-    study.speedup(workloadByName("yacc"), idealSuperscalar(2));
-
-    ProgressReporter::Config pc;
-    pc.totalCells = 8;
-    pc.jobs = 2;
-    pc.intervalMs = 1e9; // never auto-print during the test
-    pc.compileCache = &study.compileCache();
-    pc.out = tmpfile();
-    ASSERT_NE(pc.out, nullptr);
-    {
-        ProgressReporter reporter(pc);
-        EXPECT_EQ(ProgressReporter::current(), &reporter);
-        reporter.cellFinished(0.5);
-        reporter.cellFinished(0.5);
-        reporter.noteFailure();
-        EXPECT_EQ(reporter.cellsDone(), 2u);
-        EXPECT_EQ(reporter.cellsFailed(), 1u);
-
-        // Rate and ETA are asserted separately (EtaUsesTheTrailing
-        // CompletionWindow) where the completion schedule is driven
-        // deterministically; the two real completions above landed
-        // microseconds apart, so their window rate is arbitrary.
-        const std::string line = reporter.renderLine(2.0);
-        EXPECT_NE(line.find("2/8 cells"), std::string::npos) << line;
-        // 1.0 busy second over 2 workers * 2 elapsed seconds = 25%.
-        EXPECT_NE(line.find("util 25%"), std::string::npos) << line;
-        EXPECT_NE(line.find("compile-cache"), std::string::npos);
-        EXPECT_NE(line.find("failed 1"), std::string::npos) << line;
-    }
-    EXPECT_EQ(ProgressReporter::current(), nullptr);
-    std::fclose(pc.out);
-}
-
-TEST(ProgressReporterTest, EtaUsesTheTrailingCompletionWindow)
-{
-    // Regression: the ETA used the whole-run average rate, so a slow
-    // cold-cache start skewed the forecast for the rest of the sweep.
-    // Drive the completion ring directly with a synthetic schedule —
-    // 64 slow cells at 1 cell/s, then 64 fast ones at 10 cells/s —
-    // and check the estimate converges to the recent rate within one
-    // window of the regime change.  (done_ stays 0: only the stamp
-    // ring feeds the rate, and `eta = remaining / rate` with the full
-    // 198 cells remaining keeps the numbers round.)
-    ProgressReporter::Config pc;
-    pc.totalCells = 198;
-    pc.jobs = 1;
-    pc.intervalMs = 1e9;
-    pc.out = tmpfile();
-    ASSERT_NE(pc.out, nullptr);
-    {
-        ProgressReporter reporter(pc);
-        for (int i = 1; i <= 64; ++i)
-            reporter.noteCellAt(static_cast<double>(i)); // 1 cell/s
-        std::string slow = reporter.renderLine(64.0);
-        EXPECT_NE(slow.find("1.0 cells/s"), std::string::npos) << slow;
-        EXPECT_NE(slow.find("eta 3m18s"), std::string::npos) << slow;
-
-        for (int i = 1; i <= 64; ++i)
-            reporter.noteCellAt(64.0 + 0.1 * i); // 10 cells/s
-        // One full window after the speedup the slow start is out of
-        // the estimate entirely: 63 intervals over 6.3 s, not the
-        // 128-cells-in-70.4-s (1.8 cells/s) whole-run average.
-        std::string fast = reporter.renderLine(70.4);
-        EXPECT_NE(fast.find("10.0 cells/s"), std::string::npos) << fast;
-        EXPECT_NE(fast.find("eta 20s"), std::string::npos) << fast;
-    }
-    std::fclose(pc.out);
-}
-
-TEST(ProgressReporterTest, WindowRateFallsBackBeforeTwoSamples)
-{
-    ProgressReporter::Config pc;
-    pc.totalCells = 4;
-    pc.jobs = 1;
-    pc.intervalMs = 1e9;
-    pc.out = tmpfile();
-    ASSERT_NE(pc.out, nullptr);
-    {
-        ProgressReporter reporter(pc);
-        // No completions at all: no rate, no ETA.
-        std::string idle = reporter.renderLine(2.0);
-        EXPECT_NE(idle.find("0.0 cells/s"), std::string::npos) << idle;
-        EXPECT_NE(idle.find("eta -"), std::string::npos) << idle;
-        // A single stamp cannot span a window: whole-run average.
-        reporter.noteCellAt(1.0);
-        std::string one = reporter.renderLine(2.0);
-        EXPECT_NE(one.find("0.0 cells/s"), std::string::npos) << one;
-    }
-    std::fclose(pc.out);
-}
-
-TEST(ProgressReporterTest, SweepNotifiesInstalledReporter)
-{
-    ProgressReporter::Config pc;
-    pc.totalCells = 12;
-    pc.jobs = 4;
-    pc.intervalMs = 1e9;
-    pc.out = tmpfile();
-    ASSERT_NE(pc.out, nullptr);
-    {
-        ProgressReporter reporter(pc);
-        SweepRunner runner(4);
-        runner.run(12, [](std::size_t) {});
-        EXPECT_EQ(reporter.cellsDone(), 12u);
-    }
-    std::fclose(pc.out);
 }
 
 } // namespace

@@ -4,7 +4,9 @@
 # Uses the seeded "exit" fault kind to _exit(137) the ssim process at
 # the 4th cell attempt of an 8-degree ilp sweep, then resumes from
 # the journal and requires:
-#  - the journal holds exactly header + 3 completed cells,
+#  - the journal holds exactly header + 3 completed cells, each
+#    recording its instructions, cycles and base_cycles (the base
+#    machine's cycles, equal to the instructions),
 #  - the resumed run's stdout is byte-identical to an uninterrupted
 #    run,
 #  - the stats-json meta.resume block reports the skipped/replayed
@@ -12,9 +14,8 @@
 #  - a second resume skips every cell and still reproduces the
 #    output byte-for-byte.
 # Then kills an 8-workload `ssim suite` sweep the same way, checks
-# that each journaled cell records its instructions, cycles and
-# base_cycles (the base machine's cycles, equal to the instructions),
-# and resumes it at 4 jobs to the uninterrupted output.
+# its journaled cells the same way (both commands write one record
+# shape), and resumes it at 4 jobs to the uninterrupted output.
 #
 # usage: resume_kill_test.sh /path/to/ssim /path/to/program.mt
 set -eu
@@ -28,6 +29,14 @@ trap 'rm -rf "$TMP"' EXIT
 fail() {
     echo "resume_kill_test: $1" >&2
     exit 1
+}
+
+# Cell records in journal $1 with instructions > 0, cycles > 0 and
+# base_cycles == instructions.
+cell_records() {
+    awk -F '"instructions":|,"cycles":|,"base_cycles":|}' \
+        '/"kind":"cell"/ && $2 > 0 && $3 > 0 && $4 == $2 { n++ }
+         END { print n + 0 }' "$1"
 }
 
 # Uninterrupted reference run.
@@ -46,6 +55,9 @@ SSIM_FAULT='cell:exit:1:3' "$SSIM" ilp "$SRC" --jobs 1 \
 lines=$(wc -l < "$TMP/sweep.jsonl")
 [ "$lines" -eq 4 ] \
     || fail "expected 4 journal lines (header + 3 cells), got $lines"
+records=$(cell_records "$TMP/sweep.jsonl")
+[ "$records" -eq 3 ] \
+    || fail "$records ilp cells with base_cycles == instructions, not 3"
 
 # Resume completes the remaining 5 cells and reproduces the clean
 # output byte-for-byte.
@@ -91,9 +103,7 @@ SSIM_FAULT='cell:exit:1:3' "$SSIM" suite --machine ss4 --jobs 1 \
 lines=$(wc -l < "$TMP/suite.jsonl")
 [ "$lines" -eq 4 ] \
     || fail "expected 4 suite journal lines (header + 3 cells), got $lines"
-records=$(awk -F '"instructions":|,"cycles":|,"base_cycles":|}' \
-    '/"kind":"cell"/ && $2 > 0 && $4 == $2 { n++ } END { print n + 0 }' \
-    "$TMP/suite.jsonl")
+records=$(cell_records "$TMP/suite.jsonl")
 [ "$records" -eq 3 ] \
     || fail "$records suite cells with base_cycles == instructions, not 3"
 "$SSIM" suite --machine ss4 --jobs 4 --resume "$TMP/suite.jsonl" \

@@ -64,23 +64,19 @@ TEST(StatisticsTest, HarmonicMeanOfEqualValuesIsThatValue)
     EXPECT_DOUBLE_EQ(harmonicMean({3.5, 3.5, 3.5}), 3.5);
 }
 
-TEST(StatisticsTest, MinLeqHarmonicLeqGeometricLeqArithmeticLeqMax)
+TEST(StatisticsTest, HarmonicMeanLiesBetweenMinAndMax)
 {
     // The suite aggregate of §4.3 never leaves the range of the
     // per-benchmark speedups it summarizes.
     std::vector<double> v{1.3, 2.7, 0.9, 5.5};
     EXPECT_LE(*std::min_element(v.begin(), v.end()), harmonicMean(v));
-    EXPECT_LE(harmonicMean(v), geometricMean(v) + 1e-12);
-    EXPECT_LE(geometricMean(v), arithmeticMean(v) + 1e-12);
-    EXPECT_LE(arithmeticMean(v), *std::max_element(v.begin(), v.end()));
+    EXPECT_LE(harmonicMean(v), *std::max_element(v.begin(), v.end()));
 }
 
-TEST(StatisticsTest, MeansRejectEmptyInput)
+TEST(StatisticsTest, HarmonicMeanRejectsEmptyInput)
 {
     setLoggingThrows(true);
     EXPECT_THROW(harmonicMean({}), FatalError);
-    EXPECT_THROW(arithmeticMean({}), FatalError);
-    EXPECT_THROW(geometricMean({}), FatalError);
     setLoggingThrows(false);
 }
 
@@ -89,27 +85,6 @@ TEST(StatisticsTest, HarmonicMeanRejectsNonPositive)
     setLoggingThrows(true);
     EXPECT_THROW(harmonicMean({1.0, 0.0}), FatalError);
     setLoggingThrows(false);
-}
-
-TEST(StatisticsTest, RunningStatTracksMinMaxMean)
-{
-    RunningStat s;
-    s.add(2.0);
-    s.add(-1.0);
-    s.add(5.0);
-    EXPECT_EQ(s.count(), 3u);
-    EXPECT_DOUBLE_EQ(s.min(), -1.0);
-    EXPECT_DOUBLE_EQ(s.max(), 5.0);
-    EXPECT_DOUBLE_EQ(s.mean(), 2.0);
-}
-
-TEST(StatisticsTest, HistogramWeightedMean)
-{
-    Histogram h;
-    h.add(1, 3);
-    h.add(3, 1);
-    EXPECT_EQ(h.total(), 4u);
-    EXPECT_DOUBLE_EQ(h.mean(), (3.0 * 1 + 1.0 * 3) / 4.0);
 }
 
 TEST(TableTest, RendersAlignedColumnsWithRule)
