@@ -145,6 +145,7 @@
 #include "ir/printer.hh"
 #include "sim/trap.hh"
 #include "support/bench.hh"
+#include "support/buildinfo.hh"
 #include "support/diag.hh"
 #include "support/faultinject.hh"
 #include "support/json.hh"
@@ -416,7 +417,8 @@ struct Cli
      * Telemetry derived from the flags above.  --trace-events never
      * forces stats: spans come from the flight recorder, so a traced
      * run takes the same timing path as an untraced one.  Only `run`
-     * (`sweep` false) adds the issue timeline.
+     * (`sweep` false) adds the issue timeline and the per-pc profile:
+     * a sweep reports neither, so its cells keep the fast path.
      */
     RunTelemetryOptions
     telemetry(bool sweep = false) const
@@ -425,7 +427,8 @@ struct Cli
         t.collectStats = stats || !statsJsonPath.empty();
         if (!sweep && !traceEventsPath.empty())
             t.timelineLimit = traceLimit;
-        t.collectProfile = wantProfile();
+        if (!sweep)
+            t.collectProfile = wantProfile();
         return t;
     }
 };
@@ -853,14 +856,15 @@ errorJson(const CellError &error)
  * --keep-going a failing cell is recorded in place while the others
  * still run; without it, the first quarantined cell ends the sweep.
  * Outcomes land in cell order after the barrier, so whatever is
- * rendered from them is byte-identical at any --jobs.
+ * rendered from them is byte-identical at any --jobs.  `meta` is the
+ * provenance block the sweep's `meta` starts from.
  * @return nullopt, with the reason on stderr, when the journal cannot
  * be opened or a cell fails without --keep-going.
  */
 std::optional<Sweep>
 runSweep(const Cli &cli, const Json &identity,
          const std::vector<SweepCell> &cells,
-         const RunTelemetryOptions &telemetry)
+         const RunTelemetryOptions &telemetry, Json meta)
 {
     std::vector<std::string> keys;
     for (const SweepCell &c : cells)
@@ -948,7 +952,7 @@ runSweep(const Cli &cli, const Json &identity,
     totals.set("retries", Json(hs.totals.retries));
     totals.set("timeouts", Json(hs.totals.timeouts));
     totals.set("quarantined", Json(hs.totals.quarantined));
-    sweep.meta = documentMeta(cli.machine);
+    sweep.meta = std::move(meta);
     sweep.meta.set("cells", std::move(totals));
     if (!cli.resumePath.empty()) {
         Json resume = Json::object();
@@ -982,7 +986,10 @@ cmdIlp(const Cli &cli)
     identity.set("fingerprint",
                  Json(Study::fingerprint(w, cli.options)));
     identity.set("cells", Json(static_cast<std::uint64_t>(kDegrees)));
-    std::optional<Sweep> sweep = runSweep(cli, identity, cells, {});
+    // The meta names no machine: the cells time superscalar(1..8),
+    // whatever --machine says.
+    std::optional<Sweep> sweep =
+        runSweep(cli, identity, cells, {}, buildMeta());
     if (!sweep)
         return 1;
 
@@ -1104,7 +1111,8 @@ cmdSuite(const Cli &cli)
     identity.set("cells",
                  Json(static_cast<std::uint64_t>(suite.size())));
     std::optional<Sweep> sweep =
-        runSweep(cli, identity, cells, telemetry);
+        runSweep(cli, identity, cells, telemetry,
+                 documentMeta(cli.machine));
     if (!sweep)
         return 1;
 

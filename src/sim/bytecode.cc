@@ -280,6 +280,91 @@ lowerFunction(const Module &module, const Function &func,
     }
 }
 
+/**
+ * Cut `fn`'s code into segments: each runs to the first Br, Jmp,
+ * Call or Ret, or to a BadJump or FellOff trailer, which never
+ * issues and so is not one of its ops.  Stamps every instruction
+ * with its segment and appends the segments to `table`.
+ */
+void
+cutSegments(BcFunction &fn, SegmentTable &table)
+{
+    // Per register, the last segment that read it as a live-in or
+    // wrote it (kNone: none yet).
+    constexpr std::uint32_t kNone = 0xffffffffu;
+    std::vector<std::uint32_t> read(fn.nregs, kNone);
+    std::vector<std::uint32_t> written(fn.nregs, kNone);
+    std::vector<std::uint32_t> live, defs, stores;
+
+    table.numRegs = std::max(table.numRegs, fn.nregs);
+    SegmentTable::Segment seg;
+    std::uint32_t id = static_cast<std::uint32_t>(table.segments.size());
+    seg.opBegin = static_cast<std::uint32_t>(table.ops.size());
+    auto close = [&] {
+        seg.numOps =
+            static_cast<std::uint32_t>(table.ops.size()) - seg.opBegin;
+        seg.liveInBegin = static_cast<std::uint32_t>(table.lists.size());
+        seg.numLiveIn = static_cast<std::uint32_t>(live.size());
+        table.lists.insert(table.lists.end(), live.begin(), live.end());
+        seg.defBegin = static_cast<std::uint32_t>(table.lists.size());
+        seg.numDefs = static_cast<std::uint32_t>(defs.size());
+        table.lists.insert(table.lists.end(), defs.begin(), defs.end());
+        seg.storeBegin = static_cast<std::uint32_t>(table.lists.size());
+        seg.numStores = static_cast<std::uint32_t>(stores.size());
+        table.lists.insert(table.lists.end(), stores.begin(),
+                           stores.end());
+        table.maxMem = std::max(table.maxMem, seg.numMem);
+        table.segments.push_back(seg);
+        live.clear();
+        defs.clear();
+        stores.clear();
+        seg = SegmentTable::Segment{};
+        seg.opBegin = static_cast<std::uint32_t>(table.ops.size());
+        ++id;
+    };
+
+    for (BcInstr &bc : fn.code) {
+        bc.seg = id;
+        const BcOp op = static_cast<BcOp>(bc.op);
+        if (op == BcOp::BadJump || op == BcOp::FellOff) {
+            close();
+            continue;
+        }
+        // The record the VM issues for it: a call reads no register.
+        static_assert(SegmentTable::kNone == BcInstr::kNone16);
+        SegmentTable::Op rec;
+        rec.op = static_cast<Opcode>(bc.srcOp);
+        rec.dst = bc.dst;
+        if (op != BcOp::Call) {
+            rec.a = bc.a;
+            rec.b = bc.b;
+        }
+        rec.pc = bc.pc;
+        table.ops.push_back(rec);
+        for (std::uint16_t r : {rec.a, rec.b}) {
+            if (r != BcInstr::kNone16 && written[r] != id &&
+                read[r] != id) {
+                read[r] = id;
+                live.push_back(r);
+            }
+        }
+        if (rec.dst != BcInstr::kNone16 && written[rec.dst] != id) {
+            written[rec.dst] = id;
+            defs.push_back(rec.dst);
+        }
+        if (op == BcOp::Store)
+            stores.push_back(seg.numMem);
+        if (op == BcOp::Load || op == BcOp::Store)
+            ++seg.numMem;
+        if (op == BcOp::Br || op == BcOp::Jmp || op == BcOp::Call ||
+            op == BcOp::Ret)
+            close();
+    }
+    // Every function's code ends in a terminator or a trailer.
+    SS_ASSERT(table.ops.size() == seg.opBegin,
+              "segment runs off the end of ", fn.name);
+}
+
 } // namespace
 
 std::size_t
@@ -299,9 +384,14 @@ lowerModule(const Module &module)
     BcImage image;
     image.module = &module;
     image.funcs.resize(module.functions().size());
-    for (std::size_t i = 0; i < module.functions().size(); ++i)
+    for (std::size_t i = 0; i < module.functions().size(); ++i) {
         lowerFunction(module, module.functions()[i], image.funcs[i],
                       image.argPool);
+        cutSegments(image.funcs[i], image.segments);
+    }
+    image.segments.ops.shrink_to_fit();
+    image.segments.lists.shrink_to_fit();
+    image.segments.segments.shrink_to_fit();
     if (span.armed())
         span.detail(module.sourceName + ": " +
                     std::to_string(image.funcs.size()) + " funcs, " +
@@ -361,7 +451,8 @@ emitRecord(Sink *sink, std::uint8_t op, Reg dst, Reg a, Reg b,
 
 BytecodeVM::BytecodeVM(BcImage image, InterpOptions options)
     : image_(std::move(image)), opts_(options),
-      mem_(*image_.module, options.stackBytes)
+      mem_(*image_.module, options.stackBytes),
+      seg_addrs_(std::max<std::size_t>(image_.segments.maxMem, 1))
 {
     stack_top_ = mem_.stackBase();
 }
@@ -374,6 +465,7 @@ BytecodeVM::runWith(const std::string &entry, Sink *sink)
     if (span.armed())
         span.detail(entry);
     executed_ = 0;
+    seg_executed_ = 0;
     class_counts_.fill(0);
     stack_top_ = mem_.stackBase();
     arena_.clear();
@@ -412,8 +504,14 @@ std::uint64_t
 BytecodeVM::execute(std::uint32_t entryIdx, Sink *sink)
 {
     (void)sink; // unused in the untraced instantiation
+    // The fused loop hands the engine one segment at a time, at its
+    // Br, Jmp, Call or Ret; every other sink gets each record.
+    constexpr bool kFused = std::is_same_v<Sink, IssueEngine>;
+    constexpr bool kEmits = Traced && !kFused;
     const BcImage &img = image_;
     const BcArgMove *const pool = img.argPool.data();
+    [[maybe_unused]] std::int64_t *const seg_addrs = seg_addrs_.data();
+    [[maybe_unused]] std::int64_t *seg_addr = seg_addrs;
 
     std::vector<VmFrame> frames;
     frames.reserve(64);
@@ -440,6 +538,8 @@ BytecodeVM::execute(std::uint32_t entryIdx, Sink *sink)
     const BcInstr *code = fn->code.data();
     std::uint32_t ip = 0;
     const BcInstr *in = nullptr;
+    if constexpr (kFused)
+        seg_first_ = code;
 
     // Per-instruction bookkeeping, in the interpreter's exact order:
     // fuel (count first, message carries the count), deadline/fault
@@ -456,19 +556,30 @@ BytecodeVM::execute(std::uint32_t entryIdx, Sink *sink)
     // Retire an instruction that stays in its frame: continue at
     // `next` and emit the interpreter's post-switch record (dst and
     // sources straight from the instruction, plus the effective
-    // address of a load or store).  Every handler inlines its own
-    // copy of the issue engine: one shared emit site, reached by a
-    // jump from each handler, measured ~20-40% slower on the fused
-    // loop (it loses the per-handler constant folding and branch
-    // history).
+    // address of a load or store).  The fused loop emits nothing:
+    // Load and Store keep their address for the segment's turn at
+    // the engine.
 #define VM_RETIRE(next, address)                                      \
     do {                                                              \
         ip = (next);                                                  \
-        if constexpr (Traced)                                         \
+        if constexpr (kEmits)                                         \
             emitRecord(sink, in->srcOp, reg32(in->dst),               \
                        reg32(in->a), reg32(in->b), (address),         \
                        in->pc);                                       \
         VM_DISPATCH();                                                \
+    } while (0)
+
+    // Fused: the segment ending at `in` issues as one unit, and the
+    // next one starts empty at `first` (executed_ counts from here).
+#define VM_END_SEGMENT()                                              \
+    do {                                                              \
+        sink->timeSegment(img.segments, in->seg, seg_addrs);          \
+        seg_addr = seg_addrs;                                         \
+    } while (0)
+#define VM_START_SEGMENT(first)                                       \
+    do {                                                              \
+        seg_first_ = (first);                                         \
+        seg_executed_ = executed_;                                    \
     } while (0)
 
 #if SS_BC_THREADED
@@ -561,6 +672,8 @@ vm_dispatch:
         const std::uint64_t v = mem_.loadWord(addr);
         if (in->dst != BcInstr::kNone16)
             regs[in->dst] = v;
+        if constexpr (kFused)
+            *seg_addr++ = addr;
         VM_RETIRE(ip + 1, addr);
     }
 
@@ -569,16 +682,27 @@ vm_dispatch:
         const std::int64_t addr =
             sem::asInt(regs[in->a]) + in->imm;
         mem_.storeWord(addr, regs[in->b]);
+        if constexpr (kFused)
+            *seg_addr++ = addr;
         VM_RETIRE(ip + 1, addr);
     }
 
     VM_CASE(Br) : {
         VM_COUNT();
-        VM_RETIRE(regs[in->a] != 0 ? in->t0 : in->t1, -1);
+        const std::uint32_t next = regs[in->a] != 0 ? in->t0 : in->t1;
+        if constexpr (kFused) {
+            VM_END_SEGMENT();
+            VM_START_SEGMENT(code + next);
+        }
+        VM_RETIRE(next, -1);
     }
 
     VM_CASE(Jmp) : {
         VM_COUNT();
+        if constexpr (kFused) {
+            VM_END_SEGMENT();
+            VM_START_SEGMENT(code + in->t0);
+        }
         VM_RETIRE(in->t0, -1);
     }
 
@@ -589,9 +713,12 @@ vm_dispatch:
         // argument-transfer moves.  The moves are counted traced or
         // not, without fuel or poll checks — bookkeeping, not fetched
         // instructions — exactly like the interpreter.
-        if constexpr (Traced) {
+        if constexpr (kFused)
+            VM_END_SEGMENT();
+        else if constexpr (Traced)
             emitRecord(sink, in->srcOp, reg32(in->dst), kNoReg, kNoReg,
                        -1, in->pc);
+        if constexpr (Traced) {
             for (std::uint32_t i = 0; i < in->aux; ++i) {
                 const BcArgMove &mv = pool[in->t1 + i];
                 emitRecord(sink, mv.op, mv.dst, mv.src, kNoReg, -1,
@@ -600,6 +727,8 @@ vm_dispatch:
         }
         executed_ += in->aux;
         class_counts_[kMoveClass] += in->aux;
+        if constexpr (kFused)
+            VM_START_SEGMENT(callee.code.data());
 
         if (depth >= sem::kMaxCallDepth)
             sem::trapCallDepthExceeded(callee.name);
@@ -634,7 +763,9 @@ vm_dispatch:
 
     VM_CASE(Ret) : {
         VM_COUNT();
-        if constexpr (Traced)
+        if constexpr (kFused)
+            VM_END_SEGMENT();
+        else if constexpr (Traced)
             emitRecord(sink, in->srcOp, reg32(in->dst), reg32(in->a),
                        reg32(in->b), -1, in->pc);
         const std::uint16_t ret_reg = in->a;
@@ -667,6 +798,8 @@ vm_dispatch:
                 ++class_counts_[kMoveClass];
             }
         }
+        if constexpr (kFused)
+            VM_START_SEGMENT(code + f.resumeIp);
         VM_JUMP(f.resumeIp);
     }
 
@@ -687,6 +820,8 @@ vm_dispatch:
 
 #undef VM_COUNT
 #undef VM_RETIRE
+#undef VM_END_SEGMENT
+#undef VM_START_SEGMENT
 #undef VM_CASE
 #undef VM_DISPATCH
 #undef VM_JUMP
@@ -711,7 +846,17 @@ BytecodeVM::run(const std::string &entry, TraceSink *sink)
 RunResult
 BytecodeVM::runTimed(const std::string &entry, IssueEngine &engine)
 {
-    return runWith<IssueEngine, true>(entry, &engine);
+    engine.beginSegments(image_.segments);
+    RunResult r = runWith<IssueEngine, true>(entry, &engine);
+    // A trap counted the instruction it stopped at, which issued no
+    // record; the ones before it in its segment did.
+    if (r.trapped() && executed_ > seg_executed_)
+        engine.timePrefix(image_.segments, seg_first_->seg,
+                          static_cast<std::uint32_t>(executed_ -
+                                                     seg_executed_ - 1),
+                          seg_addrs_.data());
+    engine.foldSegments(image_.segments);
+    return r;
 }
 
 } // namespace ilp

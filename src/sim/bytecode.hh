@@ -19,7 +19,11 @@
  *  - call frames pre-bound: callee index, register-file size, frame
  *    bytes, frame-pointer slot and the calling convention's
  *    argument-transfer moves all live in the image (BcArgMove pool);
- *  - the source pc and instruction class pre-stamped on every op.
+ *  - the source pc and instruction class pre-stamped on every op;
+ *  - the code cut into straight-line segments (BcImage::segments),
+ *    each running to its Br, Jmp, Call or Ret, with the registers it
+ *    reads and writes and which of its memory operations store: the
+ *    issue engine's memo times a whole segment at once (sim/issue.hh).
  *
  * The VM (BytecodeVM) executes the image with computed-goto threaded
  * dispatch (a plain switch on toolchains without the extension) and
@@ -139,6 +143,8 @@ struct BcInstr
     std::uint8_t srcOp = 0;
     /** Pre-computed InstrClass of srcOp. */
     std::uint8_t cls = 0;
+    /** The segment (BcImage::segments) this instruction lies in. */
+    std::uint32_t seg = 0;
 };
 
 static_assert(sizeof(BcInstr) == 40,
@@ -183,6 +189,10 @@ struct BcImage
     const Module *module = nullptr;
     std::vector<BcFunction> funcs;
     std::vector<BcArgMove> argPool;
+    /** Every function's code cut into straight-line segments, each
+     *  ending at a branch, jump, call or return (or a trailer), for
+     *  the issue engine's segment memo.  Machine-independent. */
+    SegmentTable segments;
 
     /** Static code size (the compile-telemetry payload). */
     std::size_t codeBytes() const;
@@ -202,13 +212,16 @@ BcImage lowerModule(const Module &module);
  * Memory; run() resets all execution state, so a VM is reusable
  * across runs including after a trap.
  *
- * The fused entry point (runTimed) is the hot-path variant: every
- * dispatch handler hands its instruction to IssueEngine::issue(), a
- * narrower record than DynInstr, which is force-inlined (see
- * support/inline.hh), so the loop makes no call per instruction.
- * run() with a TraceSink* keeps the generic virtual-dispatch
- * contract, and a null sink selects an untraced specialization with
- * zero per-instruction trace work.
+ * The fused entry point (runTimed) is the hot-path variant: inside a
+ * segment the loop keeps only the effective addresses of loads and
+ * stores, and at the segment's Br, Jmp, Call or Ret it hands the
+ * engine the whole segment (IssueEngine::timeSegment), one call per
+ * segment; call-argument and return-value moves go through
+ * IssueEngine::issue() one at a time.  A trap mid-segment times the
+ * prefix that ran.  run() with a TraceSink* keeps the generic
+ * virtual-dispatch contract, one record per instruction, and a null
+ * sink selects an untraced specialization with zero per-instruction
+ * trace work.
  */
 class BytecodeVM
 {
@@ -238,6 +251,12 @@ class BytecodeVM
 
     std::vector<std::uint64_t> arena_;
     std::uint64_t executed_ = 0;
+    /** Fused runs: the addresses of the current segment's loads and
+     *  stores so far, where it starts, and executed_ at its start
+     *  (a trap times the prefix that ran). */
+    std::vector<std::int64_t> seg_addrs_;
+    const BcInstr *seg_first_ = nullptr;
+    std::uint64_t seg_executed_ = 0;
     ClassCounts class_counts_{};
     std::int64_t stack_top_ = 0;
     /** Innermost active function (trap attribution at unwind). */

@@ -26,6 +26,24 @@
  * DESIGN.md.  Elapsed time in base cycles is minor cycles / m, making
  * superscalar and superpipelined machines directly comparable.
  *
+ * The engine takes instructions two ways.  emit() and issue() time
+ * one instruction each.  timeSegment() times one straight-line
+ * segment of static code (SegmentTable), given only the effective
+ * addresses of its loads and stores; the fused bytecode loop
+ * (BytecodeVM::runTimed) feeds the engine that way.  A segment's
+ * effect depends only on the state it reads, taken relative to the
+ * cycle it enters in: the slot count, the fence, its live-in
+ * registers' ready times, every unit copy's free time, and for each
+ * load and store its word's ready time or which earlier store of the
+ * segment wrote that word.  That is the memo key (FastSim's
+ * memoization, Schnarr & Larus 1998).  The first entry in a state is
+ * issued one instruction at a time and recorded; a later entry in
+ * the same state moves the clock, the ready tables and the unit
+ * table in one step, and its stall, histogram and class counts are
+ * folded in when the run ends (foldSegments()).  Profiled and
+ * timeline runs issue one instruction at a time throughout.
+ * docs/bytecode.md ("Segment memo") explains why this is exact.
+ *
  * RefIssueStepper (sim/issue_ref.hh) restates this rule naively, one
  * minor cycle at a time; tests/issue_ref_test.cc holds the engine to
  * it exactly.
@@ -126,6 +144,57 @@ struct PcCounters
     }
 };
 
+/**
+ * Straight-line code as IssueEngine::timeSegment() reads it, for one
+ * program and any machine.  A segment runs from its first
+ * instruction through the first branch, jump, call or return after
+ * it: control enters it only at the top, and only a trap leaves it
+ * early.  sim/bytecode.hh builds the table when it lowers a module.
+ */
+struct SegmentTable
+{
+    /** 16-bit register index of no register (kNoReg). */
+    static constexpr std::uint16_t kNone = 0xffff;
+
+    /** One instruction: the fields of issue() but the address, with
+     *  16-bit register indices (kNone when absent). */
+    struct Op
+    {
+        Opcode op = Opcode::Jmp;
+        std::uint16_t dst = kNone;
+        std::uint16_t a = kNone;
+        std::uint16_t b = kNone;
+        Pc pc = kNoPc;
+    };
+
+    /** Each field pair names a range [begin, begin + count). */
+    struct Segment
+    {
+        /** Its instructions, in `ops`. */
+        std::uint32_t opBegin = 0, numOps = 0;
+        /** In `lists`: the registers it reads before writing them. */
+        std::uint32_t liveInBegin = 0, numLiveIn = 0;
+        /** In `lists`: the registers it writes, each once. */
+        std::uint32_t defBegin = 0, numDefs = 0;
+        /** In `lists`: which of its memory operations are stores, as
+         *  indices into the addresses of its loads and stores. */
+        std::uint32_t storeBegin = 0, numStores = 0;
+        /** Its loads and stores, the addresses timeSegment() takes. */
+        std::uint32_t numMem = 0;
+    };
+
+    /** Indexed by segment id. */
+    std::vector<Segment> segments;
+    /** Every segment's instructions, back to back. */
+    std::vector<Op> ops;
+    /** The register and store-index lists the segments name. */
+    std::vector<std::uint32_t> lists;
+    /** The most loads and stores in any one segment. */
+    std::uint32_t maxMem = 0;
+    /** Every register a segment names is below this. */
+    Reg numRegs = 0;
+};
+
 class IssueEngine final : public TraceSink
 {
   public:
@@ -140,11 +209,38 @@ class IssueEngine final : public TraceSink
      * two register sources, `a` and `b`, each kNoReg when absent, and
      * the byte address of a load or store (-1 otherwise).  Exactly
      * the effect of emit() on the equivalent DynInstr.  Force-inlined
-     * (support/inline.hh): the fused loop must not pay a call per
-     * instruction.
+     * (support/inline.hh): a memo miss issues its segment through it
+     * without a call per instruction.
      */
     void issue(Opcode op, Reg dst, Reg a, Reg b, std::int64_t addr,
                Pc pc);
+
+    /**
+     * Start timing segments of `table` (clears the memo, which is
+     * only valid for one table).
+     */
+    void beginSegments(const SegmentTable &table);
+
+    /**
+     * Issue segment `id` of the table given to beginSegments(), whose
+     * loads and stores accessed `addrs` in order (real memory
+     * addresses, never negative): exactly the effect of issue() on
+     * each of its instructions.  A hit in the memo moves the state in
+     * one step and leaves the counters to foldSegments(); profiled
+     * and timeline runs issue one instruction at a time.
+     */
+    void timeSegment(const SegmentTable &table, std::uint32_t id,
+                     const std::int64_t *addrs);
+
+    /** issue() the first `count` instructions of segment `id`: a
+     *  trap cut it short. */
+    void timePrefix(const SegmentTable &table, std::uint32_t id,
+                    std::uint32_t count, const std::int64_t *addrs);
+
+    /** Add the memo hits' stall, histogram and class counts to the
+     *  totals (`table` as given to beginSegments()).  Every accessor
+     *  below reads the totals. */
+    void foldSegments(const SegmentTable &table);
 
     /** Dynamic instructions issued so far. */
     std::uint64_t instructions() const;
@@ -255,6 +351,8 @@ class IssueEngine final : public TraceSink
         std::uint16_t unitBegin = 0;
         std::uint16_t unitEnd = 0;
         InstrClass cls = InstrClass::IntAdd;
+        /** Loads and stores carry an address. */
+        bool memory = false;
         /** Stores update the memory ready table. */
         bool store = false;
         /** A branch or jump on a machine that does not issue across
@@ -276,6 +374,30 @@ class IssueEngine final : public TraceSink
     /** Record the issue just made (at cur_cycle_, in slot
      *  cur_count_ - 1) in the timeline and the per-pc profile. */
     void observe(Opcode op, Pc pc, StallCause cause, std::uint64_t lost);
+
+    // The segment memo (timeSegment()).
+    /** issue() the first `count` instructions of `seg`. */
+    void issueOps(const SegmentTable &table,
+                  const SegmentTable::Segment &seg, std::uint32_t count,
+                  const std::int64_t *addrs);
+    /** key_ = the state `seg` reads; returns its length, and sets
+     *  `diff` to 0 exactly when it equals the key at `stored`. */
+    std::size_t buildKey(const SegmentTable &table,
+                         const SegmentTable::Segment &seg,
+                         const std::int64_t *addrs,
+                         const std::uint32_t *stored, std::uint32_t &diff);
+    /** Move the state by the entry at memo_[e] (a hit). */
+    void replay(const SegmentTable &table,
+                const SegmentTable::Segment &seg, std::size_t e,
+                std::size_t keyLength, const std::int64_t *addrs);
+    /** Time `seg` one instruction at a time and append its entry,
+     *  unless its chain or the arena is full. */
+    void record(const SegmentTable &table,
+                const SegmentTable::Segment &seg, std::uint32_t id,
+                std::size_t keyLength, const std::int64_t *addrs);
+    /** The counters a memo entry folds into, as one index space:
+     *  stall causes, then counts_. */
+    std::uint64_t &tally(std::size_t i);
 
     MachineConfig config_;
     /** config_.issueWidth, widened once. */
@@ -325,6 +447,32 @@ class IssueEngine final : public TraceSink
     std::size_t timeline_limit_ = 0;
     std::uint64_t timeline_dropped_ = 0;
     std::vector<IssueEvent> timeline_;
+
+    /** Per segment of the current table: its newest-hit memo entry
+     *  and how many entries it has. */
+    struct MemoChain
+    {
+        std::uint32_t first = 0;
+        std::uint32_t entries = 0;
+    };
+    std::vector<MemoChain> memo_chain_;
+    /**
+     * The memo's entries, back to back, in 32-bit words.  An entry
+     * is: the index of the next entry of its segment; its hit count
+     * (two words); the index of its tally count; the key
+     * (buildKey()); the cycles the segment took and its exit slot
+     * count; then, relative to the exit cycle and clamped at 0, the
+     * fence, its latest completion, the ready times of its defs and
+     * stores and every unit copy's free time; then the count of
+     * tallies and each as a (tally index, per-hit amount) pair.
+     * Every time the engine holds is at most the longest latency past
+     * cur_cycle_, and latencies are ints, so each relative time fits
+     * in 31 bits.
+     */
+    std::vector<std::uint32_t> memo_;
+    /** Scratch: the key being looked up, and tallies before a miss. */
+    std::vector<std::uint32_t> key_;
+    std::vector<std::uint64_t> before_;
 };
 
 SS_ALWAYS_INLINE std::uint64_t

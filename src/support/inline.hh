@@ -7,8 +7,9 @@
  * inline with a compile error, so a lost inline breaks the build
  * instead of silently costing an out-of-line call per instruction.
  *
- * SS_NOINLINE keeps a function out of its callers, for the one place
- * that must not absorb a forced inline: a recursive frame.
+ * SS_NOINLINE keeps a function out of its callers: a recursive frame
+ * that must not absorb a forced inline, and the issue engine's cold
+ * segment-memo paths, kept out of its hit path.
  */
 
 #ifndef SUPERSYM_SUPPORT_INLINE_HH

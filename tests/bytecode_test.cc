@@ -376,6 +376,108 @@ TEST(BackendTrapTest, MissingEntryFunction)
     expectResultsIdentical(ra, rb);
 }
 
+// ------------------------------------------------------------------
+// A trap inside a segment: the fused run times the segment's executed
+// prefix one instruction at a time, after memo hits on the same
+// segment in earlier iterations, and must equal the generic TraceSink
+// path, which issues each record as it retires.
+
+/** The machines whose state the memo keys on: plain width, unit
+ *  copies (two ALUs, two memory ports) and branch fences. */
+std::vector<MachineConfig>
+segmentMachines()
+{
+    MachineConfig fenced = superpipelinedSuperscalar(2, 2);
+    fenced.name = "ss(2,2),fenced";
+    fenced.issueAcrossBranches = false;
+    return {idealSuperscalar(4), superscalarWithClassConflicts(4, 2, 2),
+            fenced};
+}
+
+void
+expectTrappedTimingMatches(const Module &m, ErrCode code,
+                           InterpOptions options = {})
+{
+    std::unique_ptr<Executor> exec = makeExecutor(m, options);
+    for (const MachineConfig &mc : segmentMachines()) {
+        SCOPED_TRACE(mc.name);
+        IssueEngine fused(mc);
+        const RunResult a = exec->runTimed("main", fused);
+        IssueEngine streamed(mc);
+        const RunResult b = exec->run("main", &streamed);
+        ASSERT_TRUE(a.trapped());
+        EXPECT_EQ(a.trap.code, code);
+        expectResultsIdentical(a, b);
+        // The trapping instruction counted but never issued.
+        EXPECT_EQ(fused.instructions() + 1, a.instructions);
+        EXPECT_EQ(fused.instructions(), streamed.instructions());
+        EXPECT_EQ(fused.minorCycles(), streamed.minorCycles());
+        EXPECT_EQ(fused.stallBreakdown().slots,
+                  streamed.stallBreakdown().slots);
+        EXPECT_EQ(fused.issueCounts(), streamed.issueCounts());
+        EXPECT_EQ(fused.classIssued(), streamed.classIssued());
+    }
+}
+
+TEST(SegmentTrapTest, DivideByZeroAfterLoadsAndStores)
+{
+    // Iteration 40 divides by zero after its store and load.
+    Module m = compileRaw(R"(
+        var int a[64];
+        func main() : int {
+            var int i;
+            var int s;
+            for (i = 0; i < 64; i = i + 1) {
+                a[i] = i;
+                s = s + a[i] / (40 - i);
+            }
+            return s;
+        })");
+    expectTrappedTimingMatches(m, ErrCode::TrapDivideByZero);
+}
+
+TEST(SegmentTrapTest, OutOfRangeLoad)
+{
+    // The load strides 32 KB a time past the end of memory, after a
+    // store in the same block.
+    Module m = compileRaw(R"(
+        var int a[8];
+        func main() : int {
+            var int i;
+            var int s;
+            for (i = 0; i < 1000; i = i + 1) {
+                a[i % 8] = s;
+                s = s + a[i * 4096];
+            }
+            return s;
+        })");
+    expectTrappedTimingMatches(m, ErrCode::TrapOutOfBoundsMemory);
+}
+
+TEST(SegmentTrapTest, FuelRunsOutAtEveryPosition)
+{
+    // Consecutive budgets stop the run at each instruction of the
+    // loop body in turn.
+    Module m = compileRaw(R"(
+        var int a[16];
+        func main() : int {
+            var int i;
+            var int s;
+            for (i = 0; i < 100000; i = i + 1) {
+                a[i % 16] = s;
+                s = s + a[(i + 3) % 16] * 3;
+            }
+            return s;
+        })");
+    for (std::uint64_t fuel = 500; fuel < 524; ++fuel) {
+        SCOPED_TRACE("fuel " + std::to_string(fuel));
+        InterpOptions options;
+        options.fuel = fuel;
+        expectTrappedTimingMatches(m, ErrCode::TrapFuelExhausted,
+                                   options);
+    }
+}
+
 TEST(BackendDeadlineTest, PollsAtTheSameInstant)
 {
     // An already-expired deadline fires at the first poll point; the

@@ -2,12 +2,14 @@
  *  stepper (sim/issue_ref.hh): every timing result must agree exactly
  *  — cycles, stall breakdown, issue histogram, class counts, per-pc
  *  counters, completion tail and the issue timeline — on all eight
- *  workloads through the fused bytecode path, and on seeded random
+ *  workloads through the fused bytecode path (the segment memo, and
+ *  its observed runs one instruction at a time), and on seeded random
  *  streams across the machine taxonomy, unit conflicts and branch
  *  fences included. */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
 #include <vector>
 
@@ -21,13 +23,18 @@
 namespace ilp {
 namespace {
 
-/** The taxonomy, one machine per kind the engine has a path for. */
+/** The taxonomy, one machine per kind the engine has a path for:
+ *  multi-copy units (conflicts(4,2,2)) and wide fences (a fenced
+ *  ss8) included, since the segment memo keys on both. */
 std::vector<MachineConfig>
 taxonomy()
 {
     MachineConfig fenced = superpipelinedSuperscalar(2, 2);
     fenced.name = "ss(2,2),fenced";
     fenced.issueAcrossBranches = false;
+    MachineConfig wideFenced = idealSuperscalar(8);
+    wideFenced.name = "ss8,fenced";
+    wideFenced.issueAcrossBranches = false;
     return {idealSuperscalar(4),
             superpipelined(4),
             superpipelinedSuperscalar(2, 2),
@@ -36,7 +43,9 @@ taxonomy()
             underpipelinedHalfIssue(),
             underpipelinedSlowClock(),
             superscalarWithClassConflicts(4, 2, 1),
-            fenced};
+            superscalarWithClassConflicts(4, 2, 2),
+            fenced,
+            wideFenced};
 }
 
 /** Everything the two models must agree on. */
@@ -232,6 +241,125 @@ TEST(IssueRefTest, EngineMatchesStepperOnRandomStreams)
         expectSameTiming(engine, ref, what);
         expectSameProfile(engine, ref, kPcs, what);
         expectSameTimeline(engine, log.events, what);
+        if (::testing::Test::HasFailure())
+            return; // one seed's report is enough
+    }
+}
+
+/** Append a segment of 1-8 random instructions over a few
+ *  registers, its lists derived the way lowering derives them. */
+void
+addRandomSegment(Draws &d, SegmentTable &t)
+{
+    auto has = [](const std::vector<std::uint32_t> &v, std::uint32_t r) {
+        return std::find(v.begin(), v.end(), r) != v.end();
+    };
+    SegmentTable::Segment seg;
+    seg.opBegin = static_cast<std::uint32_t>(t.ops.size());
+    std::vector<std::uint32_t> live, defs, stores;
+    const int n = 1 + d.below(8);
+    for (int i = 0; i < n; ++i) {
+        SegmentTable::Op op;
+        op.op = static_cast<Opcode>(
+            d.below(static_cast<int>(kNumOpcodes)));
+        if (d.below(5) != 0)
+            op.dst = static_cast<std::uint16_t>(d.below(12));
+        if (d.below(4) != 0)
+            op.a = static_cast<std::uint16_t>(d.below(14));
+        if (d.below(3) == 0)
+            op.b = static_cast<std::uint16_t>(d.below(14));
+        op.pc = static_cast<Pc>(d.below(40));
+        for (std::uint16_t r : {op.a, op.b}) {
+            if (r != SegmentTable::kNone && !has(defs, r) &&
+                !has(live, r))
+                live.push_back(r);
+        }
+        if (op.dst != SegmentTable::kNone && !has(defs, op.dst))
+            defs.push_back(op.dst);
+        if (isStore(op.op))
+            stores.push_back(seg.numMem);
+        if (isMem(op.op))
+            ++seg.numMem;
+        t.ops.push_back(op);
+    }
+    seg.numOps = static_cast<std::uint32_t>(n);
+    auto put = [&](const std::vector<std::uint32_t> &v,
+                   std::uint32_t &begin, std::uint32_t &count) {
+        begin = static_cast<std::uint32_t>(t.lists.size());
+        count = static_cast<std::uint32_t>(v.size());
+        t.lists.insert(t.lists.end(), v.begin(), v.end());
+    };
+    put(live, seg.liveInBegin, seg.numLiveIn);
+    put(defs, seg.defBegin, seg.numDefs);
+    put(stores, seg.storeBegin, seg.numStores);
+    t.maxMem = std::max(t.maxMem, seg.numMem);
+    t.numRegs = 14;
+    t.segments.push_back(seg);
+}
+
+TEST(IssueRefTest, SegmentMemoMatchesIssueOnRandomSegments)
+{
+    // The memo against issue() one instruction at a time, on entry
+    // states the bytecode loop never makes: a lone instruction
+    // (a branch sets the fence, any op the slot count) may precede
+    // each segment, addresses alias at random, and some segments
+    // stop short the way a trap stops them.
+    for (std::uint64_t seed = 1; seed <= 400; ++seed) {
+        Draws d{seed};
+        const MachineConfig m = randomMachine(d);
+        SegmentTable t;
+        const int segments = 1 + d.below(4);
+        for (int i = 0; i < segments; ++i)
+            addRandomSegment(d, t);
+        IssueEngine memo(m);
+        IssueEngine plain(m);
+        memo.beginSegments(t);
+        std::vector<std::int64_t> addrs(t.maxMem + 1);
+        for (int step = 0; step < 300; ++step) {
+            if (d.below(3) == 0) {
+                const Opcode op = static_cast<Opcode>(
+                    d.below(static_cast<int>(kNumOpcodes)));
+                const Reg dst = static_cast<Reg>(d.below(12));
+                const std::int64_t addr =
+                    isMem(op) ? kWordBytes * d.below(4) : -1;
+                memo.issue(op, dst, kNoReg, kNoReg, addr, 0);
+                plain.issue(op, dst, kNoReg, kNoReg, addr, 0);
+            }
+            const std::uint32_t id =
+                static_cast<std::uint32_t>(d.below(segments));
+            const SegmentTable::Segment &seg = t.segments[id];
+            for (std::int64_t &a : addrs)
+                a = kWordBytes * d.below(4);
+            std::uint32_t count = seg.numOps;
+            if (d.below(8) == 0) {
+                count = static_cast<std::uint32_t>(
+                    d.below(static_cast<int>(seg.numOps)));
+                memo.timePrefix(t, id, count, addrs.data());
+            } else {
+                memo.timeSegment(t, id, addrs.data());
+            }
+            auto reg = [](std::uint16_t r) {
+                return r == SegmentTable::kNone ? kNoReg : Reg{r};
+            };
+            const std::int64_t *addr = addrs.data();
+            for (std::uint32_t i = 0; i < count; ++i) {
+                const SegmentTable::Op &op = t.ops[seg.opBegin + i];
+                plain.issue(op.op, reg(op.dst), reg(op.a), reg(op.b),
+                            isMem(op.op) ? *addr++ : -1, op.pc);
+            }
+        }
+        memo.foldSegments(t);
+        const std::string what = "seed " + std::to_string(seed);
+        EXPECT_EQ(memo.instructions(), plain.instructions()) << what;
+        EXPECT_EQ(memo.minorCycles(), plain.minorCycles()) << what;
+        EXPECT_EQ(memo.completionTailMinorCycles(),
+                  plain.completionTailMinorCycles())
+            << what;
+        EXPECT_EQ(memo.stallBreakdown().slots,
+                  plain.stallBreakdown().slots)
+            << what;
+        EXPECT_EQ(memo.issueCounts(), plain.issueCounts()) << what;
+        EXPECT_EQ(memo.classIssued(), plain.classIssued()) << what;
         if (::testing::Test::HasFailure())
             return; // one seed's report is enough
     }

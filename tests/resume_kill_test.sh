@@ -10,7 +10,8 @@
 #  - the resumed run's stdout is byte-identical to an uninterrupted
 #    run,
 #  - the stats-json meta.resume block reports the skipped/replayed
-#    split exactly,
+#    split exactly, and the meta names no machine (the sweep times
+#    superscalar(1..8), not --machine),
 #  - a second resume skips every cell and still reproduces the
 #    output byte-for-byte.
 # Then kills an 8-workload `ssim suite` sweep the same way, checks
@@ -70,6 +71,9 @@ grep -q '"skipped": 3' "$TMP/resumed.json" \
     || fail "meta.resume.skipped != 3"
 grep -q '"replayed": 5' "$TMP/resumed.json" \
     || fail "meta.resume.replayed != 5"
+if grep -q '"machine' "$TMP/resumed.json"; then
+    fail "ilp meta names a machine the sweep never timed"
+fi
 
 # A second resume finds every cell journaled: nothing re-runs, the
 # output is still identical.

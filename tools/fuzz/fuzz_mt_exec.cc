@@ -8,8 +8,9 @@
  * on each of three machines (unit conflicts, branch fences,
  * superpipelined-superscalar): the interpreter streaming into an
  * IssueEngine through the virtual TraceSink path, the VM's fused
- * runTimed, and the naive minor-cycle stepper (sim/issue_ref.hh).  A
- * divergence is a bug in one of them, surfaced as a fuzzer crash.
+ * runTimed (its segment memo, and the prefix of a segment a trap
+ * cut short), and the naive minor-cycle stepper (sim/issue_ref.hh).
+ * A divergence is a bug in one of them, surfaced as a fuzzer crash.
  *
  * Built two ways (tools/fuzz/CMakeLists.txt), like the parser target:
  * a libFuzzer binary under -DSS_BUILD_FUZZERS=ON, and always a replay
@@ -30,14 +31,18 @@
 
 namespace {
 
-/** Cycles, stall breakdown and issue histogram agree. */
+/** Instructions, cycles, stall breakdown, issue histogram and class
+ *  counts agree (the fused engine folds the counts of its memo hits
+ *  in at the end of the run). */
 template <class A, class B>
 bool
 sameTiming(const A &a, const B &b)
 {
-    return a.minorCycles() == b.minorCycles() &&
+    return a.instructions() == b.instructions() &&
+           a.minorCycles() == b.minorCycles() &&
            a.stallBreakdown().slots == b.stallBreakdown().slots &&
-           a.issueCounts() == b.issueCounts();
+           a.issueCounts() == b.issueCounts() &&
+           a.classIssued() == b.classIssued();
 }
 
 template <class T>
@@ -45,12 +50,17 @@ void
 printTiming(const char *who, const T &t)
 {
     const ilp::StallBreakdown bd = t.stallBreakdown();
-    std::fprintf(stderr, "  %-8s minor cycles %llu, lost slots", who,
+    std::fprintf(stderr,
+                 "  %-8s instructions %llu, minor cycles %llu, lost slots",
+                 who, static_cast<unsigned long long>(t.instructions()),
                  static_cast<unsigned long long>(t.minorCycles()));
     for (std::uint64_t s : bd.slots)
         std::fprintf(stderr, " %llu", static_cast<unsigned long long>(s));
     std::fprintf(stderr, ", issue histogram");
     for (std::uint64_t c : t.issueCounts())
+        std::fprintf(stderr, " %llu", static_cast<unsigned long long>(c));
+    std::fprintf(stderr, ", classes");
+    for (std::uint64_t c : t.classIssued())
         std::fprintf(stderr, " %llu", static_cast<unsigned long long>(c));
     std::fprintf(stderr, "\n");
 }
