@@ -73,10 +73,17 @@ BM_CompileWorkload(benchmark::State &state)
 {
     const Workload &w = wl();
     CompileOptions o = defaultCompileOptions(w);
+    const auto t0 = BenchClock::now();
     for (auto _ : state) {
         Module m = compileWorkload(w.source, idealSuperscalar(4), o);
         benchmark::DoNotOptimize(m.functions().size());
     }
+    const double wall = secondsSince(t0);
+    recordRateSample(
+        "BM_CompileWorkload", "compiles_per_s",
+        wall > 0.0 ? static_cast<double>(state.iterations()) / wall
+                   : 0.0,
+        state);
 }
 BENCHMARK(BM_CompileWorkload)->Unit(benchmark::kMillisecond);
 
@@ -332,10 +339,17 @@ BM_ListScheduler(benchmark::State &state)
     const Workload &w = workloadByName("linpack");
     CompileOptions o = defaultCompileOptions(w);
     o.unroll.factor = 10; // big blocks stress the scheduler
+    const auto t0 = BenchClock::now();
     for (auto _ : state) {
         Module m = compileWorkload(w.source, idealSuperscalar(8), o);
         benchmark::DoNotOptimize(m.functions().size());
     }
+    const double wall = secondsSince(t0);
+    recordRateSample(
+        "BM_ListScheduler", "compiles_per_s",
+        wall > 0.0 ? static_cast<double>(state.iterations()) / wall
+                   : 0.0,
+        state);
 }
 BENCHMARK(BM_ListScheduler)->Unit(benchmark::kMillisecond);
 

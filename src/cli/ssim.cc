@@ -54,6 +54,11 @@
  *                    listing from the dependence graph instead of
  *                    the stall listing
  *
+ * ilp and suite refuse the per-run flags their sweeps would ignore:
+ * --profile, --profile-json, --profile-top, --diff, --slack, --top
+ * and --trace-limit; ilp, which always times superscalar(1..8) and
+ * prints no stats tree, also refuses --machine and --stats.
+ *
  * Survivability (ilp/suite; see docs/robustness.md):
  *   --cell-timeout S   cooperative per-attempt watchdog: a cell whose
  *                      simulation exceeds S seconds traps with E0410
@@ -121,7 +126,8 @@
  *   0  success
  *   1  compile or simulation error (malformed program, trap,
  *      failed sweep cell — even under --keep-going)
- *   2  usage error (bad flags, unknown machine, bad option value)
+ *   2  usage error (bad flags, unknown machine, bad option value,
+ *      a flag the command would ignore)
  */
 
 #include <algorithm>
@@ -443,6 +449,7 @@ parseArgs(int argc, char **argv)
     cli.options.level = OptLevel::RegAlloc;
     cli.options.alias = AliasLevel::Arrays;
 
+    std::vector<std::string> flags; // every flag given, in order
     int i = 2;
     if (cli.command == "run" || cli.command == "ilp" ||
         cli.command == "profile" || cli.command == "mix" ||
@@ -464,6 +471,7 @@ parseArgs(int argc, char **argv)
                 usage();
             return argv[++i];
         };
+        flags.push_back(arg);
         if (arg == "--machine")
             cli.machine = parseMachine(next());
         else if (arg == "--level")
@@ -567,6 +575,24 @@ parseArgs(int argc, char **argv)
         usageError("--resume and --journal name different files; "
                    "--resume already appends to the journal it "
                    "resumes from");
+    // A sweep's cells report neither a profile, a dependence graph nor
+    // an issue timeline, and ilp times its own machines and prints no
+    // stats tree: refuse the flags that ask for them rather than
+    // ignore them.
+    if (cli.command == "ilp" || cli.command == "suite") {
+        std::vector<std::string> refused{
+            "--profile", "--profile-json", "--profile-top", "--diff",
+            "--slack",   "--top",          "--trace-limit"};
+        if (cli.command == "ilp") {
+            refused.push_back("--machine");
+            refused.push_back("--stats");
+        }
+        for (const std::string &flag : flags) {
+            if (std::find(refused.begin(), refused.end(), flag) !=
+                refused.end())
+                usageError(cli.command + " does not take " + flag);
+        }
+    }
     return cli;
 }
 

@@ -1,5 +1,3 @@
-#include <algorithm>
-
 #include "ir/liveness.hh"
 #include "opt/passes.hh"
 #include "support/logging.hh"
@@ -11,23 +9,28 @@ eliminateDeadCode(Function &func)
 {
     SS_ASSERT(!func.allocated,
               "eliminateDeadCode needs virtual registers");
+    const Reg nr = func.numVirtRegs;
     int removed_total = 0;
+    std::vector<Liveness::Word> live_now;
 
     while (true) {
         Liveness live(func);
         int removed = 0;
 
         for (auto &bb : func.blocks) {
-            // Walk backwards with a running live set.
-            std::vector<bool> live_now = live.liveOut(bb.id);
-            std::vector<Instr> kept;
-            kept.reserve(bb.instrs.size());
+            // Walk backwards with a running live set.  Kept
+            // instructions collect at the end of the block, in
+            // [kept, size), and the dead prefix is erased after.
+            const Liveness::Word *out = live.liveOutWords(bb.id);
+            live_now.assign(out, out + live.words());
+            auto &instrs = bb.instrs;
+            std::size_t kept = instrs.size();
 
-            for (std::size_t i = bb.instrs.size(); i-- > 0;) {
-                Instr &in = bb.instrs[i];
+            for (std::size_t i = instrs.size(); i-- > 0;) {
+                Instr &in = instrs[i];
                 bool needed = in.hasSideEffect();
-                if (!needed && in.dst != kNoReg &&
-                    in.dst < live_now.size() && live_now[in.dst])
+                if (!needed && in.dst != kNoReg && in.dst < nr &&
+                    Liveness::contains(live_now.data(), in.dst))
                     needed = true;
                 if (!needed && in.dst == kNoReg)
                     needed = true; // defensive: keep odd instructions
@@ -36,28 +39,27 @@ eliminateDeadCode(Function &func)
                     ++removed;
                     continue;
                 }
-                if (in.dst != kNoReg && in.dst < live_now.size())
-                    live_now[in.dst] = false;
+                if (in.dst != kNoReg && in.dst < nr)
+                    Liveness::erase(live_now.data(), in.dst);
                 in.forEachSrc([&](Reg r) {
-                    if (r < live_now.size())
-                        live_now[r] = true;
+                    if (r < nr)
+                        Liveness::insert(live_now.data(), r);
                 });
-                kept.push_back(in);
+                if (--kept != i)
+                    instrs[kept] = std::move(in);
             }
-            if (removed) {
-                std::reverse(kept.begin(), kept.end());
-                bb.instrs = std::move(kept);
-            } else {
-                // No removals in this block; restore nothing.
-                std::reverse(kept.begin(), kept.end());
-                bb.instrs = std::move(kept);
-            }
+            instrs.erase(instrs.begin(),
+                         instrs.begin() +
+                             static_cast<std::ptrdiff_t>(kept));
         }
 
         removed_total += removed;
         if (!removed)
             break;
     }
+    // Removal leaves spare capacity behind; give it back once.
+    for (auto &bb : func.blocks)
+        bb.instrs.shrink_to_fit();
     return removed_total;
 }
 

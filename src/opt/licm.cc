@@ -1,5 +1,6 @@
 #include <algorithm>
 #include <map>
+#include <optional>
 #include <set>
 
 #include "ir/alias.hh"
@@ -106,12 +107,15 @@ hoistLoopInvariants(const Module &module, Function &func)
     int hoisted_total = 0;
 
     // Loops are reprocessed from scratch after each change because
-    // preheader insertion rewrites the CFG.
+    // preheader insertion rewrites the CFG.  Until a loop hoists,
+    // nothing in the function changes, so one liveness serves every
+    // loop of a round.
     bool any_progress = true;
     std::set<BlockId> processed_headers;
     while (any_progress) {
         any_progress = false;
         Dominators dom(func);
+        std::optional<Liveness> live;
         auto loops = findNaturalLoops(func, dom);
         // Innermost first.
         std::sort(loops.begin(), loops.end(),
@@ -133,7 +137,8 @@ hoistLoopInvariants(const Module &module, Function &func)
                 }
             }
 
-            Liveness live(func);
+            if (!live)
+                live.emplace(func);
             LoopMem mem = analyzeLoopMemory(module, func, loop);
             std::set<Reg> hoisted_regs;
             std::vector<Instr> to_preheader;
@@ -163,7 +168,7 @@ hoistLoopInvariants(const Module &module, Function &func)
                         }
                         bool ok = candidate && in.dst != kNoReg &&
                                   defs[in.dst] == 1 &&
-                                  !live.isLiveIn(loop.header, in.dst) &&
+                                  !live->isLiveIn(loop.header, in.dst) &&
                                   !hoisted_regs.count(in.dst);
                         if (ok) {
                             in.forEachSrc([&](Reg r) {

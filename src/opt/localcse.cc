@@ -1,8 +1,6 @@
 #include <bit>
-#include <vector>
-#include <map>
-#include <tuple>
 #include <unordered_map>
+#include <vector>
 
 #include "opt/passes.hh"
 #include "support/logging.hh"
@@ -18,54 +16,90 @@ namespace {
  * available VN it becomes a register move (which copy propagation then
  * makes dead).  Loads are value-numbered against a memory epoch that
  * stores and calls bump.
+ *
+ * One FunctionVN serves every block of a function: the register->VN
+ * table is indexed by virtual register and reset through the list of
+ * registers the block touched, and the VN->holder table and the
+ * expression table are cleared between blocks, so VNs restart at 0
+ * in every block.
  */
-class BlockVN
+class FunctionVN
 {
   public:
-    explicit BlockVN(BasicBlock &bb) : bb_(bb) {}
+    explicit FunctionVN(const Function &func)
+        : reg_vn_(func.numVirtRegs, kNoVN)
+    {
+    }
 
     int
-    run()
+    run(BasicBlock &bb)
     {
         int changed = 0;
-        for (auto &in : bb_.instrs) {
+        for (auto &in : bb.instrs) {
             changed += propagateCopies(in);
             changed += numberAndRewrite(in);
         }
+        for (Reg r : touched_)
+            reg_vn_[r] = kNoVN;
+        touched_.clear();
+        vn_holder_.clear();
+        exprs_.clear();
+        mem_epoch_ = 0;
         return changed;
     }
 
   private:
-    using Key = std::tuple<Opcode, int, int, bool, std::int64_t,
-                           std::uint64_t>;
+    static constexpr int kNoVN = -1;
+
+    struct Key
+    {
+        Opcode op;
+        int v1, v2;
+        bool hasImm;
+        std::int64_t imm;
+        std::uint64_t extra;
+
+        bool operator==(const Key &) const = default;
+    };
+
+    struct KeyHash
+    {
+        std::size_t
+        operator()(const Key &k) const
+        {
+            std::uint64_t h = static_cast<std::uint64_t>(k.op);
+            auto mix = [&](std::uint64_t v) {
+                h = (h ^ v) * 0x9e3779b97f4a7c15ull;
+                h ^= h >> 29;
+            };
+            mix(static_cast<std::uint32_t>(k.v1));
+            mix(static_cast<std::uint32_t>(k.v2));
+            mix(static_cast<std::uint64_t>(k.imm) ^ k.hasImm);
+            mix(k.extra);
+            return static_cast<std::size_t>(h);
+        }
+    };
 
     int
     freshVN()
     {
-        return next_vn_++;
+        vn_holder_.push_back(kNoReg);
+        return static_cast<int>(vn_holder_.size()) - 1;
     }
 
     int
     vnOf(Reg r)
     {
-        auto it = reg_vn_.find(r);
-        if (it != reg_vn_.end())
-            return it->second;
+        if (reg_vn_[r] != kNoVN)
+            return reg_vn_[r];
         int vn = freshVN();
         reg_vn_[r] = vn;
+        touched_.push_back(r);
         // The block-entry register is the canonical holder of its own
         // value, so copies of it propagate back to it (not the other
         // way around).
-        vn_holder_.emplace(vn, r);
+        vn_holder_[vn] = r;
         return vn;
-    }
-
-    /** Register currently holding `vn`, or kNoReg. */
-    Reg
-    holder(int vn) const
-    {
-        auto it = vn_holder_.find(vn);
-        return it == vn_holder_.end() ? kNoReg : it->second;
     }
 
     void
@@ -73,14 +107,13 @@ class BlockVN
     {
         // The old value this register held is no longer available in
         // it.
-        auto old = reg_vn_.find(r);
-        if (old != reg_vn_.end()) {
-            auto h = vn_holder_.find(old->second);
-            if (h != vn_holder_.end() && h->second == r)
-                vn_holder_.erase(h);
-        }
+        const int old = reg_vn_[r];
+        if (old == kNoVN)
+            touched_.push_back(r);
+        else if (vn_holder_[old] == r)
+            vn_holder_[old] = kNoReg;
         reg_vn_[r] = vn;
-        if (holder(vn) == kNoReg)
+        if (vn_holder_[vn] == kNoReg)
             vn_holder_[vn] = r;
     }
 
@@ -91,7 +124,7 @@ class BlockVN
         int changed = 0;
         in.rewriteSrcs([&](Reg r) {
             int vn = vnOf(r);
-            Reg h = holder(vn);
+            Reg h = vn_holder_[vn];
             if (h != kNoReg && h != r) {
                 ++changed;
                 return h;
@@ -141,16 +174,15 @@ class BlockVN
         } else if (isLoad(in.op)) {
             extra = mem_epoch_;
         }
-        Key key{in.op, v1, v2, in.hasImm, in.hasImm ? in.imm : 0,
-                extra};
-        if (isLoad(in.op)) {
-            // include displacement in the key's imm slot already
-            key = Key{in.op, v1, v2, true, in.imm, extra};
-        }
+        // A load's displacement always sits in the key's imm slot.
+        Key key = isLoad(in.op)
+                      ? Key{in.op, v1, v2, true, in.imm, extra}
+                      : Key{in.op, v1, v2, in.hasImm,
+                            in.hasImm ? in.imm : 0, extra};
 
-        auto it = exprs_.find(key);
-        if (it != exprs_.end()) {
-            Reg h = holder(it->second);
+        auto [it, inserted] = exprs_.try_emplace(key, 0);
+        if (!inserted) {
+            Reg h = vn_holder_[it->second];
             if (h != kNoReg && h != in.dst) {
                 // Redundant: rewrite to a move from the holder.
                 Opcode mv = producesFloat(in.op) ? Opcode::MovF
@@ -163,16 +195,18 @@ class BlockVN
             return 0;
         }
         int vn = freshVN();
-        exprs_[key] = vn;
+        it->second = vn;
         defineReg(in.dst, vn);
         return 0;
     }
 
-    BasicBlock &bb_;
-    int next_vn_ = 0;
-    std::unordered_map<Reg, int> reg_vn_;
-    std::unordered_map<int, Reg> vn_holder_;
-    std::map<Key, int> exprs_;
+    /** VN of each virtual register in this block, or kNoVN. */
+    std::vector<int> reg_vn_;
+    /** Registers whose reg_vn_ entry this block set. */
+    std::vector<Reg> touched_;
+    /** Register holding each VN, or kNoReg. */
+    std::vector<Reg> vn_holder_;
+    std::unordered_map<Key, int, KeyHash> exprs_;
     std::uint64_t mem_epoch_ = 0;
 };
 
@@ -242,10 +276,9 @@ localValueNumbering(Function &func)
     SS_ASSERT(!func.allocated,
               "localValueNumbering needs virtual registers");
     int changed = 0;
-    for (auto &bb : func.blocks) {
-        BlockVN vn(bb);
-        changed += vn.run();
-    }
+    FunctionVN vn(func);
+    for (auto &bb : func.blocks)
+        changed += vn.run(bb);
     return changed;
 }
 

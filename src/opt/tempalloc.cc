@@ -49,14 +49,10 @@ buildIntervals(Function &func)
         std::uint32_t block_start = pos;
         std::uint32_t block_end =
             pos + static_cast<std::uint32_t>(bb.instrs.size());
-        const auto &in_set = live.liveIn(bb.id);
-        const auto &out_set = live.liveOut(bb.id);
-        for (Reg r = 0; r < func.numVirtRegs; ++r) {
-            if (in_set[r])
-                touch(r, block_start);
-            if (out_set[r])
-                touch(r, block_end);
-        }
+        Liveness::forEach(live.liveInWords(bb.id), live.words(),
+                          [&](Reg r) { touch(r, block_start); });
+        Liveness::forEach(live.liveOutWords(bb.id), live.words(),
+                          [&](Reg r) { touch(r, block_end); });
         for (const auto &in : bb.instrs) {
             in.forEachSrc([&](Reg r) { touch(r, pos); });
             if (in.dst != kNoReg) {
