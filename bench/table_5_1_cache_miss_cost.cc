@@ -10,7 +10,6 @@
 #include "bench/common.hh"
 #include "core/study/driver.hh"
 #include "sim/cache.hh"
-#include "sim/exec.hh"
 
 using namespace ilp;
 
@@ -65,35 +64,31 @@ main()
         double diluted = 0.0;
     };
     const auto &suite = allWorkloads();
-    // Each benchmark's compile + traced cache/issue run is an
-    // independent cell; rows are emitted in suite order afterwards.
+    // Each benchmark's compile + stats run is an independent cell;
+    // rows are emitted in suite order afterwards.  The stats run's
+    // data cache is CacheConfig{}: 64KB, direct-mapped, 32B lines.
     std::vector<MeasuredRow> rows = bench::sweeper().map<MeasuredRow>(
         suite.size(), [&](std::size_t i) {
             const Workload &w = suite[i];
             CompileOptions o = defaultCompileOptions(w);
             Module m =
                 compileWorkload(w.source, idealSuperscalar(3), o);
+            RunTelemetryOptions stats;
+            stats.collectStats = true;
+            const RunOutcome out =
+                runOnMachine(m, idealSuperscalar(3), stats);
+            auto cache = [&](const char *key) {
+                return out.stats.at(std::string("cache.") + key)
+                    ->asNumber();
+            };
 
-            CacheConfig cc;
-            cc.sizeBytes = 64 * 1024;
-            cc.lineBytes = 32;
-            cc.associativity = 1;
-            CacheSink cache(cc);
-            IssueEngine engine(idealSuperscalar(3));
-            TeeSink tee;
-            tee.addSink(&cache);
-            tee.addSink(&engine);
-            std::unique_ptr<Executor> exec = makeExecutor(m);
-            RunResult r = exec->run("main", &tee);
-
+            const double instructions =
+                static_cast<double>(out.instructions);
             MeasuredRow row;
-            row.refsPerInstr =
-                static_cast<double>(cache.cache().accesses()) /
-                static_cast<double>(r.instructions);
-            row.missRatio = cache.cache().missRatio();
-            row.missCpi = cache.missesPerInstr() * 12.0;
-            row.issueCpiWide = engine.baseCycles() /
-                               static_cast<double>(r.instructions);
+            row.refsPerInstr = cache("accesses") / instructions;
+            row.missRatio = cache("miss_ratio");
+            row.missCpi = cache("misses_per_instr") * 12.0;
+            row.issueCpiWide = out.cycles / instructions;
             row.diluted = speedupWithMissBurden(1.0, row.issueCpiWide,
                                                 row.missCpi);
             return row;

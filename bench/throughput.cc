@@ -1,6 +1,6 @@
 /**
  * Google-benchmark microbenchmarks of the toolchain itself: compile
- * throughput, functional-simulation rate, and timing-simulation rate.
+ * throughput, functional-simulation rate, and timed-run rate.
  * Not a paper artifact — operational health of the reproduction.
  */
 
@@ -15,7 +15,6 @@
 #include "core/machine/models.hh"
 #include "sim/exec.hh"
 #include "sim/interp.hh"
-#include "sim/issue.hh"
 #include "support/bench.hh"
 #include "support/trace.hh"
 
@@ -137,33 +136,6 @@ BM_BytecodeRun(benchmark::State &state)
         wall > 0.0 ? static_cast<double>(instrs) / wall : 0.0, state);
 }
 BENCHMARK(BM_BytecodeRun)->Unit(benchmark::kMillisecond);
-
-void
-BM_TimingSimulation(benchmark::State &state)
-{
-    const Workload &w = wl();
-    CompileOptions o = defaultCompileOptions(w);
-    MachineConfig mc = idealSuperscalar(4);
-    Module m = compileWorkload(w.source, mc, o);
-    Interpreter trace_run(m);
-    TraceBuffer trace;
-    trace_run.run("main", &trace);
-    std::uint64_t instrs = 0;
-    const auto t0 = BenchClock::now();
-    for (auto _ : state) {
-        IssueEngine engine(mc);
-        trace.replay(engine);
-        instrs += engine.instructions();
-        benchmark::DoNotOptimize(engine.baseCycles());
-    }
-    const double wall = secondsSince(t0);
-    state.counters["instr/s"] = benchmark::Counter(
-        static_cast<double>(instrs), benchmark::Counter::kIsRate);
-    recordRateSample(
-        "BM_TimingSimulation", "instr_per_s",
-        wall > 0.0 ? static_cast<double>(instrs) / wall : 0.0, state);
-}
-BENCHMARK(BM_TimingSimulation)->Unit(benchmark::kMillisecond);
 
 void
 BM_LiveRun(benchmark::State &state)

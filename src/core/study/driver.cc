@@ -1,6 +1,7 @@
 #include "core/study/driver.hh"
 
 #include <bit>
+#include <optional>
 
 #include "sim/exec.hh"
 #include "support/faultinject.hh"
@@ -92,9 +93,38 @@ compileWorkload(const std::string &source, const MachineConfig &machine,
     return r.take();
 }
 
+namespace {
+
+/** The stats tree's "cache" object: accesses, hits, misses, ratios
+ *  and the burden per issued instruction. */
+Json
+cacheStats(const Cache &dcache, std::uint64_t instructions)
+{
+    const CacheConfig &config = dcache.config();
+    SS_DEBUG("cache", dcache.accesses(), " accesses, ", dcache.misses(),
+             " misses (", config.sizeBytes, "B, ", config.associativity,
+             "-way)");
+    Json g = Json::object();
+    g.set("accesses", Json(dcache.accesses()));
+    g.set("hits", Json(dcache.hits()));
+    g.set("misses", Json(dcache.misses()));
+    g.set("miss_ratio",
+          Json(dcache.accesses() > 0 ? dcache.missRatio() : 0.0));
+    g.set("miss_cycles", Json(dcache.missCycles()));
+    g.set("instructions", Json(instructions));
+    g.set("misses_per_instr",
+          Json(instructions > 0
+                   ? static_cast<double>(dcache.misses()) /
+                         static_cast<double>(instructions)
+                   : 0.0));
+    return g;
+}
+
+} // namespace
+
 Json
 runStatsTree(const RunOutcome &out, const IssueEngine &engine,
-             const CacheSink &dcache, const ClassCounts &mix,
+             const Cache &dcache, const ClassCounts &mix,
              const CompileTelemetry *compile)
 {
     Json run = Json::object();
@@ -106,7 +136,7 @@ runStatsTree(const RunOutcome &out, const IssueEngine &engine,
     Json tree = Json::object();
     tree.set("run", std::move(run));
     tree.set("issue", engine.exportStats());
-    tree.set("cache", dcache.exportStats());
+    tree.set("cache", cacheStats(dcache, engine.instructions()));
     tree.set("mix", exportClassMix(mix));
     if (compile)
         tree.set("compile", compile->exportStats());
@@ -130,18 +160,12 @@ runOnMachine(const Module &module, const MachineConfig &machine,
     if (telemetry.collectProfile)
         engine.enableProfile(module.pcCount());
 
-    CacheSink dcache{CacheConfig{}};
-    RunResult r;
-    if (telemetry.collectStats) {
-        TeeSink tee;
-        tee.addSink(&engine);
-        tee.addSink(&dcache);
-        r = exec->run("main", &tee);
-    } else {
-        // Fused: the backend binds the engine's emit directly into
-        // its dispatch loop.
-        r = exec->runTimed("main", engine);
-    }
+    // Stats add the data cache as one more consumer of each segment.
+    std::optional<Cache> dcache;
+    if (telemetry.collectStats)
+        dcache.emplace(CacheConfig{});
+    const RunResult r =
+        exec->runTimed("main", engine, dcache ? &*dcache : nullptr);
 
     // A trapped run's returnValue is meaningless, so the checksums
     // stay at their zero defaults.
@@ -169,7 +193,7 @@ runOnMachine(const Module &module, const MachineConfig &machine,
             static_cast<std::uint64_t>(engine.config().issueWidth);
     }
     if (telemetry.collectStats)
-        out.stats = runStatsTree(out, engine, dcache, r.classCounts,
+        out.stats = runStatsTree(out, engine, *dcache, r.classCounts,
                                  compile);
     return out;
 }

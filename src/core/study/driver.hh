@@ -138,10 +138,11 @@ struct RunOutcome
 
 /** The stats tree of one run, groups in --stats order: the
  *  outcome's headline numbers ("run"), the engine's "issue", the data
- *  cache's "cache", the class "mix" and, when `compile` is given, the
- *  "compile" telemetry. */
+ *  cache's "cache" (its misses per instruction the engine issued),
+ *  the class "mix" and, when `compile` is given, the "compile"
+ *  telemetry. */
 Json runStatsTree(const RunOutcome &out, const IssueEngine &engine,
-                  const CacheSink &dcache, const ClassCounts &mix,
+                  const Cache &dcache, const ClassCounts &mix,
                   const CompileTelemetry *compile);
 
 /** Execute an already-compiled module against a machine.  `compile`

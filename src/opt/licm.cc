@@ -1,7 +1,7 @@
 #include <algorithm>
-#include <map>
 #include <optional>
 #include <set>
+#include <vector>
 
 #include "ir/alias.hh"
 #include "ir/dominators.hh"
@@ -67,8 +67,10 @@ struct LoopMem
 {
     bool loadsHoistable = true;
     std::set<std::int64_t> storeObjects;
-    /** Per (block, instr) object of each load, -1 when unknown. */
-    std::map<std::pair<BlockId, std::size_t>, std::int64_t> loadObject;
+    /** Per loop block, in loop.blocks order and indexed like its
+     *  instrs: the object each load reads, -1 when unknown or not a
+     *  load. */
+    std::vector<std::vector<std::int64_t>> loadObject;
 };
 
 LoopMem
@@ -79,6 +81,8 @@ analyzeLoopMemory(const Module &module, const Function &func,
     for (BlockId b : loop.blocks) {
         const BasicBlock &bb = func.blocks[b];
         BlockAliasAnalysis aa(module, func, bb);
+        std::vector<std::int64_t> &objects = out.loadObject.emplace_back(
+            bb.instrs.size(), -1);
         for (std::size_t i = 0; i < bb.instrs.size(); ++i) {
             const Instr &in = bb.instrs[i];
             if (in.op == Opcode::Call) {
@@ -90,7 +94,7 @@ analyzeLoopMemory(const Module &module, const Function &func,
                 else
                     out.storeObjects.insert(obj);
             } else if (isLoad(in.op)) {
-                out.loadObject[{b, i}] = aa.refInfo(i).object;
+                objects[i] = aa.refInfo(i).object;
             }
         }
     }
@@ -147,21 +151,16 @@ hoistLoopInvariants(const Module &module, Function &func)
             bool changed = true;
             while (changed) {
                 changed = false;
-                for (BlockId b : loop.blocks) {
-                    auto &instrs = func.blocks[b].instrs;
+                for (std::size_t lb = 0; lb < loop.blocks.size(); ++lb) {
+                    auto &instrs = func.blocks[loop.blocks[lb]].instrs;
+                    std::vector<std::int64_t> &objects =
+                        mem.loadObject[lb];
                     for (std::size_t idx = 0; idx < instrs.size();) {
                         const Instr &in = instrs[idx];
                         bool candidate = hoistablePure(in);
                         if (!candidate && isLoad(in.op) &&
                             mem.loadsHoistable) {
-                            auto it = mem.loadObject.find({b, idx});
-                            // After earlier erasures the recorded
-                            // index may be stale; recompute lazily by
-                            // accepting only exact hits.
-                            std::int64_t obj =
-                                it != mem.loadObject.end()
-                                    ? it->second
-                                    : -1;
+                            std::int64_t obj = objects[idx];
                             candidate =
                                 obj != -1 &&
                                 !mem.storeObjects.count(obj);
@@ -180,24 +179,10 @@ hoistLoopInvariants(const Module &module, Function &func)
                         if (ok) {
                             to_preheader.push_back(in);
                             hoisted_regs.insert(in.dst);
-                            // Keep loadObject keys in sync with the
-                            // shifting indices of this block.
-                            std::map<std::pair<BlockId, std::size_t>,
-                                     std::int64_t>
-                                fixed;
-                            for (auto &[key, o] : mem.loadObject) {
-                                auto [kb, ki] = key;
-                                if (kb == b && ki == idx)
-                                    continue;
-                                if (kb == b && ki > idx)
-                                    fixed[{kb, ki - 1}] = o;
-                                else
-                                    fixed[{kb, ki}] = o;
-                            }
-                            mem.loadObject = std::move(fixed);
-                            instrs.erase(
-                                instrs.begin() +
-                                static_cast<std::ptrdiff_t>(idx));
+                            const auto at =
+                                static_cast<std::ptrdiff_t>(idx);
+                            instrs.erase(instrs.begin() + at);
+                            objects.erase(objects.begin() + at);
                             changed = true;
                         } else {
                             ++idx;

@@ -4,6 +4,7 @@
 #include <type_traits>
 #include <unordered_map>
 
+#include "sim/cache.hh"
 #include "sim/semantics.hh"
 #include "support/diag.hh"
 #include "support/inline.hh"
@@ -420,6 +421,16 @@ struct VmFrame
 constexpr std::size_t kMoveClass =
     static_cast<std::size_t>(InstrClass::Move);
 
+/** Give `cache` the addresses [first, last), in order.  Out of
+ *  line: the fused loop keeps one test and one call per segment. */
+SS_NOINLINE void
+accessAll(Cache &cache, const std::int64_t *first,
+          const std::int64_t *last)
+{
+    for (; first != last; ++first)
+        cache.access(*first);
+}
+
 /**
  * Emit one dynamic record: register sources `a` and `b` (kNoReg when
  * absent, so a lone second source lands in srcs[0] as the
@@ -504,8 +515,9 @@ std::uint64_t
 BytecodeVM::execute(std::uint32_t entryIdx, Sink *sink)
 {
     (void)sink; // unused in the untraced instantiation
-    // The fused loop hands the engine one segment at a time, at its
-    // Br, Jmp, Call or Ret; every other sink gets each record.
+    // The fused loop hands the engine (and the data cache, if any)
+    // one segment at a time, at its Br, Jmp, Call or Ret; every other
+    // sink gets each record.
     constexpr bool kFused = std::is_same_v<Sink, IssueEngine>;
     constexpr bool kEmits = Traced && !kFused;
     const BcImage &img = image_;
@@ -569,11 +581,14 @@ BytecodeVM::execute(std::uint32_t entryIdx, Sink *sink)
         VM_DISPATCH();                                                \
     } while (0)
 
-    // Fused: the segment ending at `in` issues as one unit, and the
-    // next one starts empty at `first` (executed_ counts from here).
+    // Fused: the segment ending at `in` issues as one unit, its
+    // loads and stores go to the data cache in order, and the next
+    // segment starts empty at `first` (executed_ counts from here).
 #define VM_END_SEGMENT()                                              \
     do {                                                              \
         sink->timeSegment(img.segments, in->seg, seg_addrs);          \
+        if (dcache_)                                                  \
+            accessAll(*dcache_, seg_addrs, seg_addr);                 \
         seg_addr = seg_addrs;                                         \
     } while (0)
 #define VM_START_SEGMENT(first)                                       \
@@ -844,18 +859,35 @@ BytecodeVM::run(const std::string &entry, TraceSink *sink)
 }
 
 RunResult
-BytecodeVM::runTimed(const std::string &entry, IssueEngine &engine)
+BytecodeVM::runTimed(const std::string &entry, IssueEngine &engine,
+                     Cache *dcache)
 {
-    engine.beginSegments(image_.segments);
+    const SegmentTable &table = image_.segments;
+    engine.beginSegments(table);
+    dcache_ = dcache;
     RunResult r = runWith<IssueEngine, true>(entry, &engine);
+    dcache_ = nullptr;
     // A trap counted the instruction it stopped at, which issued no
-    // record; the ones before it in its segment did.
-    if (r.trapped() && executed_ > seg_executed_)
-        engine.timePrefix(image_.segments, seg_first_->seg,
-                          static_cast<std::uint32_t>(executed_ -
-                                                     seg_executed_ - 1),
-                          seg_addrs_.data());
-    engine.foldSegments(image_.segments);
+    // record and kept no address; the ones before it in its segment
+    // did both.
+    if (r.trapped() && executed_ > seg_executed_) {
+        const std::uint32_t id = seg_first_->seg;
+        const auto count =
+            static_cast<std::uint32_t>(executed_ - seg_executed_ - 1);
+        engine.timePrefix(table, id, count, seg_addrs_.data());
+        if (dcache) {
+            const SegmentTable::Op *op =
+                table.ops.data() + table.segments[id].opBegin;
+            const std::size_t mem = static_cast<std::size_t>(
+                std::count_if(op, op + count,
+                              [](const SegmentTable::Op &o) {
+                                  return isMem(o.op);
+                              }));
+            accessAll(*dcache, seg_addrs_.data(),
+                      seg_addrs_.data() + mem);
+        }
+    }
+    engine.foldSegments(table);
     return r;
 }
 

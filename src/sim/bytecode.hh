@@ -57,6 +57,8 @@
 
 namespace ilp {
 
+class Cache;
+
 // X-macro master lists.  Expansion order is the BcOp enum order and
 // the VM's dispatch-table order — the three sites that consume these
 // lists (enum, label table, handler bodies) must all use them, never
@@ -212,16 +214,18 @@ BcImage lowerModule(const Module &module);
  * Memory; run() resets all execution state, so a VM is reusable
  * across runs including after a trap.
  *
- * The fused entry point (runTimed) is the hot-path variant: inside a
+ * The fused entry point (runTimed) is the one timed path: inside a
  * segment the loop keeps only the effective addresses of loads and
  * stores, and at the segment's Br, Jmp, Call or Ret it hands the
  * engine the whole segment (IssueEngine::timeSegment), one call per
- * segment; call-argument and return-value moves go through
+ * segment, and a data cache, when given, the segment's addresses in
+ * order; call-argument and return-value moves go through
  * IssueEngine::issue() one at a time.  A trap mid-segment times the
- * prefix that ran.  run() with a TraceSink* keeps the generic
- * virtual-dispatch contract, one record per instruction, and a null
- * sink selects an untraced specialization with zero per-instruction
- * trace work.
+ * prefix that ran, and gives the cache that prefix's addresses.
+ * run() with a TraceSink* keeps the generic virtual-dispatch
+ * contract, one record per instruction (the oracle's way in), and a
+ * null sink selects an untraced specialization with zero
+ * per-instruction trace work.
  */
 class BytecodeVM
 {
@@ -232,9 +236,13 @@ class BytecodeVM
     RunResult run(const std::string &entry = "main",
                   TraceSink *sink = nullptr);
 
-    /** Fused: time the run in `engine` as it executes; the same
-     *  results as run(entry, &engine). */
-    RunResult runTimed(const std::string &entry, IssueEngine &engine);
+    /** Fused: time the run in `engine` as it executes, and give a
+     *  non-null `dcache` every load and store address in program
+     *  order; the same results as run(entry, sink) with a sink that
+     *  emits each record to the engine and each address to the
+     *  cache. */
+    RunResult runTimed(const std::string &entry, IssueEngine &engine,
+                       Cache *dcache = nullptr);
 
     const Memory &memory() const { return mem_; }
     Memory &memory() { return mem_; }
@@ -257,6 +265,9 @@ class BytecodeVM
     std::vector<std::int64_t> seg_addrs_;
     const BcInstr *seg_first_ = nullptr;
     std::uint64_t seg_executed_ = 0;
+    /** Fused runs: the data cache each segment's addresses go to,
+     *  or null. */
+    Cache *dcache_ = nullptr;
     ClassCounts class_counts_{};
     std::int64_t stack_top_ = 0;
     /** Innermost active function (trap attribution at unwind). */

@@ -78,34 +78,6 @@ Cache::missCycles() const
     return static_cast<double>(misses_) * config_.missPenaltyCycles;
 }
 
-Json
-CacheSink::exportStats() const
-{
-    const CacheConfig &config = cache_.config();
-    SS_DEBUG("cache", cache_.accesses(), " accesses, ", cache_.misses(),
-             " misses (", config.sizeBytes, "B, ", config.associativity,
-             "-way)");
-    Json g = Json::object();
-    g.set("accesses", Json(cache_.accesses()));
-    g.set("hits", Json(cache_.hits()));
-    g.set("misses", Json(cache_.misses()));
-    g.set("miss_ratio",
-          Json(cache_.accesses() > 0 ? cache_.missRatio() : 0.0));
-    g.set("miss_cycles", Json(cache_.missCycles()));
-    g.set("instructions", Json(instructions_));
-    g.set("misses_per_instr",
-          Json(instructions_ > 0 ? missesPerInstr() : 0.0));
-    return g;
-}
-
-double
-CacheSink::missesPerInstr() const
-{
-    SS_ASSERT(instructions_ > 0, "missesPerInstr with no instructions");
-    return static_cast<double>(cache_.misses()) /
-           static_cast<double>(instructions_);
-}
-
 const std::vector<MissCostModel> &
 paperMissCostRows()
 {

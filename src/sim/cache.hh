@@ -2,13 +2,17 @@
  * @file
  * Cache model for the Section 5.1 experiments.
  *
- * A set-associative cache with LRU replacement, fed from the dynamic
- * trace (data references) or used standalone.  Plus the miss-cost
- * arithmetic of Table 5-1: miss cost in cycles = memory time / cycle
- * time, and in *instructions* = miss-cost cycles / (cycles per
- * instruction) — the quantity whose growth the paper highlights
- * (0.6 instructions on a VAX-11/780, 8.6 on the WRL Titan, 140 on a
- * hypothetical 2-instruction-per-cycle superscalar).
+ * A set-associative cache with LRU replacement.  A stats run feeds it
+ * every load and store address in program order: the bytecode VM's
+ * fused runTimed gives it each straight-line segment's addresses
+ * where it gives the segment to the issue engine (sim/bytecode.hh),
+ * and the study driver reports it as the stats tree's "cache" group
+ * (core/study/driver.hh).  Plus the miss-cost arithmetic of
+ * Table 5-1: miss cost in cycles = memory time / cycle time, and in
+ * *instructions* = miss-cost cycles / (cycles per instruction) — the
+ * quantity whose growth the paper highlights (0.6 instructions on a
+ * VAX-11/780, 8.6 on the WRL Titan, 140 on a hypothetical
+ * 2-instruction-per-cycle superscalar).
  */
 
 #ifndef SUPERSYM_SIM_CACHE_HH
@@ -16,9 +20,6 @@
 
 #include <cstdint>
 #include <vector>
-
-#include "sim/trace.hh"
-#include "support/json.hh"
 
 namespace ilp {
 
@@ -66,35 +67,6 @@ class Cache
     std::uint64_t tick_ = 0;
     std::uint64_t accesses_ = 0;
     std::uint64_t misses_ = 0;
-};
-
-/** Feeds data addresses (loads and stores) from a trace to a cache. */
-class CacheSink : public TraceSink
-{
-  public:
-    explicit CacheSink(const CacheConfig &config) : cache_(config) {}
-
-    void
-    emit(const DynInstr &di) override
-    {
-        ++instructions_;
-        if (di.addr >= 0)
-            cache_.access(di.addr);
-    }
-
-    const Cache &cache() const { return cache_; }
-    std::uint64_t instructions() const { return instructions_; }
-
-    /** Data-cache misses per instruction. */
-    double missesPerInstr() const;
-
-    /** The stats tree's "cache" object: accesses, hits, misses,
-     *  ratios and the per-instruction burden. */
-    Json exportStats() const;
-
-  private:
-    Cache cache_;
-    std::uint64_t instructions_ = 0;
 };
 
 // ------------------------------------------------ Table 5-1 arithmetic

@@ -607,12 +607,4 @@ IssueEngine::exportStats() const
     return g;
 }
 
-double
-simulateTrace(const TraceBuffer &trace, const MachineConfig &config)
-{
-    IssueEngine engine(config);
-    trace.replay(engine);
-    return engine.baseCycles();
-}
-
 } // namespace ilp

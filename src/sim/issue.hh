@@ -200,7 +200,7 @@ class IssueEngine final : public TraceSink
   public:
     explicit IssueEngine(const MachineConfig &config);
 
-    /** The per-record hot path, defined below; TraceSink* callers
+    /** The per-record path, defined below; TraceSink* callers
      *  reach the out-of-line copy through the vtable. */
     void emit(const DynInstr &di) override;
 
@@ -584,13 +584,6 @@ IssueEngine::issueAfter(std::uint64_t t_regs, Opcode op, Reg dst,
     if (observing_) [[unlikely]]
         observe(op, pc, cause, lost);
 }
-
-/**
- * Convenience: replay a buffered trace on a machine and return the
- * elapsed base cycles.
- */
-double simulateTrace(const TraceBuffer &trace,
-                     const MachineConfig &config);
 
 } // namespace ilp
 

@@ -2,10 +2,13 @@
  * @file
  * Dynamic instruction records and trace sinks.
  *
- * The executor (sim/exec.hh) and its oracle, the interpreter, run a
- * module and stream one DynInstr per executed instruction into a
- * TraceSink.  Sinks include the timing engine (sim/issue.hh), the
- * cache model, and an in-memory buffer.
+ * The interpreter (sim/interp.hh), and the bytecode VM's generic
+ * run(), stream one DynInstr per executed instruction into a
+ * TraceSink: the issue engine (sim/issue.hh), the reference stepper
+ * (sim/issue_ref.hh), or an in-memory buffer.  That per-record path
+ * is the oracle's way in.  Production runs take the VM's fused
+ * runTimed (sim/bytecode.hh), which hands the engine and the data
+ * cache one straight-line segment at a time and builds no records.
  */
 
 #ifndef SUPERSYM_SIM_TRACE_HH
@@ -72,24 +75,9 @@ class TraceSink
     virtual void emit(const DynInstr &di) = 0;
 };
 
-/** Fans one stream out to several sinks. */
-class TeeSink : public TraceSink
-{
-  public:
-    void addSink(TraceSink *sink) { sinks_.push_back(sink); }
-    void emit(const DynInstr &di) override
-    {
-        for (auto *s : sinks_)
-            s->emit(di);
-    }
-
-  private:
-    std::vector<TraceSink *> sinks_;
-};
-
-/** Buffers the whole trace in memory, so tests and microbenchmarks
- *  can inspect or re-time one execution (sweeps time every cell
- *  live and never buffer). */
+/** Buffers the whole trace in memory, so tests can inspect or
+ *  re-time one execution (every production run is timed live and
+ *  never buffers). */
 class TraceBuffer : public TraceSink
 {
   public:
@@ -97,13 +85,6 @@ class TraceBuffer : public TraceSink
     const std::vector<DynInstr> &trace() const { return trace_; }
     std::size_t size() const { return trace_.size(); }
     void clear() { trace_.clear(); }
-
-    /** Replay the buffered trace into another sink. */
-    void replay(TraceSink &sink) const
-    {
-        for (const auto &di : trace_)
-            sink.emit(di);
-    }
 
   private:
     std::vector<DynInstr> trace_;

@@ -558,16 +558,17 @@ flushSamples(const std::string &artifact, const std::string &path)
         state.swap(recorderState());
     }
     for (const LabelSamples &s : state) {
-        // Calibration runs (google-benchmark sizing the iteration
-        // count) report fewer inner iterations than the settled
-        // repetitions; treat them as warmup and drop them.
+        // google-benchmark runs every repetition at the iteration
+        // count its calibration runs settled on, and each calibration
+        // run used fewer; keep only the runs at the label's largest
+        // count and drop the rest as warmup.
         std::uint64_t max_iters = 0;
         for (std::uint64_t it : s.iterations)
             max_iters = std::max(max_iters, it);
         std::vector<double> kept;
         std::size_t warmup = 0;
         for (std::size_t i = 0; i < s.values.size(); ++i) {
-            if (s.iterations[i] * 2 >= max_iters)
+            if (s.iterations[i] == max_iters)
                 kept.push_back(s.values[i]);
             else
                 ++warmup;

@@ -166,9 +166,10 @@ bool appendPoint(const std::string &path, const Json &row,
  * Accumulate one per-repetition sample for `label`.  Benchmark
  * binaries call this once per timed run; flushSamples() then folds
  * every label's samples into a single v2 datapoint.  `iterations`
- * is the benchmark's inner-iteration count for the run — runs with
- * fewer than half the label's maximum count are treated as warmup
- * (google-benchmark's calibration runs) and dropped at flush time.
+ * is the benchmark's inner-iteration count for the run — runs below
+ * the label's maximum count are treated as warmup (google-benchmark's
+ * calibration runs; every repetition runs at the settled count) and
+ * dropped at flush time.
  */
 void recordSample(const std::string &label, const std::string &unit,
                   const std::string &direction, double value,

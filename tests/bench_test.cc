@@ -201,6 +201,29 @@ TEST_F(BenchTrajectoryTest, AppendsAccumulateAndLoadInOrder)
     EXPECT_EQ(traj.points[1].samples.size(), 5u);
 }
 
+TEST_F(BenchTrajectoryTest, FlushKeepsOnlyRunsAtTheSettledCount)
+{
+    // google-benchmark's calibration runs (40 and 55 iterations)
+    // precede five repetitions, all at the count they settled on.
+    // Each sample's value is its iteration count, to tell them apart.
+    for (std::uint64_t iterations : {40, 55, 100, 100, 100, 100, 100})
+        bench::recordSample("BM_Settled", "instr_per_s", "higher",
+                            static_cast<double>(iterations), iterations);
+    bench::flushSamples("throughput", path_);
+
+    bench::Trajectory traj;
+    std::string error;
+    ASSERT_TRUE(bench::loadTrajectory(path_, &traj, &error)) << error;
+    ASSERT_EQ(traj.points.size(), 1u);
+    EXPECT_EQ(traj.points[0].samples, std::vector<double>(5, 100.0));
+    const Json doc = Json::parse(readFile(path_));
+    const Json &row = doc.asArray().at(0);
+    ASSERT_NE(row.at("config.warmup_dropped"), nullptr);
+    EXPECT_EQ(row.at("config.repetitions")->asNumber(), 5.0);
+    EXPECT_EQ(row.at("config.warmup_dropped")->asNumber(), 2.0);
+    EXPECT_EQ(row.at("config.iterations")->asNumber(), 100.0);
+}
+
 TEST_F(BenchTrajectoryTest, CorruptFileIsPreservedAsBakAndRestarted)
 {
     // A torn trajectory (a killed run) is preserved as .bak and the

@@ -191,8 +191,32 @@ TEST_P(BackendDifferentialTest, SinkDoesNotChangeTheCounts)
     });
 }
 
-/** runOnMachine's collectStats path with the interpreter executing:
- *  the same engine, cache model and stats tree. */
+/** The per-record oracle of a fused stats run: each record goes to
+ *  the engine, and each load or store address to the data cache. */
+class EngineAndCache final : public TraceSink
+{
+  public:
+    EngineAndCache(IssueEngine &engine, Cache &dcache)
+        : engine_(engine), dcache_(dcache)
+    {
+    }
+
+    void
+    emit(const DynInstr &di) override
+    {
+        engine_.emit(di);
+        if (di.addr >= 0)
+            dcache_.access(di.addr);
+    }
+
+  private:
+    IssueEngine &engine_;
+    Cache &dcache_;
+};
+
+/** runOnMachine's collectStats run with the interpreter executing
+ *  and feeding the engine and the cache one record at a time: the
+ *  same stats tree. */
 RunOutcome
 runOnMachineInterp(const Module &module, const MachineConfig &machine,
                    const RunTelemetryOptions &telemetry,
@@ -201,12 +225,10 @@ runOnMachineInterp(const Module &module, const MachineConfig &machine,
     IssueEngine engine(machine);
     if (telemetry.collectProfile)
         engine.enableProfile(module.pcCount());
-    CacheSink dcache{CacheConfig{}};
-    TeeSink tee;
-    tee.addSink(&engine);
-    tee.addSink(&dcache);
+    Cache dcache{CacheConfig{}};
+    EngineAndCache sink(engine, dcache);
     Interpreter interp(module);
-    const RunResult r = interp.run("main", &tee);
+    const RunResult r = interp.run("main", &sink);
 
     RunOutcome out;
     out.checksum = static_cast<std::int64_t>(r.returnValue);
@@ -221,37 +243,45 @@ runOnMachineInterp(const Module &module, const MachineConfig &machine,
 TEST_P(BackendDifferentialTest, StatsTreeIdentical)
 {
     // The full RunOutcome stats tree — issue engine, cache model,
-    // class mix, compile telemetry — from runOnMachine on the VM and
-    // from the same pipeline on the interpreter.  Json equality is
+    // class mix, compile telemetry — from runOnMachine's fused run on
+    // the VM and from the interpreter's per-record stream.  Without
+    // the profiler the fused engine takes its segment memo; with it,
+    // it issues one instruction at a time.  Json equality is
     // structural and ordered, so this is as strong as comparing the
     // serialized bytes.
     const Workload &w = workloadByName(GetParam());
     CompileOptions o = defaultCompileOptions(w);
-    CompileTelemetry compile;
-    Module m = compileWorkload(w.source, idealSuperscalar(4), o,
-                               &compile);
-    RunTelemetryOptions t;
-    t.collectStats = true;
-    t.collectProfile = true;
+    for (const MachineConfig &machine :
+         {idealSuperscalar(4), superscalarWithClassConflicts(4),
+          cray1()}) {
+        CompileTelemetry compile;
+        Module m = compileWorkload(w.source, machine, o, &compile);
+        for (bool profile : {false, true}) {
+            SCOPED_TRACE(machine.name +
+                         (profile ? ", profiled" : ", plain"));
+            RunTelemetryOptions t;
+            t.collectStats = true;
+            t.collectProfile = profile;
 
-    RunOutcome a = runOnMachineInterp(m, idealSuperscalar(4), t,
-                                      &compile);
-    RunOutcome b = runOnMachine(m, idealSuperscalar(4), t, &compile);
+            RunOutcome a = runOnMachineInterp(m, machine, t, &compile);
+            RunOutcome b = runOnMachine(m, machine, t, &compile);
 
-    EXPECT_EQ(a.checksum, b.checksum);
-    EXPECT_EQ(a.instructions, b.instructions);
-    EXPECT_EQ(a.cycles, b.cycles);
-    EXPECT_TRUE(a.stats == b.stats)
-        << "stats trees diverge:\n"
-        << a.stats.dump(2) << "\nvs\n"
-        << b.stats.dump(2);
-    EXPECT_EQ(a.pcCounters.size(), b.pcCounters.size());
-    for (std::size_t i = 0; i < a.pcCounters.size(); ++i) {
-        EXPECT_EQ(a.pcCounters[i].issued, b.pcCounters[i].issued)
-            << "pc " << i;
-        EXPECT_EQ(a.pcCounters[i].stallSlots,
-                  b.pcCounters[i].stallSlots)
-            << "pc " << i;
+            EXPECT_EQ(a.checksum, b.checksum);
+            EXPECT_EQ(a.instructions, b.instructions);
+            EXPECT_EQ(a.cycles, b.cycles);
+            EXPECT_TRUE(a.stats == b.stats)
+                << "stats trees diverge:\n"
+                << a.stats.dump(2) << "\nvs\n"
+                << b.stats.dump(2);
+            ASSERT_EQ(a.pcCounters.size(), b.pcCounters.size());
+            for (std::size_t i = 0; i < a.pcCounters.size(); ++i) {
+                EXPECT_EQ(a.pcCounters[i].issued, b.pcCounters[i].issued)
+                    << "pc " << i;
+                EXPECT_EQ(a.pcCounters[i].stallSlots,
+                          b.pcCounters[i].stallSlots)
+                    << "pc " << i;
+            }
+        }
     }
 }
 
@@ -398,13 +428,21 @@ void
 expectTrappedTimingMatches(const Module &m, ErrCode code,
                            InterpOptions options = {})
 {
+    // Eight 8-byte lines, so the miss count depends on which
+    // addresses arrive and in what order, not only on how many.
+    CacheConfig small;
+    small.sizeBytes = 64;
+    small.lineBytes = 8;
     std::unique_ptr<Executor> exec = makeExecutor(m, options);
     for (const MachineConfig &mc : segmentMachines()) {
         SCOPED_TRACE(mc.name);
         IssueEngine fused(mc);
-        const RunResult a = exec->runTimed("main", fused);
+        Cache fusedCache(small);
+        const RunResult a = exec->runTimed("main", fused, &fusedCache);
         IssueEngine streamed(mc);
-        const RunResult b = exec->run("main", &streamed);
+        Cache streamedCache(small);
+        EngineAndCache sink(streamed, streamedCache);
+        const RunResult b = exec->run("main", &sink);
         ASSERT_TRUE(a.trapped());
         EXPECT_EQ(a.trap.code, code);
         expectResultsIdentical(a, b);
@@ -416,6 +454,9 @@ expectTrappedTimingMatches(const Module &m, ErrCode code,
                   streamed.stallBreakdown().slots);
         EXPECT_EQ(fused.issueCounts(), streamed.issueCounts());
         EXPECT_EQ(fused.classIssued(), streamed.classIssued());
+        EXPECT_GT(streamedCache.accesses(), 0u);
+        EXPECT_EQ(fusedCache.accesses(), streamedCache.accesses());
+        EXPECT_EQ(fusedCache.misses(), streamedCache.misses());
     }
 }
 

@@ -271,12 +271,15 @@ TEST(IssueTest, InstrPerBaseCycle)
     EXPECT_NEAR(e.instrPerBaseCycle(), 40.0 / e.baseCycles(), 1e-12);
 }
 
-TEST(IssueTest, SimulateTraceConvenience)
+TEST(IssueTest, BufferedTraceRetimes)
 {
     TraceBuffer buf;
     for (const auto &d : independent(8))
         buf.emit(d);
-    EXPECT_DOUBLE_EQ(simulateTrace(buf, idealSuperscalar(4)), 2.0);
+    IssueEngine e(idealSuperscalar(4));
+    for (const DynInstr &di : buf.trace())
+        e.emit(di);
+    EXPECT_DOUBLE_EQ(e.baseCycles(), 2.0);
 }
 
 // ----------------------------------------------- stall attribution

@@ -140,29 +140,29 @@ TEST(TelemetryTest, CompilePhasesRecorded)
 
 TEST(TelemetryTest, TimelineRespectsLimit)
 {
-    // With stats the engine sits behind a TeeSink; without, the
-    // backend drives it through the fused runTimed path (what a
-    // traced `ssim run` takes).  Both must capture the same events.
+    // With stats the fused runTimed path also feeds the data cache;
+    // without, it drives the engine alone (what a traced `ssim run`
+    // takes).  Both must capture the same events.
     Workload w = tinyWorkload();
     RunTelemetryOptions t;
     t.collectStats = true;
     t.timelineLimit = 100;
-    RunOutcome tee = runWorkload(w, idealSuperscalar(4),
-                                 defaultCompileOptions(w), t);
-    EXPECT_EQ(tee.issueTimeline.size(), 100u);
-    EXPECT_GT(tee.timelineDropped, 0u);
-    EXPECT_EQ(tee.issueTimeline.size() + tee.timelineDropped,
-              tee.instructions);
+    RunOutcome stats = runWorkload(w, idealSuperscalar(4),
+                                   defaultCompileOptions(w), t);
+    EXPECT_EQ(stats.issueTimeline.size(), 100u);
+    EXPECT_GT(stats.timelineDropped, 0u);
+    EXPECT_EQ(stats.issueTimeline.size() + stats.timelineDropped,
+              stats.instructions);
 
     t.collectStats = false;
-    RunOutcome fused = runWorkload(w, idealSuperscalar(4),
+    RunOutcome plain = runWorkload(w, idealSuperscalar(4),
                                    defaultCompileOptions(w), t);
-    EXPECT_TRUE(fused.stats.isNull());
-    EXPECT_EQ(fused.timelineDropped, tee.timelineDropped);
-    ASSERT_EQ(fused.issueTimeline.size(), tee.issueTimeline.size());
-    for (std::size_t i = 0; i < tee.issueTimeline.size(); ++i) {
-        const IssueEvent &a = tee.issueTimeline[i];
-        const IssueEvent &b = fused.issueTimeline[i];
+    EXPECT_TRUE(plain.stats.isNull());
+    EXPECT_EQ(plain.timelineDropped, stats.timelineDropped);
+    ASSERT_EQ(plain.issueTimeline.size(), stats.issueTimeline.size());
+    for (std::size_t i = 0; i < stats.issueTimeline.size(); ++i) {
+        const IssueEvent &a = stats.issueTimeline[i];
+        const IssueEvent &b = plain.issueTimeline[i];
         EXPECT_EQ(a.cycle, b.cycle) << "event " << i;
         EXPECT_EQ(a.slot, b.slot) << "event " << i;
         EXPECT_EQ(a.latencyMinor, b.latencyMinor) << "event " << i;

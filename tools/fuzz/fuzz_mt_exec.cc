@@ -9,7 +9,8 @@
  * superpipelined-superscalar): the interpreter streaming into an
  * IssueEngine through the virtual TraceSink path, the VM's fused
  * runTimed (its segment memo, and the prefix of a segment a trap
- * cut short), and the naive minor-cycle stepper (sim/issue_ref.hh).
+ * cut short), and the naive minor-cycle stepper (sim/issue_ref.hh)
+ * fed by a second interpreter run.
  * A divergence is a bug in one of them, surfaced as a fuzzer crash.
  *
  * Built two ways (tools/fuzz/CMakeLists.txt), like the parser target:
@@ -71,11 +72,9 @@ checkTiming(ilp::Interpreter &interp, ilp::Executor &vm,
             const ilp::MachineConfig &machine)
 {
     ilp::IssueEngine streamed(machine);
+    interp.run("main", &streamed);
     ilp::RefIssueStepper stepped(machine);
-    ilp::TeeSink tee;
-    tee.addSink(&streamed);
-    tee.addSink(&stepped);
-    interp.run("main", &tee);
+    interp.run("main", &stepped);
     ilp::IssueEngine fused(machine);
     vm.runTimed("main", fused);
     if (sameTiming(streamed, fused) && sameTiming(streamed, stepped))
