@@ -14,8 +14,6 @@
  * ideal 8-wide superscalar, except where noted.
  */
 
-#include <map>
-
 #include "bench/common.hh"
 
 using namespace ilp;
@@ -23,17 +21,17 @@ using namespace ilp;
 namespace {
 
 /**
- * Every table row, as one flat grid of distinct timed runs.  The rows
- * overlap — the default configuration appears in three tables — so a
- * run is keyed by its compilation plus the machine that times it, and
- * each distinct run executes once.  Runs compile through one
- * CompileCache, so rows that differ only in the alias level or the
- * machine share a prefix.  Table 4 deliberately times a schedule on a
- * *different* machine: the module compiled for the machine scheduled
- * *for* runs on whatever machine is measured.  No run times the base
- * machine: every schedule of one prefix executes the same
- * instructions, which is what the stall-free base machine's cycles
- * count, so a run's speedup is its instructions over its cycles.
+ * Every table row, as cells of one grid.  The rows overlap — the
+ * default configuration appears in three tables — and the grid times
+ * each distinct run once: a run is its compilation plus the machine
+ * that times it.  Rows that differ only in the alias level or the
+ * machine share a compile prefix.  Table 4 deliberately times a
+ * schedule on a *different* machine: the module compiled for the
+ * machine scheduled *for* runs on whatever machine is measured.  No
+ * run times the base machine: every schedule of one prefix executes
+ * the same instructions, which is what the stall-free base machine's
+ * cycles count, so a run's speedup is its instructions over its
+ * cycles.
  */
 class SuiteRows
 {
@@ -43,65 +41,28 @@ class SuiteRows
     void add(const MachineConfig &timing, const MachineConfig &sched,
              AliasLevel alias, std::uint32_t temps)
     {
-        std::vector<std::size_t> row;
         for (const Workload &w : allWorkloads()) {
             CompileOptions o = defaultCompileOptions(w);
             o.alias = alias;
             o.layout.numTemp = temps;
-            row.push_back(run(w, sched, timing, o));
+            grid_.add(w, o, sched, timing);
         }
-        rows_.push_back(std::move(row));
     }
 
-    /** Time every distinct run once across the bench pool; returns
-     *  each row's harmonic-mean speedup, in the order rows were
+    /** Each row's harmonic-mean speedup, in the order rows were
      *  added. */
-    std::vector<double> evaluate() const
+    std::vector<double> evaluate()
     {
-        CompileCache cache;
-        const std::vector<double> speedups = bench::sweeper().map<double>(
-            runs_.size(), [&](std::size_t i) {
-                const Run &r = runs_[i];
-                const std::shared_ptr<const Module> module =
-                    cache.compile(*r.workload, r.sched, r.options);
-                const RunOutcome out = runOnMachine(*module, r.timing);
-                if (out.trapped())
-                    throw TrapException(out.trap);
-                return out.ipc();
-            });
+        const std::vector<double> speedup = bench::speedups(grid_);
+        const std::size_t n = allWorkloads().size();
         std::vector<double> means;
-        for (const auto &row : rows_) {
-            std::vector<double> suite;
-            for (std::size_t run : row)
-                suite.push_back(speedups[run]);
-            means.push_back(harmonicMean(suite));
-        }
+        for (auto row = speedup.begin(); row != speedup.end(); row += n)
+            means.push_back(harmonicMean({row, row + n}));
         return means;
     }
 
   private:
-    struct Run
-    {
-        const Workload *workload;
-        MachineConfig sched;
-        MachineConfig timing;
-        CompileOptions options;
-    };
-
-    std::size_t run(const Workload &w, const MachineConfig &sched,
-                    const MachineConfig &timing, const CompileOptions &o)
-    {
-        const std::string key = CompileCache::key(w, sched, o) + "|t" +
-                                std::to_string(timing.specHash());
-        const auto [it, fresh] = index_.emplace(key, runs_.size());
-        if (fresh)
-            runs_.push_back({&w, sched, timing, o});
-        return it->second;
-    }
-
-    std::vector<Run> runs_;
-    std::map<std::string, std::size_t> index_;
-    std::vector<std::vector<std::size_t>> rows_;
+    CellGrid grid_;
 };
 
 struct AliasRow

@@ -8,7 +8,10 @@
  * Sweep cells fan out across bench::sweeper() (job count from
  * SSIM_JOBS, default all cores); results are merged in cell order
  * after the barrier, so parallel output is byte-identical to a
- * serial run (see docs/parallel-sweeps.md).
+ * serial run (see docs/parallel-sweeps.md).  The sweeping artifacts
+ * declare their cells in one CellGrid (core/study/grid.hh), which
+ * times each distinct run once and frees each compile prefix after
+ * its last run.
  */
 
 #ifndef SUPERSYM_BENCH_COMMON_HH
@@ -19,8 +22,8 @@
 #include <vector>
 
 #include "core/machine/models.hh"
-#include "core/study/experiment.hh"
-#include "core/study/sweep.hh"
+#include "core/study/grid.hh"
+#include "sim/trap.hh"
 #include "support/statistics.hh"
 #include "support/table.hh"
 
@@ -45,19 +48,41 @@ sweeper()
 }
 
 /**
- * Harmonic-mean suite speedup (§4.3's aggregate) of each machine, in
- * machine order.  Every (machine, workload) cell is one cell of a
- * flat grid on sweeper(); the means are taken after the barrier.
+ * Each cell's speedup over the base machine, in cell order: its run's
+ * instructions over its cycles (no cell times the base machine; see
+ * core/study/experiment.hh).  The grid runs on sweeper().  Throws
+ * TrapException when a run trapped, rather than print a bogus
+ * speedup.
  */
 inline std::vector<double>
-harmonicSpeedups(Study &study, const std::vector<MachineConfig> &machines)
+speedups(CellGrid &grid)
+{
+    std::vector<double> out;
+    for (const RunOutcome &run : grid.run(sweeper())) {
+        if (run.trapped())
+            throw TrapException(run.trap);
+        out.push_back(run.ipc());
+    }
+    return out;
+}
+
+/**
+ * Harmonic-mean suite speedup (§4.3's aggregate) of each machine, in
+ * machine order, with each workload's default options.  Every
+ * (machine, workload) pair is one cell of one grid; the means are
+ * taken after the barrier.
+ */
+inline std::vector<double>
+harmonicSpeedups(const std::vector<MachineConfig> &machines)
 {
     const auto &suite = allWorkloads();
     const std::size_t n = suite.size();
-    const std::vector<double> speedup = sweeper().map<double>(
-        machines.size() * n, [&](std::size_t i) {
-            return study.speedup(suite[i % n], machines[i / n]);
-        });
+    CellGrid grid;
+    for (const MachineConfig &machine : machines) {
+        for (const Workload &w : suite)
+            grid.add(w, defaultCompileOptions(w), machine);
+    }
+    const std::vector<double> speedup = speedups(grid);
     std::vector<double> means;
     for (auto row = speedup.begin(); row != speedup.end(); row += n)
         means.push_back(harmonicMean({row, row + n}));

@@ -22,9 +22,7 @@ main()
         machines.push_back(idealSuperscalar(degree));
     for (int degree = 1; degree <= kMaxDegree; ++degree)
         machines.push_back(superpipelined(degree));
-    Study study;
-    const std::vector<double> hm =
-        bench::harmonicSpeedups(study, machines);
+    const std::vector<double> hm = bench::harmonicSpeedups(machines);
 
     Table t;
     t.setHeader({"degree", "superscalar", "superpipelined",

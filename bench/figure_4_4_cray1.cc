@@ -29,9 +29,7 @@ main()
             machines.push_back(m);
         }
     }
-    Study study;
-    const std::vector<double> hm =
-        bench::harmonicSpeedups(study, machines);
+    const std::vector<double> hm = bench::harmonicSpeedups(machines);
 
     // Normalize each curve to its own multiplicity-1 point, like the
     // paper's "relative performance" axis.

@@ -17,21 +17,20 @@ main()
     bench::banner("Figure 4-5",
                   "per-benchmark parallelism vs issue multiplicity");
 
-    Study study;
     const auto &suite = allWorkloads();
 
-    // Every (benchmark, degree) cell fans out across the pool; the
-    // table is filled from the index-ordered results, so output is
+    // Every (benchmark, degree) cell is one cell of one grid; the
+    // table is filled from the cell-ordered results, so output is
     // byte-identical at any SSIM_JOBS.  Cells run degree-major, as in
     // Figure 4-1, so concurrent workers start on different workloads
     // instead of all waiting on one workload's compile.
     const std::size_t n = suite.size();
-    std::vector<double> speedup = bench::sweeper().map<double>(
-        n * kMaxDegree, [&](std::size_t i) {
-            const Workload &w = suite[i % n];
-            const int d = static_cast<int>(i / n) + 1;
-            return study.speedup(w, idealSuperscalar(d));
-        });
+    CellGrid grid;
+    for (int d = 1; d <= kMaxDegree; ++d) {
+        for (const Workload &w : suite)
+            grid.add(w, defaultCompileOptions(w), idealSuperscalar(d));
+    }
+    const std::vector<double> speedup = bench::speedups(grid);
 
     Table t;
     std::vector<std::string> header{"benchmark"};

@@ -13,8 +13,8 @@ using namespace ilp;
 
 namespace {
 
-double
-parallelism(Study &study, const Workload &w, int factor, bool careful)
+CompileOptions
+unrolled(const Workload &w, int factor, bool careful)
 {
     CompileOptions o = defaultCompileOptions(w);
     o.unroll.factor = factor;
@@ -23,7 +23,7 @@ parallelism(Study &study, const Workload &w, int factor, bool careful)
     // paper used for exactly these two benchmarks.
     o.alias = careful ? AliasLevel::Heroic : AliasLevel::Arrays;
     o.layout.numTemp = 40; // "only forty temporary registers"
-    return study.availableParallelism(w, o, 8);
+    return o;
 }
 
 } // namespace
@@ -33,19 +33,22 @@ main()
 {
     bench::banner("Figure 4-6", "parallelism vs loop unrolling");
 
-    Study study;
     const Workload &linpack = workloadByName("linpack");
     const Workload &livermore = workloadByName("livermore");
     const std::vector<int> factors{1, 2, 4, 6, 8, 10};
 
-    // 6 factors x 4 (benchmark, mode) columns = 24 independent cells.
-    std::vector<double> cells = bench::sweeper().map<double>(
-        factors.size() * 4, [&](std::size_t i) {
-            const int u = factors[i / 4];
-            const Workload &w = (i % 4 < 2) ? linpack : livermore;
-            const bool careful = (i % 2) == 1;
-            return parallelism(study, w, u, careful);
-        });
+    // 6 factors x 4 (benchmark, mode) columns = 24 cells, each its
+    // own prefix: the available parallelism on the ideal 8-wide
+    // superscalar.
+    CellGrid grid;
+    for (int u : factors) {
+        for (const Workload *w : {&linpack, &livermore}) {
+            for (bool careful : {false, true})
+                grid.add(*w, unrolled(*w, u, careful),
+                         idealSuperscalar(8));
+        }
+    }
+    const std::vector<double> cells = bench::speedups(grid);
 
     Table t;
     t.setHeader({"iterations unrolled", "linpack naive",

@@ -9,6 +9,7 @@
  */
 
 #include "bench/common.hh"
+#include "core/study/experiment.hh"
 #include "core/metrics/metrics.hh"
 #include "core/study/driver.hh"
 #include "sim/issue.hh"

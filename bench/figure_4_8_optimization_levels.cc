@@ -17,20 +17,23 @@ main()
 {
     bench::banner("Figure 4-8", "parallelism vs optimization level");
 
-    Study study;
     const auto &suite = allWorkloads();
     constexpr int kLevels = 5;
 
-    // 8 benchmarks x 5 cumulative levels = 40 independent cells.
-    std::vector<double> cells = bench::sweeper().map<double>(
-        suite.size() * kLevels, [&](std::size_t i) {
-            const Workload &w = suite[i / kLevels];
+    // 8 benchmarks x 5 cumulative levels = 40 cells, each its own
+    // prefix: the available parallelism on the ideal 8-wide
+    // superscalar.
+    CellGrid grid;
+    for (const Workload &w : suite) {
+        for (int level = 0; level < kLevels; ++level) {
             CompileOptions o = defaultCompileOptions(w);
-            o.level = static_cast<OptLevel>(i % kLevels);
+            o.level = static_cast<OptLevel>(level);
             o.layout.numTemp = 16;
             o.layout.numHome = 26;
-            return study.availableParallelism(w, o, 8);
-        });
+            grid.add(w, o, idealSuperscalar(8));
+        }
+    }
+    const std::vector<double> cells = bench::speedups(grid);
 
     Table t;
     t.setHeader({"benchmark", "none", "+sched", "+local", "+global",

@@ -66,8 +66,6 @@ MachineConfig::specHash() const
         fnvMix(h, static_cast<std::uint64_t>(u.issueLatency));
     }
     fnvMix(h, issueAcrossBranches ? 1 : 0);
-    fnvMix(h, regs.numTemp);
-    fnvMix(h, regs.numHome);
     return h;
 }
 
@@ -98,9 +96,6 @@ MachineConfig::validate() const
                          "latency");
         }
     }
-    if (regs.numTemp < 2)
-        SS_FATAL("machine '", name,
-                 "': need at least two temp registers");
 }
 
 } // namespace ilp

@@ -86,9 +86,6 @@ struct MachineConfig
      */
     bool issueAcrossBranches = true;
 
-    /** Register file split for the compiler (§3). */
-    RegFileLayout regs;
-
     /** Operation latency of `cls` in minor cycles. */
     int latencyMinor(InstrClass cls) const
     {

@@ -114,8 +114,6 @@ multiTitan()
     setLatency(t, InstrClass::FPMul, 3);
     setLatency(t, InstrClass::FPDiv, 12);  // not a simple operation
     setLatency(t, InstrClass::FPCvt, 3);
-    m.regs.numTemp = 16;
-    m.regs.numHome = 26;
     m.validate();
     return m;
 }

@@ -1,7 +1,5 @@
 #include "core/study/experiment.hh"
 
-#include "core/machine/models.hh"
-
 namespace ilp {
 
 std::string
@@ -65,13 +63,6 @@ double
 Study::speedup(const Workload &workload, const MachineConfig &machine)
 {
     return speedup(workload, machine, defaultCompileOptions(workload));
-}
-
-double
-Study::availableParallelism(const Workload &workload,
-                            const CompileOptions &options, int degree)
-{
-    return speedup(workload, idealSuperscalar(degree), options);
 }
 
 } // namespace ilp

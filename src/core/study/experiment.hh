@@ -3,9 +3,10 @@
  * Experiment harness shared by the bench binaries and the CLI: the
  * speedup of one (workload, machine) cell relative to the base
  * machine.  A Study evaluates cells; it never fans out itself.
- * Callers sweep their cells as one flat grid on one SweepRunner and
- * aggregate after the barrier — e.g. the suite harmonic means §4.3
- * plots ("the harmonic mean of all eight benchmarks").
+ * Callers sweep their cells as one flat grid on one SweepRunner (the
+ * paper's sweeping artifacts through one CellGrid, core/study/grid.hh)
+ * and aggregate after the barrier — e.g. the suite harmonic means
+ * §4.3 plots ("the harmonic mean of all eight benchmarks").
  *
  * Every point reschedules the workload *for the machine being
  * evaluated* (the paper's system recompiles per machine
@@ -83,17 +84,6 @@ class Study
     prof::Profile profiledRun(const Workload &workload,
                               const MachineConfig &machine,
                               const CompileOptions &options);
-
-    /**
-     * Available parallelism of one workload at a compile
-     * configuration: speedup on an ideal superscalar machine of
-     * `degree`, unit latencies (§4: "the available parallelism must
-     * be divided by the average operation latency" — unit latencies
-     * make speedup and parallelism coincide).
-     */
-    double availableParallelism(const Workload &workload,
-                                const CompileOptions &options,
-                                int degree = 8);
 
     /** The worker pool (for callers fanning out their own cells). */
     const SweepRunner &runner() const { return runner_; }

@@ -168,9 +168,11 @@ workloadIdentity(const Workload &workload)
            std::to_string(std::hash<std::string>{}(workload.source));
 }
 
-/** Everything allocateWorkloadChecked() reads of the options. */
+} // namespace
+
 std::string
-prefixKey(const Workload &workload, const CompileOptions &options)
+CompileCache::prefixKey(const Workload &workload,
+                        const CompileOptions &options)
 {
     std::string k = workloadIdentity(workload);
     k += "|o";
@@ -184,7 +186,22 @@ prefixKey(const Workload &workload, const CompileOptions &options)
     return k;
 }
 
-} // namespace
+CompiledPrefix
+compilePrefix(const Workload &workload, const CompileOptions &options)
+{
+    trace::ScopedSpan span("compile", "compile");
+    if (span.armed())
+        span.detail(workload.name);
+    if (fault::enabled())
+        fault::maybeInject("compile");
+    CompiledPrefix p;
+    Result<AllocatedModule> r = allocateWorkloadChecked(
+        workload.source, options, &p.telemetry, workload.name);
+    if (!r.ok())
+        r.raise(); // DiagException with the full list
+    p.allocated = r.take();
+    return p;
+}
 
 std::string
 CompileCache::key(const Workload &workload, const MachineConfig &machine,
@@ -210,10 +227,6 @@ CompileCache::key(const Workload &workload, const MachineConfig &machine,
     k += 'm';
     k += std::to_string(machine.pipelineDegree);
     k += machine.issueAcrossBranches ? "b1" : "b0";
-    k += 'r';
-    k += std::to_string(machine.regs.numTemp);
-    k += '.';
-    k += std::to_string(machine.regs.numHome);
     k += "|L";
     for (int l : machine.latency) {
         k += std::to_string(l);
@@ -244,13 +257,13 @@ CompileCache::compile(const Workload &workload,
     machine.validate();
     const std::string k = prefixKey(workload, options);
 
-    std::shared_future<Prefix> future;
-    std::shared_ptr<std::promise<Prefix>> fill;
+    std::shared_future<CompiledPrefix> future;
+    std::shared_ptr<std::promise<CompiledPrefix>> fill;
     {
         std::lock_guard<std::mutex> lock(mu_);
         auto it = entries_.find(k);
         if (it == entries_.end()) {
-            fill = std::make_shared<std::promise<Prefix>>();
+            fill = std::make_shared<std::promise<CompiledPrefix>>();
             future = fill->get_future().share();
             entries_.emplace(k, future);
         } else {
@@ -261,18 +274,7 @@ CompileCache::compile(const Workload &workload,
     if (fill) {
         misses_.fetch_add(1, std::memory_order_relaxed);
         try {
-            trace::ScopedSpan span("compile", "compile");
-            if (span.armed())
-                span.detail(workload.name);
-            if (fault::enabled())
-                fault::maybeInject("compile");
-            Prefix p;
-            Result<AllocatedModule> r = allocateWorkloadChecked(
-                workload.source, options, &p.telemetry, workload.name);
-            if (!r.ok())
-                r.raise(); // DiagException with the full list
-            p.allocated = r.take();
-            fill->set_value(std::move(p));
+            fill->set_value(compilePrefix(workload, options));
         } catch (...) {
             // A failed compile must not poison the cache: hand the
             // exception to the waiters already parked on this entry,
@@ -297,7 +299,7 @@ CompileCache::compile(const Workload &workload,
         }
     }
 
-    const Prefix &p = future.get(); // rethrows a failed compile
+    const CompiledPrefix &p = future.get(); // rethrows a failed compile
     if (telemetry)
         *telemetry = p.telemetry;
     Module module = p.allocated.module;

@@ -23,7 +23,8 @@
  * the prefix for its machine and alias level.  Cached prefixes are
  * immutable, and each cell runs its own executor and IssueEngine
  * (runOnMachine) over its own module, so sharing is safe by
- * construction.
+ * construction.  CellGrid (core/study/grid.hh) compiles through the
+ * same compilePrefix() but frees each prefix after its last run.
  *
  * Job-count resolution (see defaultSweepJobs): explicit argument >
  * SSIM_JOBS environment variable > std::thread::hardware_concurrency.
@@ -235,6 +236,21 @@ class SweepRunner
     int jobs_;
 };
 
+/** The machine-independent prefix of one compilation
+ *  (allocateWorkloadChecked: parse, unroll, optimize, allocate) and
+ *  the telemetry it recorded. */
+struct CompiledPrefix
+{
+    AllocatedModule allocated;
+    CompileTelemetry telemetry;
+};
+
+/** Compile the prefix of `workload` under `options` in a "compile"
+ *  span, at the "compile" fault site (support/faultinject.hh).
+ *  Throws DiagException, with every diagnostic, when it fails. */
+CompiledPrefix compilePrefix(const Workload &workload,
+                             const CompileOptions &options);
+
 /**
  * A concurrency-safe cache of compilation prefixes.
  *
@@ -274,6 +290,12 @@ class CompileCache
                            const MachineConfig &machine,
                            const CompileOptions &options);
 
+    /** The identity of a prefix: the workload and everything
+     *  allocateWorkloadChecked() reads of the options.  Cells with
+     *  equal prefix keys share one prefix. */
+    static std::string prefixKey(const Workload &workload,
+                                 const CompileOptions &options);
+
     /** Lookups served from an existing prefix. */
     std::uint64_t hits() const { return hits_.load(); }
     /** Lookups that had to compile a prefix. */
@@ -285,14 +307,8 @@ class CompileCache
     std::size_t size() const;
 
   private:
-    struct Prefix
-    {
-        AllocatedModule allocated;
-        CompileTelemetry telemetry;
-    };
-
     mutable std::mutex mu_;
-    std::map<std::string, std::shared_future<Prefix>> entries_;
+    std::map<std::string, std::shared_future<CompiledPrefix>> entries_;
     std::atomic<std::uint64_t> hits_{0};
     std::atomic<std::uint64_t> misses_{0};
     std::atomic<std::uint64_t> failures_{0};

@@ -1,6 +1,7 @@
 #include "sim/depgraph.hh"
 
 #include <algorithm>
+#include <unordered_map>
 
 #include "support/logging.hh"
 
@@ -31,12 +32,13 @@ DepGraph::Builder::emit(const DynInstr &di)
 
     // Memory dependence through the actual address: loads and stores
     // both wait for the latest earlier store to the same word
-    // (IssueEngine::store_ready_ semantics).
-    if (di.addr >= 0) {
-        auto it = last_store_.find(di.addr);
-        if (it != last_store_.end())
-            node.memPred = it->second;
-    }
+    // (IssueEngine::store_ready_ semantics).  A record's address is
+    // one the memory accepted, so word-aligned.
+    const std::size_t word =
+        static_cast<std::size_t>(di.addr) / kWordBytes;
+    if (di.addr >= 0 && word < last_store_.size() &&
+        last_store_[word] != 0)
+        node.memPred = static_cast<NodeIdx>(last_store_[word] - 1);
 
     graph_.nodes_.push_back(node);
 
@@ -46,8 +48,10 @@ DepGraph::Builder::emit(const DynInstr &di)
                 static_cast<std::size_t>(di.dst) + 1, kNoNode);
         last_writer_[di.dst] = me;
     }
-    if (di.addr >= 0 && isStore(di.op))
-        last_store_[di.addr] = me;
+    if (di.addr >= 0 && isStore(di.op)) {
+        last_store_.growTo(word);
+        last_store_[word] = std::uint64_t{me} + 1;
+    }
     if (di.pc != kNoPc && di.pc >= graph_.pc_count_)
         graph_.pc_count_ = di.pc + 1;
 }
@@ -57,7 +61,7 @@ DepGraph::Builder::take()
 {
     last_writer_.clear();
     last_writer_.shrink_to_fit();
-    last_store_.clear();
+    last_store_ = WordTable();
     return std::move(graph_);
 }
 

@@ -36,11 +36,11 @@
 #include <array>
 #include <cstdint>
 #include <limits>
-#include <unordered_map>
 #include <vector>
 
 #include "core/machine/machine.hh"
 #include "sim/trace.hh"
+#include "sim/wordtable.hh"
 
 namespace ilp {
 
@@ -166,8 +166,10 @@ class DepGraph::Builder : public TraceSink
     DepGraph graph_;
     /** Last writer per register (build-time scratch). */
     std::vector<NodeIdx> last_writer_;
-    /** Last store per word address (build-time scratch). */
-    std::unordered_map<std::int64_t, NodeIdx> last_store_;
+    /** Last store per memory word (index addr / kWordBytes), as its
+     *  node index plus one, so an untouched word reads 0, "no store"
+     *  (build-time scratch; a WordTable, sim/wordtable.hh). */
+    WordTable last_store_;
 };
 
 } // namespace ilp

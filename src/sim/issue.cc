@@ -79,7 +79,7 @@ IssueEngine::growRegReady(Reg r)
 void
 IssueEngine::growStoreReady(std::size_t word)
 {
-    store_ready_.resize(word + 1, 0);
+    store_ready_.growTo(word);
 }
 
 void

@@ -59,6 +59,7 @@
 
 #include "core/machine/machine.hh"
 #include "sim/trace.hh"
+#include "sim/wordtable.hh"
 #include "support/inline.hh"
 #include "support/json.hh"
 
@@ -415,11 +416,15 @@ class IssueEngine final : public TraceSink
 
     std::vector<std::uint64_t> reg_ready_;
     /** Ready time per memory *word* (index addr / kWordBytes), grown
-     *  on demand.  Addresses are word-aligned and bounded by the
-     *  simulated memory, so a flat table beats a hash map on the
-     *  per-instruction hot path; absent entries mean "ready at 0",
-     *  exactly like the map this replaces. */
-    std::vector<std::uint64_t> store_ready_;
+     *  on demand: a WordTable (sim/wordtable.hh), the zero-initialized
+     *  word table the data memory's image also lives in.  Addresses
+     *  are word-aligned and bounded by the simulated memory, so one
+     *  flat index serves the per-instruction hot path; a word never
+     *  stored to reads 0, "ready at once".  Only the pages holding
+     *  stored words are resident (a run stores to a few scattered
+     *  pages of a table that reaches its highest stored word), and
+     *  growing it neither zero-fills nor copies. */
+    WordTable store_ready_;
     /** Next-free minor cycle of every functional-unit copy, unit by
      *  unit in config_.units order. */
     std::vector<std::uint64_t> unit_free_;

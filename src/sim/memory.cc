@@ -1,9 +1,5 @@
 #include "sim/memory.hh"
 
-#include <new>
-
-#include <sys/mman.h>
-
 #include "sim/trap.hh"
 #include "support/logging.hh"
 
@@ -23,24 +19,13 @@ Memory::Memory(const Module &module, std::int64_t stack_bytes)
                   ~(kWordBytes - 1);
     std::int64_t total = stack_base_ + stack_bytes;
     size_ = static_cast<std::size_t>(total / kWordBytes);
-    const std::size_t bytes = size_ * sizeof(std::uint64_t);
-    void *image = ::mmap(nullptr, bytes, PROT_READ | PROT_WRITE,
-                         MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
-    if (image == MAP_FAILED)
-        throw std::bad_alloc();
-    words_ = {static_cast<std::uint64_t *>(image), Unmap{bytes}};
+    words_ = WordTable(size_);
 
     for (const auto &g : module.globals()) {
         for (std::size_t i = 0; i < g.init.size(); ++i)
             words_[static_cast<std::size_t>(g.address / kWordBytes) +
                    i] = g.init[i];
     }
-}
-
-void
-Memory::Unmap::operator()(std::uint64_t *words) const
-{
-    ::munmap(words, bytes);
 }
 
 void

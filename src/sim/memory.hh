@@ -9,9 +9,11 @@
  * fatal() — they indicate a broken workload program, not a simulator
  * bug.
  *
- * The image is one anonymous mapping, which the kernel zero-fills a
- * page at a time on first touch: the pages of the globals and stack
- * a run never touches are never resident.
+ * The image is a WordTable (sim/wordtable.hh), the zero-initialized
+ * word table the issue engine's store ready times and the dependence
+ * graph builder's last stores also live in: one anonymous mapping
+ * whose pages are resident only once written, so the pages of the
+ * globals and stack a run never writes cost nothing.
  */
 
 #ifndef SUPERSYM_SIM_MEMORY_HH
@@ -19,9 +21,9 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <memory>
 
 #include "ir/module.hh"
+#include "sim/wordtable.hh"
 
 namespace ilp {
 
@@ -54,15 +56,8 @@ class Memory
   private:
     void check(std::int64_t addr) const;
 
-    /** Unmaps the image. */
-    struct Unmap
-    {
-        std::size_t bytes;
-        void operator()(std::uint64_t *words) const;
-    };
-
-    std::unique_ptr<std::uint64_t[], Unmap> words_;
-    /** Words in the image. */
+    WordTable words_;
+    /** Words in the image (the table may hold a few more). */
     std::size_t size_ = 0;
     std::int64_t stack_base_ = 0;
 };

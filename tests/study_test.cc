@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include "core/study/experiment.hh"
+#include "core/study/grid.hh"
 #include "core/machine/models.hh"
 #include "sim/exec.hh"
 #include "tests/helpers.hh"
@@ -166,11 +167,14 @@ TEST(StudyTest, SupersymmetrySuperscalarAtLeastSuperpipelined)
 TEST(StudyTest, AvailableParallelismInPaperRange)
 {
     // §4.3: yacc lowest (~1.6), most programs ~2, numerics higher.
+    // The available parallelism is the speedup on the ideal 8-wide
+    // superscalar: unit latencies make speedup and parallelism
+    // coincide.
     Study study;
     auto par = [&](const char *name) {
         const Workload &w = workloadByName(name);
-        return study.availableParallelism(
-            w, defaultCompileOptions(w), 8);
+        return study.speedup(w, idealSuperscalar(8),
+                             defaultCompileOptions(w));
     };
     double yacc = par("yacc");
     double linpack = par("linpack");
@@ -200,6 +204,123 @@ TEST(StudyTest, TimedRunMatchesRunWorkload)
     }
     EXPECT_EQ(study.compileCache().misses(), 1u);
     EXPECT_EQ(study.compileCache().hits(), 1u);
+}
+
+/** One CellGrid cell, as the test adds it. */
+struct GridCell
+{
+    const Workload *workload;
+    CompileOptions options;
+    MachineConfig sched;
+    MachineConfig timing;
+};
+
+/** Figure 4-1's sixteen machines on every workload, where ss(1) and
+ *  sp(1) are one specification, then ablation-style rows: four alias
+ *  levels (Arrays is the default, so its row repeats Figure 4-1's
+ *  ss(8)), two temp supplies, and schedules timed on machines they
+ *  were not scheduled for. */
+std::vector<GridCell>
+mixedGridCells()
+{
+    std::vector<GridCell> cells;
+    auto row = [&](const MachineConfig &sched,
+                   const MachineConfig &timing, AliasLevel alias,
+                   std::uint32_t temps) {
+        for (const Workload &w : allWorkloads()) {
+            CompileOptions o = defaultCompileOptions(w);
+            o.alias = alias;
+            o.layout.numTemp = temps;
+            cells.push_back({&w, o, sched, timing});
+        }
+    };
+    for (int degree = 1; degree <= kMaxDegree; ++degree)
+        row(idealSuperscalar(degree), idealSuperscalar(degree),
+            AliasLevel::Arrays, 16);
+    for (int degree = 1; degree <= kMaxDegree; ++degree)
+        row(superpipelined(degree), superpipelined(degree),
+            AliasLevel::Arrays, 16);
+    const MachineConfig wide = idealSuperscalar(8);
+    for (AliasLevel alias :
+         {AliasLevel::Conservative, AliasLevel::Arrays,
+          AliasLevel::Symbols, AliasLevel::Careful})
+        row(wide, wide, alias, 16);
+    for (std::uint32_t temps : {8u, 40u})
+        row(wide, wide, AliasLevel::Arrays, temps);
+    row(baseMachine(), wide, AliasLevel::Arrays, 16);
+    row(baseMachine(), multiTitan(), AliasLevel::Arrays, 16);
+    row(multiTitan(), cray1(), AliasLevel::Arrays, 8);
+    return cells;
+}
+
+TEST(StudyTest, CellGridMatchesTimedRunsOncePerDistinctRun)
+{
+    const std::vector<GridCell> cells = mixedGridCells();
+    CellGrid grid;
+    for (std::size_t i = 0; i < cells.size(); ++i) {
+        const GridCell &c = cells[i];
+        EXPECT_EQ(grid.add(*c.workload, c.options, c.sched, c.timing), i);
+    }
+
+    // What the grid should run and compile, counted from the cells'
+    // own fields: a run is its compile options and both machines'
+    // specifications; a prefix is everything but the alias level and
+    // the machines.
+    std::set<std::string> runs, prefixes;
+    for (const GridCell &c : cells) {
+        const std::string compiled =
+            Study::fingerprint(*c.workload, c.options);
+        runs.insert(compiled + "|" + std::to_string(c.sched.specHash()) +
+                    "|" + std::to_string(c.timing.specHash()));
+        CompileOptions any_alias = c.options;
+        any_alias.alias = AliasLevel::Conservative;
+        prefixes.insert(Study::fingerprint(*c.workload, any_alias));
+    }
+    ASSERT_LT(runs.size(), cells.size());
+    EXPECT_EQ(grid.runs(), runs.size());
+    EXPECT_EQ(grid.prefixes(), prefixes.size());
+
+    const std::vector<RunOutcome> got = grid.run(SweepRunner(4));
+    EXPECT_EQ(grid.timed(), runs.size());
+    EXPECT_EQ(grid.compiled(), prefixes.size());
+    EXPECT_EQ(grid.held(), 0u);
+
+    // Each cell, the way a Study times it.
+    Study study(4);
+    const std::vector<RunOutcome> want = study.runner().map<RunOutcome>(
+        cells.size(), [&](std::size_t i) {
+            const GridCell &c = cells[i];
+            if (c.sched.specHash() == c.timing.specHash())
+                return study.timedRun(*c.workload, c.timing, c.options);
+            return runOnMachine(*study.compileCache().compile(
+                                    *c.workload, c.sched, c.options),
+                                c.timing);
+        });
+    ASSERT_EQ(got.size(), cells.size());
+    for (std::size_t i = 0; i < cells.size(); ++i) {
+        const GridCell &c = cells[i];
+        const std::string cell =
+            Study::fingerprint(*c.workload, c.options) + " for " +
+            c.sched.name + " on " + c.timing.name;
+        ASSERT_FALSE(got[i].trapped()) << cell;
+        EXPECT_EQ(got[i].instructions, want[i].instructions) << cell;
+        EXPECT_EQ(got[i].cycles, want[i].cycles) << cell;
+        EXPECT_EQ(got[i].checksum, want[i].checksum) << cell;
+        EXPECT_EQ(got[i].checksum, c.workload->expected) << cell;
+    }
+}
+
+TEST(StudyTest, CellGridRethrowsAFailedCompileAndHoldsNothing)
+{
+    Workload broken{"broken", "does not parse",
+                    "func main() : int { return ; }", 0, false, 1};
+    CellGrid grid;
+    for (const Workload &w : allWorkloads())
+        grid.add(w, defaultCompileOptions(w), idealSuperscalar(4));
+    grid.add(broken, defaultCompileOptions(broken), idealSuperscalar(4));
+    grid.add(broken, defaultCompileOptions(broken), idealSuperscalar(2));
+    EXPECT_THROW(grid.run(SweepRunner(2)), DiagException);
+    EXPECT_EQ(grid.held(), 0u);
 }
 
 using StudyTrapTest = test::ThrowingErrors;
@@ -259,13 +380,13 @@ TEST(StudyTest, OptimizationLevelsChangeParallelismOnlyModestly)
     none.level = OptLevel::None;
     CompileOptions sched = none;
     sched.level = OptLevel::Sched;
-    double p_none = study.availableParallelism(w, none, 8);
-    double p_sched = study.availableParallelism(w, sched, 8);
+    double p_none = study.speedup(w, idealSuperscalar(8), none);
+    double p_sched = study.speedup(w, idealSuperscalar(8), sched);
     EXPECT_GE(p_sched, p_none - 1e-6);
 
     CompileOptions full = none;
     full.level = OptLevel::RegAlloc;
-    double p_full = study.availableParallelism(w, full, 8);
+    double p_full = study.speedup(w, idealSuperscalar(8), full);
     EXPECT_GT(p_full, 1.0);
     EXPECT_LT(p_full, 4.0);
 }
