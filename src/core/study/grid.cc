@@ -1,7 +1,5 @@
 #include "core/study/grid.hh"
 
-#include "support/trace.hh"
-
 namespace ilp {
 
 std::size_t
@@ -14,104 +12,44 @@ CellGrid::add(const Workload &workload, const CompileOptions &options,
     const auto [run, fresh] = run_index_.emplace(key, runs_.size());
     if (fresh) {
         const auto [prefix, first] = prefix_index_.emplace(
-            CompileCache::prefixKey(workload, options), prefixes_.size());
+            CompileCache::prefixKey(workload, options), uses_.size());
         if (first)
-            prefixes_.emplace_back();
-        ++prefixes_[prefix->second].uses;
+            uses_.push_back(0);
+        ++uses_[prefix->second];
         runs_.push_back({&workload, options, sched, timing, prefix->second});
     }
     cell_run_.push_back(run->second);
     return cell_run_.size() - 1;
 }
 
-AllocatedModule
-CellGrid::take(const Run &r)
-{
-    Prefix &p = prefixes_[r.prefix];
-    std::unique_lock<std::mutex> lock(mu_);
-    while (!p.ready) {
-        if (p.failed)
-            std::rethrow_exception(p.failed);
-        if (p.compiling) {
-            // Another worker is compiling it: the worker timeline
-            // shows the wait as one.
-            trace::ScopedSpan span("compile-wait", "cache");
-            if (span.armed())
-                span.detail(r.workload->name);
-            compiled_cv_.wait(lock, [&p] { return !p.compiling; });
-            continue;
-        }
-        p.compiling = true;
-        lock.unlock();
-        std::shared_ptr<CompiledPrefix> compiled;
-        try {
-            compiled = std::make_shared<CompiledPrefix>(
-                compilePrefix(*r.workload, r.options));
-        } catch (...) {
-            lock.lock();
-            p.compiling = false;
-            p.failed = std::current_exception();
-            compiled_cv_.notify_all();
-            throw;
-        }
-        lock.lock();
-        p.compiling = false;
-        p.ready = std::move(compiled);
-        ++compiled_;
-        ++held_;
-        compiled_cv_.notify_all();
-    }
-
-    const std::shared_ptr<CompiledPrefix> prefix = p.ready;
-    if (--p.pending == 0) {
-        // The last run lets go of the prefix, and takes it whole once
-        // no other run is still copying it.
-        p.ready.reset();
-        --held_;
-        if (p.copying == 0)
-            return std::move(prefix->allocated);
-    }
-    ++p.copying;
-    lock.unlock();
-    AllocatedModule copy = prefix->allocated;
-    lock.lock();
-    --p.copying;
-    return copy;
-}
-
 std::vector<RunOutcome>
 CellGrid::run(const SweepRunner &runner)
 {
-    {
-        std::lock_guard<std::mutex> lock(mu_);
-        for (Prefix &p : prefixes_) {
-            const std::size_t uses = p.uses;
-            p = Prefix{};
-            p.uses = p.pending = uses;
-        }
-        compiled_ = 0;
-    }
+    // Runs of each prefix that do not have their module yet: the
+    // one that takes the count to 0 releases the prefix, and no run
+    // asks the cache for it after that.
+    std::vector<std::atomic<std::size_t>> pending(uses_.size());
+    for (std::size_t p = 0; p < uses_.size(); ++p)
+        pending[p].store(uses_[p]);
     timed_.store(0);
 
     std::vector<RunOutcome> outcomes;
     try {
         outcomes = runner.map<RunOutcome>(
-            runs_.size(), [this](std::size_t i) {
+            runs_.size(), [&](std::size_t i) {
                 const Run &r = runs_[i];
-                AllocatedModule allocated = take(r);
-                scheduleModule(allocated.module, allocated.frontendLocs,
-                               r.sched, optimizeOptions(r.options));
-                RunOutcome out = runOnMachine(allocated.module, r.timing);
+                const std::shared_ptr<const Module> module =
+                    cache_.compile(*r.workload, r.sched, r.options);
+                if (pending[r.prefix].fetch_sub(1) == 1)
+                    cache_.release(*r.workload, r.options);
+                RunOutcome out = runOnMachine(*module, r.timing);
                 timed_.fetch_add(1, std::memory_order_relaxed);
                 return out;
             });
     } catch (...) {
         // The workers have joined: let go of what the unfinished runs
-        // would have taken.
-        std::lock_guard<std::mutex> lock(mu_);
-        for (Prefix &p : prefixes_)
-            p.ready.reset();
-        held_ = 0;
+        // would have compiled from.
+        cache_.clear();
         throw;
     }
 
@@ -120,20 +58,6 @@ CellGrid::run(const SweepRunner &runner)
     for (std::size_t run : cell_run_)
         cells.push_back(outcomes[run]);
     return cells;
-}
-
-std::size_t
-CellGrid::compiled() const
-{
-    std::lock_guard<std::mutex> lock(mu_);
-    return compiled_;
-}
-
-std::size_t
-CellGrid::held() const
-{
-    std::lock_guard<std::mutex> lock(mu_);
-    return held_;
 }
 
 } // namespace ilp

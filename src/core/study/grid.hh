@@ -12,29 +12,23 @@
  *    the timing machine's specHash(), so cells that compile the same
  *    module and time it on the same specification share one run
  *    (Figure 4-1's ss(1) and sp(1) columns are one machine);
- *  - compiles each machine-independent prefix (parse, optimize,
- *    allocate: compilePrefix()) once, when its first run starts, and
- *    frees it as soon as its last run has taken it.  Every run but
- *    the last schedules a copy; the last one, once the copies before
- *    it are done, schedules the prefix itself, so a prefix that only
- *    one run needs is never copied;
+ *  - compiles through a CompileCache of its own, so each
+ *    machine-independent prefix (parse, optimize, allocate) is
+ *    compiled once, by its first run, and releases a prefix as soon
+ *    as its last run has its scheduled module;
  *  - starts the runs in the order their first cells were added and
  *    returns the outcomes in cell order, so what is rendered from
  *    them is byte-identical at any job count.
  *
  * A Study's CompileCache holds every prefix until the Study goes
- * away; the grid holds one only while a run still needs it.
+ * away; the grid's holds one only while a run still needs it.
  */
 
 #ifndef SUPERSYM_CORE_STUDY_GRID_HH
 #define SUPERSYM_CORE_STUDY_GRID_HH
 
 #include <atomic>
-#include <condition_variable>
-#include <exception>
 #include <map>
-#include <memory>
-#include <mutex>
 #include <string>
 #include <vector>
 
@@ -65,7 +59,7 @@ class CellGrid
      * per cell, in the order the cells were added.  A trapped run
      * surfaces through its outcome's trap.  A prefix that fails to
      * compile stops the grid and its DiagException is rethrown, as
-     * SweepRunner::run() rethrows a cell's; the grid then holds no
+     * SweepRunner::run() rethrows a cell's; the cache then holds no
      * prefix either.
      */
     std::vector<RunOutcome> run(const SweepRunner &runner);
@@ -73,14 +67,14 @@ class CellGrid
     /** Distinct runs among the cells added. */
     std::size_t runs() const { return runs_.size(); }
     /** Distinct prefixes the runs compile. */
-    std::size_t prefixes() const { return prefixes_.size(); }
+    std::size_t prefixes() const { return uses_.size(); }
 
-    /** Prefixes the last run() compiled. */
-    std::size_t compiled() const;
+    /** The cache the runs compile through: its misses() count the
+     *  prefixes compiled, and its size() is 0 whenever run() is not
+     *  running. */
+    const CompileCache &cache() const { return cache_; }
     /** Runs the last run() timed. */
     std::size_t timed() const { return timed_.load(); }
-    /** Prefixes held right now: 0 whenever run() is not running. */
-    std::size_t held() const;
 
   private:
     struct Run
@@ -89,40 +83,19 @@ class CellGrid
         CompileOptions options;
         MachineConfig sched;
         MachineConfig timing;
-        /** Index into prefixes_. */
+        /** Index into uses_. */
         std::size_t prefix;
     };
-
-    struct Prefix
-    {
-        /** Runs that schedule it. */
-        std::size_t uses = 0;
-        // During run(), under mu_:
-        /** Runs that have not taken it yet. */
-        std::size_t pending = 0;
-        /** Runs copying it right now. */
-        std::size_t copying = 0;
-        bool compiling = false;
-        std::shared_ptr<CompiledPrefix> ready;
-        std::exception_ptr failed;
-    };
-
-    /** Run `r`'s own copy of its prefix, compiled on first use (other
-     *  workers wait for it).  The last run to take a prefix lets go
-     *  of it, and moves it out when no copy is still being made. */
-    AllocatedModule take(const Run &r);
 
     std::vector<Run> runs_;
     /** Index into runs_ of each cell. */
     std::vector<std::size_t> cell_run_;
     std::map<std::string, std::size_t> run_index_;
     std::map<std::string, std::size_t> prefix_index_;
-    std::vector<Prefix> prefixes_;
+    /** Runs that compile each prefix. */
+    std::vector<std::size_t> uses_;
 
-    mutable std::mutex mu_;
-    std::condition_variable compiled_cv_;
-    std::size_t compiled_ = 0;
-    std::size_t held_ = 0;
+    CompileCache cache_;
     std::atomic<std::size_t> timed_{0};
 };
 

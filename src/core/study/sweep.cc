@@ -186,23 +186,6 @@ CompileCache::prefixKey(const Workload &workload,
     return k;
 }
 
-CompiledPrefix
-compilePrefix(const Workload &workload, const CompileOptions &options)
-{
-    trace::ScopedSpan span("compile", "compile");
-    if (span.armed())
-        span.detail(workload.name);
-    if (fault::enabled())
-        fault::maybeInject("compile");
-    CompiledPrefix p;
-    Result<AllocatedModule> r = allocateWorkloadChecked(
-        workload.source, options, &p.telemetry, workload.name);
-    if (!r.ok())
-        r.raise(); // DiagException with the full list
-    p.allocated = r.take();
-    return p;
-}
-
 std::string
 CompileCache::key(const Workload &workload, const MachineConfig &machine,
                   const CompileOptions &options)
@@ -257,13 +240,13 @@ CompileCache::compile(const Workload &workload,
     machine.validate();
     const std::string k = prefixKey(workload, options);
 
-    std::shared_future<CompiledPrefix> future;
-    std::shared_ptr<std::promise<CompiledPrefix>> fill;
+    std::shared_future<Prefix> future;
+    std::shared_ptr<std::promise<Prefix>> fill;
     {
         std::lock_guard<std::mutex> lock(mu_);
         auto it = entries_.find(k);
         if (it == entries_.end()) {
-            fill = std::make_shared<std::promise<CompiledPrefix>>();
+            fill = std::make_shared<std::promise<Prefix>>();
             future = fill->get_future().share();
             entries_.emplace(k, future);
         } else {
@@ -274,7 +257,18 @@ CompileCache::compile(const Workload &workload,
     if (fill) {
         misses_.fetch_add(1, std::memory_order_relaxed);
         try {
-            fill->set_value(compilePrefix(workload, options));
+            trace::ScopedSpan span("compile", "compile");
+            if (span.armed())
+                span.detail(workload.name);
+            if (fault::enabled())
+                fault::maybeInject("compile");
+            Prefix p;
+            Result<AllocatedModule> r = allocateWorkloadChecked(
+                workload.source, options, &p.telemetry, workload.name);
+            if (!r.ok())
+                r.raise(); // DiagException with the full list
+            p.allocated = r.take();
+            fill->set_value(std::move(p));
         } catch (...) {
             // A failed compile must not poison the cache: hand the
             // exception to the waiters already parked on this entry,
@@ -299,13 +293,31 @@ CompileCache::compile(const Workload &workload,
         }
     }
 
-    const CompiledPrefix &p = future.get(); // rethrows a failed compile
+    const Prefix &p = future.get(); // rethrows a failed compile
     if (telemetry)
         *telemetry = p.telemetry;
     Module module = p.allocated.module;
     scheduleModule(module, p.allocated.frontendLocs, machine,
                    optimizeOptions(options), telemetry);
     return std::make_shared<const Module>(std::move(module));
+}
+
+void
+CompileCache::release(const Workload &workload,
+                      const CompileOptions &options)
+{
+    // The entry's prefix goes when the last request still reading it
+    // drops its copy of the future.
+    const std::string k = prefixKey(workload, options);
+    std::lock_guard<std::mutex> lock(mu_);
+    entries_.erase(k);
+}
+
+void
+CompileCache::clear()
+{
+    std::lock_guard<std::mutex> lock(mu_);
+    entries_.clear();
 }
 
 std::size_t

@@ -23,8 +23,8 @@
  * the prefix for its machine and alias level.  Cached prefixes are
  * immutable, and each cell runs its own executor and IssueEngine
  * (runOnMachine) over its own module, so sharing is safe by
- * construction.  CellGrid (core/study/grid.hh) compiles through the
- * same compilePrefix() but frees each prefix after its last run.
+ * construction.  CellGrid (core/study/grid.hh) compiles through a
+ * CompileCache of its own and releases each prefix after its last run.
  *
  * Job-count resolution (see defaultSweepJobs): explicit argument >
  * SSIM_JOBS environment variable > std::thread::hardware_concurrency.
@@ -236,21 +236,6 @@ class SweepRunner
     int jobs_;
 };
 
-/** The machine-independent prefix of one compilation
- *  (allocateWorkloadChecked: parse, unroll, optimize, allocate) and
- *  the telemetry it recorded. */
-struct CompiledPrefix
-{
-    AllocatedModule allocated;
-    CompileTelemetry telemetry;
-};
-
-/** Compile the prefix of `workload` under `options` in a "compile"
- *  span, at the "compile" fault site (support/faultinject.hh).
- *  Throws DiagException, with every diagnostic, when it fails. */
-CompiledPrefix compilePrefix(const Workload &workload,
-                             const CompileOptions &options);
-
 /**
  * A concurrency-safe cache of compilation prefixes.
  *
@@ -296,6 +281,13 @@ class CompileCache
     static std::string prefixKey(const Workload &workload,
                                  const CompileOptions &options);
 
+    /** Drop the prefix that (workload, options) compile from, once
+     *  no request still needs it: a later compile() compiles it
+     *  again.  A request already served keeps its own module. */
+    void release(const Workload &workload, const CompileOptions &options);
+    /** release() every prefix. */
+    void clear();
+
     /** Lookups served from an existing prefix. */
     std::uint64_t hits() const { return hits_.load(); }
     /** Lookups that had to compile a prefix. */
@@ -307,8 +299,14 @@ class CompileCache
     std::size_t size() const;
 
   private:
+    struct Prefix
+    {
+        AllocatedModule allocated;
+        CompileTelemetry telemetry;
+    };
+
     mutable std::mutex mu_;
-    std::map<std::string, std::shared_future<CompiledPrefix>> entries_;
+    std::map<std::string, std::shared_future<Prefix>> entries_;
     std::atomic<std::uint64_t> hits_{0};
     std::atomic<std::uint64_t> misses_{0};
     std::atomic<std::uint64_t> failures_{0};

@@ -11,6 +11,10 @@ namespace ilp {
 
 namespace {
 
+/** Bytes of the reservation behind every table. */
+constexpr std::size_t kReservedBytes =
+    WordTable::kMaxWords * sizeof(std::uint64_t);
+
 /** `words` rounded up to a whole number of pages, in bytes. */
 std::size_t
 pageBytes(std::size_t words)
@@ -32,7 +36,7 @@ WordTable::WordTable(std::size_t words)
 WordTable::~WordTable()
 {
     if (words_ != nullptr)
-        ::munmap(words_, size_ * sizeof(std::uint64_t));
+        ::munmap(words_, kReservedBytes);
 }
 
 WordTable::WordTable(WordTable &&other) noexcept
@@ -57,26 +61,30 @@ WordTable::growTo(std::size_t word)
 {
     if (word < size_)
         return;
-    const std::size_t bytes = pageBytes(std::max(word + 1, 2 * size_));
-    void *table = ::mmap(nullptr, bytes, PROT_READ | PROT_WRITE,
-                         MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
-    if (table == MAP_FAILED)
+    if (word >= kMaxWords)
         throw std::bad_alloc();
-    // Small pages only: a huge page would make one written word cost
-    // 2 MB resident.
-    ::madvise(table, bytes, MADV_NOHUGEPAGE);
-    // The written pages move to the front of the new mapping, and the
-    // old range is gone.  A fresh mmap picks the new range, not
-    // mremap(MREMAP_MAYMOVE) alone, because ThreadSanitizer tracks
-    // the ranges mmap and munmap hand out but not those mremap does.
-    if (words_ != nullptr &&
-        ::mremap(words_, size_ * sizeof(std::uint64_t),
-                 size_ * sizeof(std::uint64_t),
-                 MREMAP_MAYMOVE | MREMAP_FIXED, table) == MAP_FAILED) {
-        ::munmap(table, bytes);
-        throw std::bad_alloc();
+    if (words_ == nullptr) {
+        // Address space only: an inaccessible range takes no memory
+        // and, with MAP_NORESERVE, no commit charge.
+        void *table =
+            ::mmap(nullptr, kReservedBytes, PROT_NONE,
+                   MAP_PRIVATE | MAP_ANONYMOUS | MAP_NORESERVE, -1, 0);
+        if (table == MAP_FAILED)
+            throw std::bad_alloc();
+        // Small pages only: a huge page would make one written word
+        // cost 2 MB resident.
+        ::madvise(table, kReservedBytes, MADV_NOHUGEPAGE);
+        words_ = static_cast<std::uint64_t *>(table);
     }
-    words_ = static_cast<std::uint64_t *>(table);
+    // Open the next stretch of the reservation where it lies.  Only
+    // the accessible part is ever charged against a strict overcommit
+    // limit, as a vector of size() words would be.
+    const std::size_t old = size_ * sizeof(std::uint64_t);
+    const std::size_t bytes =
+        std::min(pageBytes(std::max(word + 1, 2 * size_)), kReservedBytes);
+    if (::mprotect(reinterpret_cast<char *>(words_) + old, bytes - old,
+                   PROT_READ | PROT_WRITE) != 0)
+        throw std::bad_alloc();
     size_ = bytes / sizeof(std::uint64_t);
 }
 

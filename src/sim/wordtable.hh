@@ -3,14 +3,14 @@
  * A zero-initialized table of 64-bit words that holds memory only
  * where it has been written.
  *
- * The table is one private anonymous mapping.  The kernel backs a
- * page of it only when the page is first written (reading an
- * untouched page costs nothing), so a table indexed by word address
- * holds only the pages a run writes, however far apart they lie.
- * growTo() moves the table's pages into a larger mapping with
- * mremap(2): no word is zero-filled and none is copied, and every
- * word written so far keeps its value.  The table moves when it
- * grows, so no pointer into it survives a growTo().
+ * The table is one private anonymous mapping of kMaxWords words,
+ * reserved once, on the first growTo(), and inaccessible past size().
+ * The kernel backs a page of it only when the page is first written
+ * (reading an untouched page costs nothing), so a table indexed by
+ * word address holds only the pages a run writes, however far apart
+ * they lie.  growTo() makes more of the reservation accessible in
+ * place: no word is zero-filled, copied or moved, and a pointer into
+ * the table stays valid.
  *
  * Three tables of this kind are indexed by simulated word address:
  * the data memory's image (sim/memory.hh), the issue engine's ready
@@ -29,6 +29,11 @@ namespace ilp {
 class WordTable
 {
   public:
+    /** Words a table can grow to: one per word of a 4 GiB (32-bit)
+     *  simulated address space.  The reservation costs address space
+     *  only. */
+    static constexpr std::size_t kMaxWords = std::size_t{1} << 29;
+
     /** An empty table: size() is 0 until the first growTo(). */
     WordTable() = default;
     /** A table of at least `words` zero words. */
@@ -49,8 +54,8 @@ class WordTable
 
     /** Make index `word` valid.  The table at least doubles, so a
      *  run of growing indices costs a logarithmic number of calls;
-     *  the new words read 0.  Throws std::bad_alloc when the kernel
-     *  refuses the mapping. */
+     *  the new words read 0.  Throws std::bad_alloc when `word` is
+     *  not below kMaxWords or the kernel refuses the mapping. */
     void growTo(std::size_t word);
 
   private:

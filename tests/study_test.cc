@@ -282,8 +282,9 @@ TEST(StudyTest, CellGridMatchesTimedRunsOncePerDistinctRun)
 
     const std::vector<RunOutcome> got = grid.run(SweepRunner(4));
     EXPECT_EQ(grid.timed(), runs.size());
-    EXPECT_EQ(grid.compiled(), prefixes.size());
-    EXPECT_EQ(grid.held(), 0u);
+    EXPECT_EQ(grid.cache().misses(), prefixes.size());
+    EXPECT_EQ(grid.cache().hits(), runs.size() - prefixes.size());
+    EXPECT_EQ(grid.cache().size(), 0u);
 
     // Each cell, the way a Study times it.
     Study study(4);
@@ -320,7 +321,7 @@ TEST(StudyTest, CellGridRethrowsAFailedCompileAndHoldsNothing)
     grid.add(broken, defaultCompileOptions(broken), idealSuperscalar(4));
     grid.add(broken, defaultCompileOptions(broken), idealSuperscalar(2));
     EXPECT_THROW(grid.run(SweepRunner(2)), DiagException);
-    EXPECT_EQ(grid.held(), 0u);
+    EXPECT_EQ(grid.cache().size(), 0u);
 }
 
 using StudyTrapTest = test::ThrowingErrors;

@@ -4,6 +4,7 @@
 
 #include <cstdint>
 #include <fstream>
+#include <new>
 #include <utility>
 #include <vector>
 
@@ -55,10 +56,15 @@ TEST(WordTableTest, GrowthKeepsEveryWrittenWord)
 {
     WordTable t;
     std::vector<std::size_t> written;
+    const std::uint64_t *first = nullptr;
     for (std::size_t k = 0; k <= 20; ++k) {
         const std::size_t i = (std::size_t{1} << k) + 3 * k;
         t.growTo(i);
         ASSERT_GT(t.size(), i);
+        // The table grows where it lies.
+        if (first == nullptr)
+            first = &t[0];
+        ASSERT_EQ(&t[0], first) << "moved growing to " << i;
         t[i] = valueOf(i);
         written.push_back(i);
         for (std::size_t j : written)
@@ -79,6 +85,18 @@ TEST(WordTableTest, GrowthKeepsEveryWrittenWord)
         }
     }
     EXPECT_EQ(next, written.size());
+}
+
+TEST(WordTableTest, RefusesAnIndexPastItsReservation)
+{
+    WordTable t(10);
+    t[3] = 7;
+    EXPECT_THROW(t.growTo(WordTable::kMaxWords), std::bad_alloc);
+    EXPECT_EQ(t[3], 7u);
+    t.growTo(WordTable::kMaxWords - 1);
+    EXPECT_EQ(t.size(), WordTable::kMaxWords);
+    EXPECT_EQ(t[3], 7u);
+    EXPECT_EQ(t[WordTable::kMaxWords - 1], 0u);
 }
 
 TEST(WordTableTest, OneFarWordCostsAboutOnePage)
